@@ -4,7 +4,8 @@ One subcommand per capability: eval, peval, project, normalize,
 decide, truth, classify, comply, check-model, witness, spec.  Exit
 status is 0 for successful/positive verdicts (true, Compliant,
 defined, T), 1 for negative ones (false, Violation, undefined), and
-2 for usage, parse, or signature errors.  --json emits one JSON
+2 for usage, parse, or signature errors and for assigned values outside
+a finite model's carrier.  --json emits one JSON
 object per result with absent fields omitted; rationals print as
 n/m in lowest terms, never as decimals.
 """
@@ -47,7 +48,12 @@ def _parse_assignment(text: str | None, carrier: str) -> dict:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"bad assignment entry {item!r}; use name=value")
-        a[name.strip()] = int(value) if carrier == "finite" else Fraction(value)
+        try:
+            a[name.strip()] = int(value) if carrier == "finite" else Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"bad assignment entry {item!r}: zero denominator") from None
+        except ValueError as exc:
+            raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
     return a
 
 

@@ -72,10 +72,14 @@ def punch_eval(
     Exactly the punched applications are undefined: an inverse of 0 under
     INV_ZERO, a division by 0 under DIV_ZERO_ALL, and a division by 0
     with nonzero numerator under DIV_ZERO_NONZERO_NUM (so 0/0 stays 0).
-    Undefinedness propagates through every operator.
+    Undefinedness propagates through every operator.  With a finite
+    model, every assigned value must be a carrier element (ValueError).
     """
     check_conforms(t, _VARIANT_SIG[variant])
-    return _peval(t, variant, model, a or {})
+    a = a or {}
+    if model is not None:
+        model.check_assignment(a)
+    return _peval(t, variant, model, a)
 
 
 def _peval(t, variant, m: FiniteMeadow | None, a: Assignment) -> PartialValue:

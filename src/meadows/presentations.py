@@ -26,9 +26,7 @@ from .terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
     Signature, free_vars,
 )
-from .semantics import (
-    FiniteMeadow, eval_with_ops, eval_with_partial_ops,
-)
+from .semantics import FiniteMeadow, eval_blocks
 
 __all__ = [
     "Symbol", "Equation", "Presentation",
@@ -425,15 +423,15 @@ def _freeze_table(table, arity: int):
 
 
 def _axiom_holds_everywhere(eq: Equation, ops, size: int, partial: bool) -> bool:
+    """Does eq hold at every assignment?  In partial mode an assignment at
+    which either side is undecided (None) does not count against it."""
     names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
-    evaluate = eval_with_partial_ops if partial else eval_with_ops
-    for values in iter_product(range(size), repeat=len(names)):
-        a = dict(zip(names, values))
-        lhs = evaluate(eq.lhs, ops, a)
-        rhs = evaluate(eq.rhs, ops, a)
-        if partial and (lhs is None or rhs is None):
+    for _, (lhs, rhs) in eval_blocks((eq.lhs, eq.rhs), ops, names, size, partial):
+        if lhs == rhs:
             continue
-        if lhs != rhs:
+        if not partial or any(
+            x is not None and y is not None and x != y for x, y in zip(lhs, rhs)
+        ):
             return False
     return True
 

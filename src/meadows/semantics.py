@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
+from operator import ne
 from typing import Mapping, Sequence, Union
 
 from .terms import (
@@ -31,8 +33,7 @@ __all__ = [
     "Q0", "Value", "Assignment", "MissingAssignment",
     "q0_inv", "q0_div", "eval_q0",
     "FiniteMeadow", "NotRegular", "NotUnique",
-    "zp_meadow", "zn_ring", "zn_meadow", "eval_model",
-    "eval_with_ops", "eval_with_partial_ops",
+    "zp_meadow", "zn_ring", "zn_meadow", "eval_model", "eval_blocks",
     "AxiomFailure", "check_axioms", "is_prime",
     "two_squares", "corollary_witness",
 ]
@@ -135,21 +136,35 @@ class FiniteMeadow:
             raise ValueError("no inverse table; expand the ring first")
         return self.mul[x][self.inv[y]]
 
-    def ops(self) -> dict[str, object]:
-        """Operation tables keyed by symbol, with derived division/subtraction."""
+    def check_assignment(self, a: Assignment) -> None:
+        """Raise ValueError unless every value assigned in a is a carrier element."""
+        for name, value in a.items():
+            if not (isinstance(value, int) and 0 <= value < self.size):
+                raise ValueError(
+                    f"value {value!r} of {name} is outside the carrier 0..{self.size - 1}"
+                )
+
+    def tables(self) -> dict[str, object]:
+        """The tabulated operations keyed by symbol; inv only when present."""
         table: dict[str, object] = {
             "zero": self.zero,
             "one": self.one,
             "add": self.add,
             "mul": self.mul,
             "neg": self.neg,
-            "sub": tuple(
-                tuple(self.add[x][self.neg[y]] for y in self.carrier)
-                for x in self.carrier
-            ),
         }
         if self.inv is not None:
             table["inv"] = self.inv
+        return table
+
+    def ops(self) -> dict[str, object]:
+        """tables() plus the derived n x n subtraction and division tables."""
+        table = self.tables()
+        table["sub"] = tuple(
+            tuple(self.add[x][self.neg[y]] for y in self.carrier)
+            for x in self.carrier
+        )
+        if self.inv is not None:
             table["div"] = tuple(
                 tuple(self.mul[x][self.inv[y]] for y in self.carrier)
                 for x in self.carrier
@@ -223,71 +238,102 @@ def zn_meadow(n: int) -> FiniteMeadow:
     return expand_regular_ring(zn_ring(n))
 
 
-def eval_with_ops(t: Term, ops: Mapping[str, object], a: Assignment) -> int:
-    """Table-driven evaluation of t with operations drawn from ops."""
-    if isinstance(t, Zero):
-        return _op(ops, "zero")  # type: ignore[return-value]
-    if isinstance(t, One):
-        return _op(ops, "one")  # type: ignore[return-value]
-    if isinstance(t, Var):
-        if t.name not in a:
-            raise MissingAssignment(t.name)
-        return a[t.name]  # type: ignore[return-value]
-    if isinstance(t, Add):
-        return _op(ops, "add")[eval_with_ops(t.left, ops, a)][eval_with_ops(t.right, ops, a)]
-    if isinstance(t, Mul):
-        return _op(ops, "mul")[eval_with_ops(t.left, ops, a)][eval_with_ops(t.right, ops, a)]
-    if isinstance(t, Sub):
-        return _op(ops, "sub")[eval_with_ops(t.left, ops, a)][eval_with_ops(t.right, ops, a)]
-    if isinstance(t, Neg):
-        return _op(ops, "neg")[eval_with_ops(t.arg, ops, a)]
-    if isinstance(t, Inv):
-        return _op(ops, "inv")[eval_with_ops(t.arg, ops, a)]
-    assert isinstance(t, Div)
-    return _op(ops, "div")[eval_with_ops(t.num, ops, a)][eval_with_ops(t.den, ops, a)]
+#: Assignments evaluated together by check_axioms and the expansion search.
+#: Memory is O(BLOCK x term size) whatever the carrier size.
+BLOCK = 512
+
+_CONSTANT = {Zero: "zero", One: "one"}
+_UNARY = {Neg: "neg", Inv: "inv"}
+_BINARY = {Add: "add", Mul: "mul", Sub: "sub", Div: "div"}
+# Symbols a FiniteMeadow does not tabulate, read per entry instead:
+# x - y = add[x][neg[y]] and x / y = mul[x][inv[y]].  Only total tables
+# lack them: the expansion search always passes sub and div when used.
+_DERIVED = {"sub": ("add", "neg"), "div": ("mul", "inv")}
 
 
-def _op(ops: Mapping[str, object], key: str):
+def _table(tables: Mapping[str, object], key: str):
     try:
-        return ops[key]
+        return tables[key]
     except KeyError:
         raise ValueError(f"model provides no interpretation for {key!r}") from None
 
 
-def eval_with_partial_ops(t: Term, ops: Mapping[str, object], a: Assignment) -> int | None:
-    """Like eval_with_ops, but None (an undecided table entry) propagates."""
-    if isinstance(t, Zero):
-        return _op(ops, "zero")  # type: ignore[return-value]
-    if isinstance(t, One):
-        return _op(ops, "one")  # type: ignore[return-value]
-    if isinstance(t, Var):
-        if t.name not in a:
-            raise MissingAssignment(t.name)
-        return a[t.name]  # type: ignore[return-value]
-    if isinstance(t, (Add, Mul, Sub)):
-        key = {Add: "add", Mul: "mul", Sub: "sub"}[type(t)]
-        x = eval_with_partial_ops(t.left, ops, a)
-        y = eval_with_partial_ops(t.right, ops, a)
-        if x is None or y is None:
-            return None
-        return _op(ops, key)[x][y]
-    if isinstance(t, (Neg, Inv)):
-        key = "neg" if isinstance(t, Neg) else "inv"
-        x = eval_with_partial_ops(t.arg, ops, a)
-        if x is None:
-            return None
-        return _op(ops, key)[x]
-    assert isinstance(t, Div)
-    x = eval_with_partial_ops(t.num, ops, a)
-    y = eval_with_partial_ops(t.den, ops, a)
-    if x is None or y is None:
-        return None
-    return _op(ops, "div")[x][y]
+def _binary(tables, key: str, xs: list, ys: list, partial: bool) -> list:
+    if key in tables or key not in _DERIVED:
+        table = _table(tables, key)
+        if partial:
+            return [None if x is None or y is None else table[x][y] for x, y in zip(xs, ys)]
+        return [table[x][y] for x, y in zip(xs, ys)]
+    outer, inner = (_table(tables, k) for k in _DERIVED[key])
+    return [outer[x][inner[y]] for x, y in zip(xs, ys)]
+
+
+def _fold(t: Term, tables: Mapping[str, object], env: Mapping[str, list],
+          n: int, partial: bool = False) -> list:
+    """The value column of t over a block of n assignments.
+
+    tables maps operator keys (zero, one, add, mul, neg, inv, div, sub)
+    to their tables; sub and div fall back to _DERIVED when absent.  env
+    maps each variable to its column of n values.  In partial mode a
+    table entry may be None (not yet decided), and None propagates.  The
+    walk keeps its own stack, so depth is not bounded by recursion.
+    """
+    columns: list[list] = []
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name not in env:
+                raise MissingAssignment(node.name)
+            columns.append(env[node.name])
+        elif kind in _CONSTANT:
+            columns.append([_table(tables, _CONSTANT[kind])] * n)
+        elif kind in _UNARY:
+            if not ready:
+                todo += ((node, True), (node.arg, False))
+                continue
+            table = _table(tables, _UNARY[kind])
+            xs = columns.pop()
+            if partial:
+                columns.append([None if x is None else table[x] for x in xs])
+            else:
+                columns.append([table[x] for x in xs])
+        else:
+            if not ready:
+                left, right = (node.num, node.den) if kind is Div else (node.left, node.right)
+                todo += ((node, True), (right, False), (left, False))
+                continue
+            ys = columns.pop()
+            xs = columns.pop()
+            columns.append(_binary(tables, _BINARY[kind], xs, ys, partial))
+    return columns[0]
+
+
+def eval_blocks(
+    terms: Sequence[Term],
+    tables: Mapping[str, object],
+    names: Sequence[str],
+    size: int,
+    partial: bool = False,
+):
+    """Evaluate terms at every assignment of 0..size-1 to names.
+
+    Yields (rows, columns) per block of at most BLOCK assignments, in
+    row-major order: rows holds the block's value tuples (ordered as
+    names) and columns[i] the values of terms[i] at those rows.
+    """
+    assignments = product(range(size), repeat=len(names))
+    while rows := list(islice(assignments, BLOCK)):
+        env = dict(zip(names, map(list, zip(*rows))))
+        yield rows, [_fold(t, tables, env, len(rows), partial) for t in terms]
 
 
 def eval_model(t: Term, m: FiniteMeadow, a: Assignment | None = None) -> int:
     """Evaluate t in the finite meadow m under assignment a."""
-    return eval_with_ops(t, m.ops(), a or {})
+    a = a or {}
+    m.check_assignment(a)
+    return _fold(t, m.tables(), {name: [value] for name, value in a.items()}, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -322,27 +368,33 @@ def check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
         from .presentations import builtin
 
         axioms = builtin(axioms)
-    ops = m.ops()
+    tables = m.tables()
     failures = []
     for eq in axioms.axioms:
         names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
         first = None
         count = 0
-        for values in product(m.carrier, repeat=len(names)):
-            a = dict(zip(names, values))
-            lhs = eval_with_ops(eq.lhs, ops, a)
-            rhs = eval_with_ops(eq.rhs, ops, a)
-            if lhs != rhs:
-                count += 1
-                if first is None:
-                    first = (tuple(zip(names, values)), lhs, rhs)
+        for rows, (lhs, rhs) in eval_blocks((eq.lhs, eq.rhs), tables, names, m.size):
+            if lhs == rhs:
+                continue
+            count += sum(map(ne, lhs, rhs))
+            if first is None:
+                i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                first = (tuple(zip(names, rows[i])), lhs[i], rhs[i])
         if first is not None:
             failures.append(AxiomFailure(eq.name, first[0], first[1], first[2], count))
     return failures
 
 
+@lru_cache(maxsize=8)
 def _sqrt_table(p: int) -> dict[int, int]:
-    """Map each square mod p to its smallest square root."""
+    """Map each square mod the prime p to its smallest square root.
+
+    Cached, so a sweep over the residues of one prime checks primality
+    and builds the table once.  Callers must not mutate the result.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     table: dict[int, int] = {}
     for w in range(p - 1, -1, -1):
         table[w * w % p] = w
@@ -355,11 +407,9 @@ def two_squares(p: int, u: int) -> tuple[int, int]:
     Such a pair exists for every residue u of every prime p.  The search
     is equivalent to scanning pairs (v, w) in row-major order.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    roots = _sqrt_table(p)
     if not 0 <= u < p:
         raise ValueError(f"{u} is not a residue mod {p}")
-    roots = _sqrt_table(p)
     for v in range(p):
         w = roots.get((u - v * v) % p)
         if w is not None:
@@ -372,8 +422,6 @@ def corollary_witness(p: int) -> tuple[int, int, int]:
 
     Exists for every prime p because -1 is a sum of two squares mod p.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     roots = _sqrt_table(p)
     for u in range(p):
         v = roots.get((-1 - u * u) % p)

@@ -199,3 +199,24 @@ def test_json_determinism(capsys):
     first = invoke_json(capsys, "decide", "--theory", "iamd", "x * y", "y * x")
     second = invoke_json(capsys, "decide", "--theory", "iamd", "x * y", "y * x")
     assert first == second
+
+
+def test_assignment_outside_carrier_exits_2(capsys):
+    for argv in (
+        ("eval", "--model", "zp:5", "--assign", "x=7", "x+1"),
+        ("eval", "--model", "zp:5", "--assign", "x=-6", "x+1"),
+        ("eval", "--model", "zp:5", "--assign", "x=-1", "x+1"),
+        ("peval", "--variant", "inv0", "--model", "zp:5", "--assign", "x=7", "x+1"),
+        ("truth", "--model", "zp:5", "--assign", "x=9", "x+1=x"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: value {} of x is outside the carrier 0..4".format(
+            argv[-2].split("=")[1]
+        ), argv
+
+
+def test_assignment_zero_denominator_exits_2(capsys):
+    code, out, err = invoke(capsys, "eval", "--assign", "x=1/0", "x")
+    assert (code, out) == (2, "")
+    assert "x=1/0" in err and len(err.splitlines()) == 1

@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meadows.parsing import parse_term
 from meadows.presentations import builtin
 from meadows.semantics import (
-    FiniteMeadow, MissingAssignment, NotRegular, NotUnique,
+    AxiomFailure, FiniteMeadow, MissingAssignment, NotRegular, NotUnique,
     check_axioms, corollary_witness, eval_model, eval_q0,
     expand_regular_ring, is_prime, two_squares, zn_meadow, zn_ring, zp_meadow,
 )
 from meadows.terms import (
-    Add, Inv, Mul, Var, ONE, ZERO,
+    Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, ONE, ZERO,
     Signature, free_vars, numeral,
 )
 
@@ -177,3 +180,106 @@ def test_eval_q0_agrees_with_independent_oracle():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_eval_model_rejects_values_outside_the_carrier():
+    m = zp_meadow(5)
+    for bad in (5, 7, -1, -6, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            eval_model(Add(Var("x"), ONE), m, {"x": bad})
+    assert eval_model(Add(Var("x"), ONE), m, {"x": 4}) == 0
+
+
+def test_eval_model_deep_term_within_default_recursion_limit():
+    # 5000 nested additions: far past Python's default recursion limit.
+    assert eval_model(numeral(5000), zp_meadow(7)) == 5000 % 7
+    assert eval_model(Sub(numeral(9), Var("x")), zp_meadow(7), {"x": 3}) == 6
+    assert eval_model(Div(ONE, numeral(3)), zp_meadow(7)) == 5
+
+
+def test_missing_inverse_table_raises_value_error():
+    with pytest.raises(ValueError, match="inv"):
+        check_axioms(zn_ring(6), "imd")
+    with pytest.raises(ValueError, match="inv"):
+        check_axioms(zn_ring(6), "dmd")
+    with pytest.raises(ValueError, match="inv"):
+        eval_model(Inv(ONE), zn_ring(6))
+    assert check_axioms(zn_ring(6), "cr") == []
+
+
+def _naive_eval(t, m: FiniteMeadow, a: dict) -> int:
+    match t:
+        case Zero():
+            return m.zero
+        case One():
+            return m.one
+        case Var(name=name):
+            return a[name]
+        case Add(left=l, right=r):
+            return m.add[_naive_eval(l, m, a)][_naive_eval(r, m, a)]
+        case Mul(left=l, right=r):
+            return m.mul[_naive_eval(l, m, a)][_naive_eval(r, m, a)]
+        case Sub(left=l, right=r):
+            return m.add[_naive_eval(l, m, a)][m.neg[_naive_eval(r, m, a)]]
+        case Neg(arg=arg):
+            return m.neg[_naive_eval(arg, m, a)]
+        case Inv(arg=arg):
+            return m.inv[_naive_eval(arg, m, a)]
+        case Div(num=num, den=den):
+            return m.mul[_naive_eval(num, m, a)][m.inv[_naive_eval(den, m, a)]]
+    raise TypeError(f"unknown node {t!r}")
+
+
+def _naive_check_axioms(m: FiniteMeadow, name: str) -> list[AxiomFailure]:
+    """One assignment at a time, in row-major order."""
+    failures = []
+    for eq in builtin(name).axioms:
+        names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
+        bad = []
+        for values in product(m.carrier, repeat=len(names)):
+            a = dict(zip(names, values))
+            lhs, rhs = _naive_eval(eq.lhs, m, a), _naive_eval(eq.rhs, m, a)
+            if lhs != rhs:
+                bad.append((tuple(zip(names, values)), lhs, rhs))
+        if bad:
+            failures.append(AxiomFailure(eq.name, *bad[0], len(bad)))
+    return failures
+
+
+@st.composite
+def corrupted_zn(draw):
+    """Z_n (with inverse x^-1 for units, 0 otherwise) with a few table entries overwritten."""
+    n = draw(st.integers(2, 13))
+    ring = zn_ring(n)
+    tables = {
+        "add": [list(row) for row in ring.add],
+        "mul": [list(row) for row in ring.mul],
+        "neg": list(ring.neg),
+        "inv": [pow(x, -1, n) if gcd(x, n) == 1 else 0 for x in range(n)],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(tables)))
+        i = draw(st.integers(0, n - 1))
+        value = draw(st.integers(0, n - 1))
+        if key in ("add", "mul"):
+            tables[key][i][draw(st.integers(0, n - 1))] = value
+        else:
+            tables[key][i] = value
+    return FiniteMeadow(
+        n,
+        tuple(map(tuple, tables["add"])),
+        tuple(map(tuple, tables["mul"])),
+        tuple(tables["neg"]),
+        tuple(tables["inv"]),
+        0,
+        1,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(corrupted_zn())
+def test_check_axioms_matches_naive_reference(m):
+    # With n up to 13, a 3-variable axiom has up to 2197 assignments, so
+    # witnesses and failure counts must survive several blocks.
+    for name in ("cr", "imd", "dmd"):
+        assert check_axioms(m, name) == _naive_check_axioms(m, name)
