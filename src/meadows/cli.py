@@ -75,16 +75,12 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _format_value(value) -> str:
-    return str(value)
-
-
 def _cmd_eval(args) -> int:
     model = _load_model(args.model)
     t = parse_term(args.term, _signature(args.sig))
     a = _parse_assignment(args.assign, "finite" if model else "q0")
     value = eval_model(t, model, a) if model else eval_q0(t, a)
-    _emit(args, {"command": "eval", "value": _format_value(value)}, _format_value(value))
+    _emit(args, {"command": "eval", "value": str(value)}, str(value))
     return 0
 
 
@@ -96,7 +92,7 @@ def _cmd_peval(args) -> int:
     a = _parse_assignment(args.assign, "finite" if model else "q0")
     result = punch_eval(t, variant, model, a)
     if isinstance(result, Defined):
-        value = _format_value(result.value)
+        value = str(result.value)
         _emit(args, {"command": "peval", "status": "defined", "value": value}, value)
         return 0
     _emit(args, {"command": "peval", "status": "undefined"}, "undefined")

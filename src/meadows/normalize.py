@@ -10,9 +10,9 @@ decidable by comparing canonical forms.
 With zero in the signature, zero elimination rewrites every term to 0
 or to a zero-free term, closed terms normalize to 0 or to a coprime
 fraction of numerals, and equality under the general inverse law
-(x != 0 implies x * x^-1 = 1) is decided by recursion on the variable
-count: substitute 0 for each variable in turn, plus one zero-free
-comparison.
+(x != 0 implies x * x^-1 = 1) is decided by recursion over
+zero-substitutions: one zero-free comparison for each set of variables
+substituted by 0.
 
 Divisive counterparts are decided through the projection into the
 inversive notation.
@@ -41,6 +41,45 @@ __all__ = [
 ]
 
 
+# The polynomial kernel: a monomial is a sorted tuple of (variable,
+# exponent) pairs, () being the unit, and a polynomial is a dict from
+# monomials to positive coefficients.  Kernel dicts are never mutated
+# once built, so a result may share its argument.
+
+_UNIT = {(): 1}
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return out
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    if q is _UNIT:
+        return p
+    if p is _UNIT:
+        return q
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A product of variables with positive exponents; () is the unit."""
@@ -59,10 +98,7 @@ class Monomial:
         return Monomial(((name, 1),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        exps = dict(self.exponents)
-        for v, e in other.exponents:
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(tuple(sorted(exps.items())))
+        return Monomial(_mono_mul(self.exponents, other.exponents))
 
     @property
     def degree(self) -> int:
@@ -105,23 +141,18 @@ class Polynomial:
         return Polynomial(((Monomial.variable(name), 1),))
 
     @staticmethod
-    def _from_dict(coeffs: dict[Monomial, int]) -> "Polynomial":
-        ordered = sorted(coeffs.items(), key=lambda mc: mc[0].sort_key(), reverse=True)
-        return Polynomial(tuple(ordered))
+    def _from_kernel(coeffs: dict) -> "Polynomial":
+        terms = [(Monomial(m), c) for m, c in coeffs.items()]
+        return Polynomial(tuple(sorted(terms, key=lambda mc: mc[0].sort_key(), reverse=True)))
+
+    def _kernel(self) -> dict:
+        return {m.exponents: c for m, c in self.terms}
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        coeffs = dict(self.terms)
-        for m, c in other.terms:
-            coeffs[m] = coeffs.get(m, 0) + c
-        return Polynomial._from_dict(coeffs)
+        return Polynomial._from_kernel(_poly_add(self._kernel(), other._kernel()))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        coeffs: dict[Monomial, int] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                coeffs[m] = coeffs.get(m, 0) + c1 * c2
-        return Polynomial._from_dict(coeffs)
+        return Polynomial._from_kernel(_poly_mul(self._kernel(), other._kernel()))
 
     def degree_in(self, name: str) -> int:
         best = 0
@@ -143,9 +174,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-ONE_POLY = Polynomial.constant(1)
-
-
 @dataclass(frozen=True)
 class PolyFrac:
     """A term presented as numerator * denominator^-1, both inverse-free."""
@@ -165,47 +193,50 @@ def to_polyfrac(t: Term) -> PolyFrac:
     swapping its components, and sums and products combine component-wise.
     """
     check_conforms(t, Signature.IAMD)
-    return _polyfrac(t)
+    num, den = _polyfrac(t)
+    return PolyFrac(Polynomial._from_kernel(num), Polynomial._from_kernel(den))
 
 
-def _polyfrac(t: Term) -> PolyFrac:
+def _polyfrac(t: Term) -> tuple[dict, dict]:
     if isinstance(t, One):
-        return PolyFrac(ONE_POLY, ONE_POLY)
+        return _UNIT, _UNIT
     if isinstance(t, Var):
-        return PolyFrac(Polynomial.variable(t.name), ONE_POLY)
+        return {((t.name, 1),): 1}, _UNIT
     if isinstance(t, Add):
-        l, r = _polyfrac(t.left), _polyfrac(t.right)
-        return PolyFrac(l.num * r.den + r.num * l.den, l.den * r.den)
+        (ln, ld), (rn, rd) = _polyfrac(t.left), _polyfrac(t.right)
+        return _poly_add(_poly_mul(ln, rd), _poly_mul(rn, ld)), _poly_mul(ld, rd)
     if isinstance(t, Mul):
-        l, r = _polyfrac(t.left), _polyfrac(t.right)
-        return PolyFrac(l.num * r.num, l.den * r.den)
+        (ln, ld), (rn, rd) = _polyfrac(t.left), _polyfrac(t.right)
+        return _poly_mul(ln, rn), _poly_mul(ld, rd)
     assert isinstance(t, Inv)
-    inner = _polyfrac(t.arg)
-    return PolyFrac(inner.den, inner.num)
+    num, den = _polyfrac(t.arg)
+    return den, num
 
 
 def expand_poly(t: Term) -> Polynomial:
     """Fully expand an inverse-free arithmetical term to a canonical polynomial."""
     check_conforms(t, Signature.IAMD)
-    return _expand(t)
+    return Polynomial._from_kernel(_expand(t))
 
 
-def _expand(t: Term) -> Polynomial:
+def _expand(t: Term) -> dict:
     if isinstance(t, One):
-        return ONE_POLY
+        return _UNIT
     if isinstance(t, Var):
-        return Polynomial.variable(t.name)
+        return {((t.name, 1),): 1}
     if isinstance(t, Add):
-        return _expand(t.left) + _expand(t.right)
+        return _poly_add(_expand(t.left), _expand(t.right))
     if isinstance(t, Mul):
-        return _expand(t.left) * _expand(t.right)
+        return _poly_mul(_expand(t.left), _expand(t.right))
     raise SignatureError("^-1", Signature.IAMD)
 
 
 def decide_iamd(t: Term, u: Term) -> bool:
     """Equality of arithmetical terms: cross-multiplied expansions must match."""
-    tf, uf = to_polyfrac(t), to_polyfrac(u)
-    return tf.num * uf.den == uf.num * tf.den
+    check_conforms(t, Signature.IAMD)
+    check_conforms(u, Signature.IAMD)
+    (tn, td), (un, ud) = _polyfrac(t), _polyfrac(u)
+    return _poly_mul(tn, ud) == _poly_mul(un, td)
 
 
 @dataclass(frozen=True)
@@ -294,31 +325,43 @@ def _zero_eliminate(t: Term) -> Union[ZeroNF, Term]:
 def decide_iamdz_gil(t: Term, u: Term) -> bool:
     """Equality of arithmetical-with-zero terms under the general inverse law.
 
-    Recursion on the variable count: closed equations compare normal
+    Recursion over zero-substitutions: closed equations compare normal
     forms; otherwise both sides are zero-eliminated, a lone zero decides,
     and zero-free sides must agree both as arithmetical terms and after
-    substituting 0 for each variable in turn.
+    substituting 0 for any further set of their variables.  Each set of
+    zeroed variables is decided once, so n variables cost at most 2^n
+    arithmetical decisions.
     """
     check_conforms(t, Signature.IAMDZ)
     check_conforms(u, Signature.IAMDZ)
-    return _gil(t, u)
-
-
-def _gil(t: Term, u: Term) -> bool:
-    if not free_vars(t) and not free_vars(u):
-        return normal_form_closed(t, Signature.IAMDZ) == normal_form_closed(
-            u, Signature.IAMDZ
-        )
-    s = _zero_eliminate(t)
-    s2 = _zero_eliminate(u)
-    if isinstance(s, ZeroNF) or isinstance(s2, ZeroNF):
-        return isinstance(s, ZeroNF) and isinstance(s2, ZeroNF)
-    if not decide_iamd(s, s2):
-        return False
-    return all(
-        _gil(subst(s, v, ZERO), subst(s2, v, ZERO))
-        for v in sorted(free_vars(s) | free_vars(s2))
-    )
+    # Zero elimination is confluent and commutes with substituting 0, so the
+    # pair for a set of zeroed variables does not depend on the order they
+    # were zeroed in.  Each set is therefore decided once, and a child pair
+    # is its parent's zero-eliminated pair with one more variable zeroed.
+    seen = {frozenset()}
+    work = [(frozenset(), t, u)]
+    while work:
+        zeroed, t, u = work.pop()
+        if not free_vars(t) and not free_vars(u):
+            if normal_form_closed(t, Signature.IAMDZ) != normal_form_closed(
+                u, Signature.IAMDZ
+            ):
+                return False
+            continue
+        s = _zero_eliminate(t)
+        s2 = _zero_eliminate(u)
+        if isinstance(s, ZeroNF) or isinstance(s2, ZeroNF):
+            if not (isinstance(s, ZeroNF) and isinstance(s2, ZeroNF)):
+                return False
+            continue
+        if not decide_iamd(s, s2):
+            return False
+        for v in sorted(free_vars(s) | free_vars(s2)):
+            child = zeroed | {v}
+            if child not in seen:
+                seen.add(child)
+                work.append((child, subst(s, v, ZERO), subst(s2, v, ZERO)))
+    return True
 
 
 def decide_divisive(t: Term, u: Term, theory: str) -> bool:

@@ -562,9 +562,7 @@ def _lex_module_expr(text: str) -> list[str]:
 
 
 def _parse_module_expr(tokens: list[str], i: int) -> tuple[Presentation, int]:
-    if i >= len(tokens):
-        raise ValueError("unexpected end of module expression")
-    head = tokens[i]
+    head = _token(tokens, i)
     if head == "combine":
         _expect(tokens, i + 1, "(")
         left, j = _parse_module_expr(tokens, i + 2)
@@ -574,7 +572,7 @@ def _parse_module_expr(tokens: list[str], i: int) -> tuple[Presentation, int]:
         return combine(left, right), j + 1
     if head == "hide":
         _expect(tokens, i + 1, "(")
-        sym = tokens[i + 2]
+        sym = _token(tokens, i + 2)
         _expect(tokens, i + 3, ",")
         inner, j = _parse_module_expr(tokens, i + 4)
         _expect(tokens, j, ")")
@@ -584,10 +582,10 @@ def _parse_module_expr(tokens: list[str], i: int) -> tuple[Presentation, int]:
         _expect(tokens, i + 2, "{")
         syms = []
         j = i + 3
-        while tokens[j] != "}":
+        while _token(tokens, j) != "}":
             syms.append(tokens[j])
             j += 1
-            if tokens[j] == ",":
+            if _token(tokens, j) == ",":
                 j += 1
         _expect(tokens, j + 1, ",")
         inner, j2 = _parse_module_expr(tokens, j + 2)
@@ -595,9 +593,9 @@ def _parse_module_expr(tokens: list[str], i: int) -> tuple[Presentation, int]:
         return export(syms, inner), j2 + 1
     if head == "rename":
         _expect(tokens, i + 1, "(")
-        old = tokens[i + 2]
+        old = _token(tokens, i + 2)
         _expect(tokens, i + 3, ":=")
-        new = tokens[i + 4]
+        new = _token(tokens, i + 4)
         _expect(tokens, i + 5, ",")
         inner, j = _parse_module_expr(tokens, i + 6)
         _expect(tokens, j, ")")
@@ -609,3 +607,9 @@ def _expect(tokens: list[str], i: int, want: str) -> None:
     if i >= len(tokens) or tokens[i] != want:
         found = tokens[i] if i < len(tokens) else "end of input"
         raise ValueError(f"expected {want!r}, found {found!r} in module expression")
+
+
+def _token(tokens: list[str], i: int) -> str:
+    if i >= len(tokens):
+        raise ValueError("unexpected end of module expression")
+    return tokens[i]

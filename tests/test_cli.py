@@ -181,6 +181,13 @@ def test_spec_show_and_flatten(capsys):
     assert "axioms (9):" in out
 
 
+def test_spec_flatten_truncated_expression_exits_2(capsys):
+    for expr in ("hide(", "export({0", "export({a,", "rename(a:="):
+        code, out, err = invoke(capsys, "spec", "--flatten", expr)
+        assert (code, out) == (2, ""), expr
+        assert err == "error: unexpected end of module expression", expr
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = invoke(capsys, "eval", "x +")
     assert code == 2 and "error" in err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meadows import normalize
 from meadows.normalize import (
     Frac, Monomial, Polynomial, UnsupportedTheory, ZERO_NF, ZeroNF,
     decide_by_theory, decide_divisive, decide_iamd, decide_iamdz_gil,
@@ -19,8 +20,8 @@ from meadows.terms import (
 )
 
 from .helpers import (
-    equivalent_variant, oracle_eval, positive_assignment, random_assignment,
-    random_term,
+    VARS, equivalent_variant, oracle_eval, positive_assignment,
+    random_assignment, random_term,
 )
 
 
@@ -80,6 +81,35 @@ def test_polynomial_ring_laws(a, b, c):
     assert pa * (pb + pc) == pa * pb + pa * pc
 
 
+inverse_free_terms = st.recursive(
+    st.one_of(st.just(ONE), st.sampled_from(VARS).map(Var)),
+    lambda kids: st.one_of(st.builds(Add, kids, kids), st.builds(Mul, kids, kids)),
+    max_leaves=12,
+)
+
+
+def poly_value(p: Polynomial, point: dict) -> int:
+    total = 0
+    for m, c in p.terms:
+        for v, e in m.exponents:
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+@settings(max_examples=200)
+@given(inverse_free_terms, st.fixed_dictionaries({v: st.integers(1, 50) for v in VARS}))
+def test_expand_poly_matches_oracle_at_points(t, point):
+    assert poly_value(expand_poly(t), point) == oracle_eval(t, point)
+
+
+@settings(max_examples=200)
+@given(inverse_free_terms, inverse_free_terms)
+def test_polynomial_operators_match_term_expansion(t, u):
+    assert expand_poly(t) + expand_poly(u) == expand_poly(Add(t, u))
+    assert expand_poly(t) * expand_poly(u) == expand_poly(Mul(t, u))
+
+
 # ---------------------------------------------------------------------------
 # PolyFrac extraction and the first decision procedure
 
@@ -97,6 +127,14 @@ def test_to_polyfrac_clauses():
     pf = to_polyfrac(Mul(Var("x"), Inv(Var("x"))))
     assert pf.num == Polynomial.variable("x")
     assert pf.den == Polynomial.variable("x")
+
+
+def test_polyfrac_printed_form():
+    # The CLI's decide witness prints this form; it must not change.
+    pf = to_polyfrac(iamd("(x + y*z + 1 + 1) * (x*x + z + z) * (y*y*y + x*z + 1 + 1)^-1"))
+    assert str(pf) == (
+        "(x^2*y*z + 2*y*z^2 + x^3 + 2*x^2 + 2*x*z + 4*z) / (y^3 + x*z + 2)"
+    )
 
 
 def test_expand_poly_examples():
@@ -196,6 +234,8 @@ def test_decide_iamdz_gil_examples():
         iamdz("(1 + x*x + y*y) * (1 + x*x + y*y)^-1"), ONE
     )
     assert not decide_iamdz_gil(iamdz("x * x^-1"), ONE)
+    # Differs from 1 only where x and y are both zero.
+    assert not decide_iamdz_gil(iamdz("(x + y) * (x + y)^-1"), ONE)
 
 
 def test_decide_iamdz_gil_alternative_swap_both_orientations():
@@ -203,6 +243,22 @@ def test_decide_iamdz_gil_alternative_swap_both_orientations():
     rhs = iamdz("x * x^-1")
     assert decide_iamdz_gil(lhs, rhs)
     assert decide_iamdz_gil(rhs, lhs)
+
+
+def test_decide_iamdz_gil_decides_each_zeroed_set_once(monkeypatch):
+    calls = 0
+
+    def counting(t, u):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2 ** 8, "a set of zeroed variables was decided twice"
+        return decide_iamd(t, u)
+
+    monkeypatch.setattr(normalize, "decide_iamd", counting)
+    s = iamdz(" + ".join(f"x{i}" for i in range(1, 9)))
+    ss = Mul(s, s)
+    assert decide_iamdz_gil(Mul(s, Inv(s)), Mul(ss, Inv(ss)))
+    assert calls <= 2 ** 8
 
 
 def test_decide_iamdz_gil_degenerate_zero():
