@@ -12,7 +12,7 @@ checks, and presentations with structural module operators.
 from .terms import (
     Term, Zero, One, Var, Add, Mul, Neg, Inv, Div, Sub, ZERO, ONE,
     Signature, SignatureError,
-    numeral, power, conforms, check_conforms, subst, free_vars,
+    numeral, power, conforms, check_conforms, subst, free_vars, fold,
 )
 from .parsing import ParseError, parse_term, render
 from .projection import Projection, project

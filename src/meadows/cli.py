@@ -388,8 +388,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # Numeral literals expand to towers of additions; give evaluation room.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
     try:
         return args.func(args)
     except (ParseError, SignatureError, normalize.UnsupportedTheory, NotRegular,
@@ -397,7 +395,8 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: term is nested too deeply", file=sys.stderr)
+        # Only the formula layer still recurses over its input.
+        print("error: formula is nested too deeply", file=sys.stderr)
         return 2
 
 

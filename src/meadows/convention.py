@@ -22,14 +22,13 @@ variables range over defined values only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .semantics import eval_q0
+from .partial import PunchVariant, Violation, punched_value
 from .terms import (
-    Add, Div, Inv, Mul, One, Term, Var, Zero,
-    Signature, check_conforms, free_vars,
+    Add, Inv, Mul, One, Term, Var, Zero,
+    Signature, check_conforms, fold, free_vars,
 )
 
 __all__ = [
@@ -60,28 +59,41 @@ _CONVENTION_SIG = {
     ConventionId.LIBERAL_RELEVANT_DIVISION: Signature.DMD,
 }
 
+# A closed term complies with a convention exactly when it is defined in the
+# punched meadow that leaves the forbidden applications undefined.
+_CONVENTION_VARIANT = {
+    ConventionId.RELEVANT_INVERSIVE: PunchVariant.INV_ZERO,
+    ConventionId.RELEVANT_DIVISION: PunchVariant.DIV_ZERO_ALL,
+    ConventionId.LIBERAL_RELEVANT_DIVISION: PunchVariant.DIV_ZERO_NONZERO_NUM,
+}
 
-def _classify(t: Term, strict: bool, vars_defined: bool) -> tuple[bool, bool]:
-    """Return (in Nz, in Def) for t, bottom-up."""
-    if isinstance(t, Zero):
-        return False, True
-    if isinstance(t, One):
-        return True, True
-    if isinstance(t, Var):
-        return False, vars_defined
-    if isinstance(t, Add):
-        lnz, ldef = _classify(t.left, strict, vars_defined)
-        rnz, rdef = _classify(t.right, strict, vars_defined)
+
+def _is_strict(mode: str) -> bool:
+    if mode not in ("strict", "literal"):
+        raise ValueError(f"unknown classifier mode {mode!r}")
+    return mode == "strict"
+
+
+def _defnz(t: Term, strict: bool, vars_defined: bool) -> tuple[bool, bool, bool]:
+    """(in Nz, in Def, every inverse argument in Nz) for t, in one bottom-up pass."""
+    def add(node, left, right):
+        (lnz, ldef, linv), (rnz, rdef, rinv) = left, right
         nz = (lnz and (rdef or not strict)) or (rnz and (ldef or not strict))
-        return nz, nz or (ldef and rdef)
-    if isinstance(t, Mul):
-        lnz, ldef = _classify(t.left, strict, vars_defined)
-        rnz, rdef = _classify(t.right, strict, vars_defined)
+        return nz, nz or (ldef and rdef), linv and rinv
+
+    def mul(node, left, right):
+        (lnz, ldef, linv), (rnz, rdef, rinv) = left, right
         nz = lnz and rnz
-        return nz, nz or (ldef and rdef)
-    assert isinstance(t, Inv)
-    nz, _ = _classify(t.arg, strict, vars_defined)
-    return nz, nz
+        return nz, nz or (ldef and rdef), linv and rinv
+
+    return fold(t, {
+        Zero: lambda node: (False, True, True),
+        One: lambda node: (True, True, True),
+        Var: lambda node: (False, vars_defined, True),
+        Add: add,
+        Mul: mul,
+        Inv: lambda node, arg: (arg[0], arg[0], arg[0] and arg[2]),
+    })
 
 
 def classify(t: Term, mode: str = "strict", vars_defined: bool = False) -> DefNzClass:
@@ -90,26 +102,14 @@ def classify(t: Term, mode: str = "strict", vars_defined: bool = False) -> DefNz
     The strongest class wins (Nz implies Def).  mode is "strict" or
     "literal"; see the module docstring for the difference.
     """
-    if mode not in ("strict", "literal"):
-        raise ValueError(f"unknown classifier mode {mode!r}")
+    strict = _is_strict(mode)
     check_conforms(t, Signature.IAMDZ)
-    nz, defined = _classify(t, mode == "strict", vars_defined)
+    nz, defined, _ = _defnz(t, strict, vars_defined)
     if nz:
         return DefNzClass.IN_NZ
     if defined:
         return DefNzClass.IN_DEF
     return DefNzClass.NEITHER
-
-
-@dataclass(frozen=True)
-class Violation:
-    subterm: Term
-    detail: str
-
-    def __str__(self):
-        from .parsing import render
-
-        return f"Violation at {render(self.subterm)}: {self.detail}"
 
 
 class _Compliant:
@@ -135,32 +135,8 @@ def closed_compliance(t: Term, c: ConventionId) -> Union[_Compliant, Violation]:
             "use open_compliance_sufficient for the sound syntactic check"
         )
     check_conforms(t, _CONVENTION_SIG[c])
-    return _scan(t, c) or COMPLIANT
-
-
-def _scan(t: Term, c: ConventionId) -> Violation | None:
-    if isinstance(t, (Zero, One, Var)):
-        return None
-    if isinstance(t, (Add, Mul)):
-        return _scan(t.left, c) or _scan(t.right, c)
-    if isinstance(t, Inv):
-        inner = _scan(t.arg, c)
-        if inner:
-            return inner
-        if c is ConventionId.RELEVANT_INVERSIVE and eval_q0(t.arg) == 0:
-            return Violation(t, "inverse of 0")
-        return None
-    if isinstance(t, Div):
-        inner = _scan(t.num, c) or _scan(t.den, c)
-        if inner:
-            return inner
-        if eval_q0(t.den) == 0:
-            if c is ConventionId.LIBERAL_RELEVANT_DIVISION and eval_q0(t.num) == 0:
-                return None
-            return Violation(t, "denominator 0")
-        return None
-    # Unary minus: nothing to check below beyond its argument.
-    return _scan(t.arg, c)
+    value = punched_value(t, _CONVENTION_VARIANT[c], None, {})
+    return value if isinstance(value, Violation) else COMPLIANT
 
 
 class Sufficiency(Enum):
@@ -180,21 +156,8 @@ def open_compliance_sufficient(
     non-negative values when every inverse argument classifies as
     certainly nonzero; anything else is Unknown, never "violating".
     """
+    strict = _is_strict(mode)
     check_conforms(t, Signature.IAMDZ)
-    if _all_inv_args_nz(t, mode, vars_defined):
+    if _defnz(t, strict, vars_defined)[2]:
         return Sufficiency.CERTIFIED_COMPLIANT
     return Sufficiency.UNKNOWN
-
-
-def _all_inv_args_nz(t: Term, mode: str, vars_defined: bool) -> bool:
-    if isinstance(t, (Zero, One, Var)):
-        return True
-    if isinstance(t, (Add, Mul)):
-        return _all_inv_args_nz(t.left, mode, vars_defined) and _all_inv_args_nz(
-            t.right, mode, vars_defined
-        )
-    assert isinstance(t, Inv)
-    return (
-        classify(t.arg, mode, vars_defined) is DefNzClass.IN_NZ
-        and _all_inv_args_nz(t.arg, mode, vars_defined)
-    )

@@ -28,8 +28,7 @@ from .projection import Projection, project
 from .semantics import eval_q0
 from .terms import (
     Add, Inv, Mul, One, Term, Var, Zero,
-    Signature, SignatureError, check_conforms, free_vars, subst,
-    ZERO,
+    Signature, SignatureError, check_conforms, conforms, fold, free_vars, rebuild,
 )
 
 __all__ = [
@@ -189,53 +188,44 @@ def to_polyfrac(t: Term) -> PolyFrac:
     """Rewrite an arithmetical term as a quotient of two polynomials.
 
     Inverses distribute over products and cancel pairwise, so the
-    recursion pushes every inverse to the top: a quotient is inverted by
+    fold pushes every inverse to the top: a quotient is inverted by
     swapping its components, and sums and products combine component-wise.
     """
     check_conforms(t, Signature.IAMD)
-    num, den = _polyfrac(t)
+    num, den = fold(t, _POLYFRAC)
     return PolyFrac(Polynomial._from_kernel(num), Polynomial._from_kernel(den))
 
 
-def _polyfrac(t: Term) -> tuple[dict, dict]:
-    if isinstance(t, One):
-        return _UNIT, _UNIT
-    if isinstance(t, Var):
-        return {((t.name, 1),): 1}, _UNIT
-    if isinstance(t, Add):
-        (ln, ld), (rn, rd) = _polyfrac(t.left), _polyfrac(t.right)
-        return _poly_add(_poly_mul(ln, rd), _poly_mul(rn, ld)), _poly_mul(ld, rd)
-    if isinstance(t, Mul):
-        (ln, ld), (rn, rd) = _polyfrac(t.left), _polyfrac(t.right)
-        return _poly_mul(ln, rn), _poly_mul(ld, rd)
-    assert isinstance(t, Inv)
-    num, den = _polyfrac(t.arg)
-    return den, num
+_POLYFRAC = {
+    One: lambda t: (_UNIT, _UNIT),
+    Var: lambda t: ({((t.name, 1),): 1}, _UNIT),
+    Add: lambda t, l, r: (_poly_add(_poly_mul(l[0], r[1]), _poly_mul(r[0], l[1])),
+                          _poly_mul(l[1], r[1])),
+    Mul: lambda t, l, r: (_poly_mul(l[0], r[0]), _poly_mul(l[1], r[1])),
+    Inv: lambda t, arg: (arg[1], arg[0]),
+}
 
 
 def expand_poly(t: Term) -> Polynomial:
     """Fully expand an inverse-free arithmetical term to a canonical polynomial."""
     check_conforms(t, Signature.IAMD)
-    return Polynomial._from_kernel(_expand(t))
-
-
-def _expand(t: Term) -> dict:
-    if isinstance(t, One):
-        return _UNIT
-    if isinstance(t, Var):
-        return {((t.name, 1),): 1}
-    if isinstance(t, Add):
-        return _poly_add(_expand(t.left), _expand(t.right))
-    if isinstance(t, Mul):
-        return _poly_mul(_expand(t.left), _expand(t.right))
-    raise SignatureError("^-1", Signature.IAMD)
+    # Inverse-free arithmetical terms are those conforming to iamd and damd;
+    # their quotient has the unit denominator.
+    if not conforms(t, Signature.DAMD):
+        raise SignatureError("^-1", Signature.IAMD)
+    return Polynomial._from_kernel(fold(t, _POLYFRAC)[0])
 
 
 def decide_iamd(t: Term, u: Term) -> bool:
     """Equality of arithmetical terms: cross-multiplied expansions must match."""
     check_conforms(t, Signature.IAMD)
     check_conforms(u, Signature.IAMD)
-    (tn, td), (un, ud) = _polyfrac(t), _polyfrac(u)
+    return _decide_iamd(t, u)
+
+
+def _decide_iamd(t: Term, u: Term, memo: dict | None = None) -> bool:
+    """decide_iamd on terms already known to be arithmetical."""
+    (tn, td), (un, ud) = fold(t, _POLYFRAC, memo), fold(u, _POLYFRAC, memo)
     return _poly_mul(tn, ud) == _poly_mul(un, td)
 
 
@@ -293,44 +283,32 @@ def zero_eliminate(t: Term) -> Union[ZeroNF, Term]:
     result does not depend on application order.
     """
     check_conforms(t, Signature.IAMDZ)
-    return _zero_eliminate(t)
+    return fold(t, _ZERO_ELIMINATE)
 
 
-def _zero_eliminate(t: Term) -> Union[ZeroNF, Term]:
-    if isinstance(t, Zero):
-        return ZERO_NF
-    if isinstance(t, (One, Var)):
-        return t
-    if isinstance(t, Add):
-        left = _zero_eliminate(t.left)
-        right = _zero_eliminate(t.right)
-        if isinstance(left, ZeroNF):
-            return right
-        if isinstance(right, ZeroNF):
-            return left
-        return Add(left, right)
-    if isinstance(t, Mul):
-        left = _zero_eliminate(t.left)
-        right = _zero_eliminate(t.right)
-        if isinstance(left, ZeroNF) or isinstance(right, ZeroNF):
-            return ZERO_NF
-        return Mul(left, right)
-    assert isinstance(t, Inv)
-    inner = _zero_eliminate(t.arg)
-    if isinstance(inner, ZeroNF):
-        return ZERO_NF
-    return Inv(inner)
+_ZERO_ELIMINATE = {
+    Zero: lambda t: ZERO_NF,
+    One: lambda t: t,
+    Var: lambda t: t,
+    Add: lambda t, l, r: r if l is ZERO_NF else l if r is ZERO_NF else rebuild(t, l, r),
+    Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else rebuild(t, l, r),
+    Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else rebuild(t, arg),
+}
+
+
+def _zeroing(v: str) -> dict:
+    """Zero elimination of a zero-free term with the variable v zeroed."""
+    return {**_ZERO_ELIMINATE, Var: lambda t: ZERO_NF if t.name == v else t}
 
 
 def decide_iamdz_gil(t: Term, u: Term) -> bool:
     """Equality of arithmetical-with-zero terms under the general inverse law.
 
-    Recursion over zero-substitutions: closed equations compare normal
-    forms; otherwise both sides are zero-eliminated, a lone zero decides,
-    and zero-free sides must agree both as arithmetical terms and after
-    substituting 0 for any further set of their variables.  Each set of
-    zeroed variables is decided once, so n variables cost at most 2^n
-    arithmetical decisions.
+    Recursion over zero-substitutions: both sides are zero-eliminated, a
+    lone zero decides, and zero-free sides must agree both as arithmetical
+    terms (for closed sides, in value) and after substituting 0 for any
+    further set of their variables.  Each set of zeroed variables is
+    decided once, so n variables cost at most 2^n arithmetical decisions.
     """
     check_conforms(t, Signature.IAMDZ)
     check_conforms(u, Signature.IAMDZ)
@@ -338,29 +316,26 @@ def decide_iamdz_gil(t: Term, u: Term) -> bool:
     # pair for a set of zeroed variables does not depend on the order they
     # were zeroed in.  Each set is therefore decided once, and a child pair
     # is its parent's zero-eliminated pair with one more variable zeroed.
+    # The pairs share most subterms, so each fold reuses the results of the
+    # earlier folds of this call with the same algebra.
     seen = {frozenset()}
-    work = [(frozenset(), t, u)]
+    work = [(frozenset(), fold(t, _ZERO_ELIMINATE), fold(u, _ZERO_ELIMINATE))]
+    polyfracs: dict = {}
+    zeroings: dict = {}
     while work:
-        zeroed, t, u = work.pop()
-        if not free_vars(t) and not free_vars(u):
-            if normal_form_closed(t, Signature.IAMDZ) != normal_form_closed(
-                u, Signature.IAMDZ
-            ):
+        zeroed, s, s2 = work.pop()
+        if s is ZERO_NF or s2 is ZERO_NF:
+            if s is not s2:
                 return False
             continue
-        s = _zero_eliminate(t)
-        s2 = _zero_eliminate(u)
-        if isinstance(s, ZeroNF) or isinstance(s2, ZeroNF):
-            if not (isinstance(s, ZeroNF) and isinstance(s2, ZeroNF)):
-                return False
-            continue
-        if not decide_iamd(s, s2):
+        if not _decide_iamd(s, s2, polyfracs):
             return False
         for v in sorted(free_vars(s) | free_vars(s2)):
             child = zeroed | {v}
             if child not in seen:
                 seen.add(child)
-                work.append((child, subst(s, v, ZERO), subst(s2, v, ZERO)))
+                algebra, memo = zeroings.setdefault(v, (_zeroing(v), {}))
+                work.append((child, fold(s, algebra, memo), fold(s2, algebra, memo)))
     return True
 
 

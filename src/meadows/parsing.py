@@ -20,8 +20,8 @@ needed to reparse to a structurally equal term.
 from __future__ import annotations
 
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, check_conforms, numeral,
+    CONSTRUCTORS, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
+    Signature, check_conforms, fold, numeral,
 )
 
 __all__ = ["ParseError", "Token", "tokenize", "parse_term", "parse_term_prefix", "render"]
@@ -85,90 +85,33 @@ def tokenize(text: str, formula_ops: bool = False) -> list[Token]:
     return tokens
 
 
-class _TermParser:
-    def __init__(self, tokens: list[Token], sig: Signature | None):
-        self.tokens = tokens
-        self.sig = sig
-        self.i = 0
+# Precedence levels, used both for parsing and for minimal-parenthesis
+# rendering.  Prefix minus binds tighter than the binary operators and
+# looser than a postfix inverse.
+_SUM, _PRODUCT, _UNARY, _POSTFIX, _ATOM = 1, 2, 3, 4, 5
+_BINDING = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT, "neg": _UNARY}
+_CONSTRUCTOR = {"+": Add, "*": Mul, "/": Div}
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
 
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
+def _reduce(vals: list[Term], ops: list[str], binding: int, sig: Signature | None) -> None:
+    """Apply the pending operators that bind at least as tightly as binding."""
+    while ops and _BINDING.get(ops[-1], 0) >= binding:
+        op = ops.pop()
+        if op == "neg":
+            vals.append(Neg(vals.pop()))
+            continue
+        rhs = vals.pop()
+        lhs = vals.pop()
+        if op in _CONSTRUCTOR:
+            vals.append(_CONSTRUCTOR[op](lhs, rhs))
+        elif sig is Signature.RD:
+            vals.append(Sub(lhs, rhs))
+        else:
+            vals.append(Add(lhs, Neg(rhs)))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
-
-    def sum(self) -> Term:
-        t = self.product()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            rhs = self.product()
-            if op == "+":
-                t = Add(t, rhs)
-            elif self.sig is Signature.RD:
-                t = Sub(t, rhs)
-            else:
-                t = Add(t, Neg(rhs))
-        return t
-
-    def product(self) -> Term:
-        t = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            rhs = self.unary()
-            t = Mul(t, rhs) if op == "*" else Div(t, rhs)
-        return t
-
-    def unary(self) -> Term:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Term:
-        t = self.atom()
-        while self.at_op("^"):
-            caret = self.advance()
-            if not self.at_op("-"):
-                raise ParseError("expected '^-1'", caret.pos)
-            self.advance()
-            one = self.peek()
-            if one.kind != "nat" or one.text != "1":
-                raise ParseError("expected '^-1'", caret.pos)
-            self.advance()
-            t = Inv(t)
-        return t
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.advance()
-            return numeral(int(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "inv" and self.at_op("("):
-                self.advance()
-                arg = self.sum()
-                self.expect_op(")")
-                return Inv(arg)
-            return Var(tok.text)
-        if self.at_op("("):
-            self.advance()
-            t = self.sum()
-            self.expect_op(")")
-            return t
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+def _is_op(tok: Token, text: str) -> bool:
+    return tok.kind == "op" and tok.text == text
 
 
 def parse_term_prefix(
@@ -179,14 +122,63 @@ def parse_term_prefix(
     Signature conformance is checked on the result; sig=None skips the
     check and admits every symbol, with '-' still desugaring to + and
     unary minus.  Used directly by the formula parser, which interleaves
-    terms with logic symbols.
+    terms with logic symbols.  The parser keeps its own operator stack,
+    so nesting depth is not bounded by recursion.
     """
-    parser = _TermParser(tokens, sig)
-    parser.i = start
-    t = parser.sum()
-    if sig is not None:
-        check_conforms(t, sig)
-    return t, parser.i
+    i = start
+    vals: list[Term] = []
+    ops: list[str] = []   # pending "+", "-", "*", "/", "neg", and open "(" groups
+    open_groups = 0
+    while True:
+        # An operand is expected: prefix minus, an opening group, or an atom.
+        tok = tokens[i]
+        if _is_op(tok, "-"):
+            ops.append("neg")
+            i += 1
+            continue
+        if _is_op(tok, "(") or (tok.text == "inv" and tok.kind == "ident"
+                                and _is_op(tokens[i + 1], "(")):
+            ops.append(tok.text)
+            open_groups += 1
+            i += 1 if tok.text == "(" else 2
+            continue
+        if tok.kind == "nat":
+            vals.append(numeral(int(tok.text)))
+        elif tok.kind == "ident":
+            vals.append(Var(tok.text))
+        else:
+            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+        i += 1
+        # An operator is expected: postfix inverses and closing parentheses,
+        # then a binary operator or the end of the term.
+        while True:
+            tok = tokens[i]
+            if _is_op(tok, "^"):
+                if not (_is_op(tokens[i + 1], "-") and tokens[i + 2].kind == "nat"
+                        and tokens[i + 2].text == "1"):
+                    raise ParseError("expected '^-1'", tok.pos)
+                vals.append(Inv(vals.pop()))
+                i += 3
+            elif open_groups and _is_op(tok, ")"):
+                _reduce(vals, ops, _SUM, sig)
+                if ops.pop() == "inv":
+                    vals.append(Inv(vals.pop()))
+                open_groups -= 1
+                i += 1
+            else:
+                break
+        if tok.kind == "op" and tok.text in ("+", "-", "*", "/"):
+            _reduce(vals, ops, _BINDING[tok.text], sig)
+            ops.append(tok.text)
+            i += 1
+            continue
+        if open_groups:
+            raise ParseError(f"expected ')', found {tok.text or 'end of input'!r}", tok.pos)
+        _reduce(vals, ops, _SUM, sig)
+        (t,) = vals
+        if sig is not None:
+            check_conforms(t, sig)
+        return t, i
 
 
 def parse_term(text: str, sig: Signature | None) -> Term:
@@ -199,83 +191,66 @@ def parse_term(text: str, sig: Signature | None) -> Term:
     return t
 
 
-# Precedence levels used both for parsing (implicitly, by the grammar above)
-# and for minimal-parenthesis rendering.
-_SUM, _PRODUCT, _UNARY, _POSTFIX, _ATOM = 1, 2, 3, 4, 5
+def _operand(kid: tuple, min_prec: int):
+    rope, prec, _ = kid
+    return rope if prec >= min_prec else ("(", rope, ")")
 
 
-def _prec(t: Term) -> int:
-    if isinstance(t, (Add, Sub)):
-        return _SUM
-    if isinstance(t, (Mul, Div)):
-        return _PRODUCT
-    if isinstance(t, Neg):
-        return _UNARY
-    if isinstance(t, Inv):
-        return _POSTFIX
-    return _ATOM
+def _infix_algebra(numerals: bool) -> dict:
+    # Each node folds to (rope, precedence, n): rope is its text as a string
+    # or a tuple of ropes, joined once at the end, and n is the natural it
+    # denotes when it is exactly a canonical numeral.
+    def binary(t, left, right):
+        prec = _PREC[type(t)]
+        rope = (_operand(left, prec), _SYMBOL[type(t)], _operand(right, prec + 1))
+        return rope, prec, None
+
+    def add(t, left, right):
+        n = left[2] + 1 if left[2] and right[2] == 1 else None
+        if numerals and n:
+            return str(n), _ATOM, n
+        return binary(t, left, right)[0], _SUM, n
+
+    return {
+        Zero: lambda t: ("0", _ATOM, 0),
+        One: lambda t: ("1", _ATOM, 1),
+        Var: lambda t: (t.name, _ATOM, None),
+        Add: add, Sub: binary, Mul: binary, Div: binary,
+        Neg: lambda t, arg: (("-", _operand(arg, _UNARY)), _UNARY, None),
+        Inv: lambda t, arg: ((_operand(arg, _ATOM), "^-1"), _POSTFIX, None),
+    }
 
 
-def _as_numeral(t: Term) -> int | None:
-    """n when t is exactly the canonical numeral for n, else None."""
-    count = 0
-    while isinstance(t, Add) and t.right == One():
-        count += 1
-        t = t.left
-    if isinstance(t, One):
-        return count + 1
-    if isinstance(t, Zero) and count == 0:
-        return 0
-    return None
+_PREC = {Add: _SUM, Sub: _SUM, Mul: _PRODUCT, Div: _PRODUCT}
+_SYMBOL = {Add: " + ", Sub: " - ", Mul: " * ", Div: " / "}
+_INFIX = {numerals: _infix_algebra(numerals) for numerals in (False, True)}
+
+_SEXPR_HEAD = {Add: "(+ ", Mul: "(* ", Sub: "(sub ", Div: "(/ ", Neg: "(neg ", Inv: "(inv "}
 
 
-def _infix(t: Term, min_prec: int, numerals: bool) -> str:
-    if numerals:
-        n = _as_numeral(t)
-        if n is not None:
-            return str(n)
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Var):
+def _sexpr_node(t: Term, *kids):
+    if type(t) is Var:
         return t.name
-    if isinstance(t, (Add, Sub)):
-        op = "+" if isinstance(t, Add) else "-"
-        body = f"{_infix(t.left, _SUM, numerals)} {op} {_infix(t.right, _PRODUCT, numerals)}"
-        return f"({body})" if min_prec > _SUM else body
-    if isinstance(t, (Mul, Div)):
-        op = "*" if isinstance(t, Mul) else "/"
-        left, right = (t.left, t.right) if isinstance(t, Mul) else (t.num, t.den)
-        body = f"{_infix(left, _PRODUCT, numerals)} {op} {_infix(right, _UNARY, numerals)}"
-        return f"({body})" if min_prec > _PRODUCT else body
-    if isinstance(t, Neg):
-        body = f"-{_infix(t.arg, _UNARY, numerals)}"
-        return f"({body})" if min_prec > _UNARY else body
-    assert isinstance(t, Inv)
-    body = f"{_infix(t.arg, _ATOM, numerals)}^-1"
-    return f"({body})" if min_prec > _POSTFIX else body
+    if not kids:
+        return "0" if type(t) is Zero else "1"
+    if len(kids) == 1:
+        return _SEXPR_HEAD[type(t)], kids[0], ")"
+    return _SEXPR_HEAD[type(t)], kids[0], " ", kids[1], ")"
 
 
-def _sexpr(t: Term) -> str:
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Add):
-        return f"(+ {_sexpr(t.left)} {_sexpr(t.right)})"
-    if isinstance(t, Mul):
-        return f"(* {_sexpr(t.left)} {_sexpr(t.right)})"
-    if isinstance(t, Sub):
-        return f"(sub {_sexpr(t.left)} {_sexpr(t.right)})"
-    if isinstance(t, Div):
-        return f"(/ {_sexpr(t.num)} {_sexpr(t.den)})"
-    if isinstance(t, Neg):
-        return f"(neg {_sexpr(t.arg)})"
-    assert isinstance(t, Inv)
-    return f"(inv {_sexpr(t.arg)})"
+_SEXPR = dict.fromkeys(CONSTRUCTORS, _sexpr_node)
+
+
+def _join(rope) -> str:
+    parts: list[str] = []
+    stack = [rope]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            parts.append(piece)
+        else:
+            stack += reversed(piece)
+    return "".join(parts)
 
 
 def render(t: Term, style: str = "infix", numerals: bool = False) -> str:
@@ -288,7 +263,7 @@ def render(t: Term, style: str = "infix", numerals: bool = False) -> str:
     terms show their exact structure.
     """
     if style == "infix":
-        return _infix(t, 0, numerals)
+        return _join(fold(t, _INFIX[bool(numerals)])[0])
     if style == "sexpr":
-        return _sexpr(t)
+        return _join(fold(t, _SEXPR))
     raise ValueError(f"unknown render style: {style!r}")

@@ -16,12 +16,9 @@ from typing import Union
 
 from .projection import Projection, project
 from .semantics import (
-    Assignment, FiniteMeadow, MissingAssignment, Value, q0_inv,
+    Q0_ALGEBRA, Assignment, FiniteMeadow, MissingAssignment, Value,
 )
-from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, check_conforms,
-)
+from .terms import Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
 
 __all__ = [
     "PunchVariant", "Defined", "UNDEFINED", "PartialValue",
@@ -79,58 +76,72 @@ def punch_eval(
     a = a or {}
     if model is not None:
         model.check_assignment(a)
-    return _peval(t, variant, model, a)
+    value = punched_value(t, variant, model, a)
+    return UNDEFINED if isinstance(value, Violation) else Defined(value)
 
 
-def _peval(t, variant, m: FiniteMeadow | None, a: Assignment) -> PartialValue:
-    if isinstance(t, Zero):
-        return Defined(m.zero if m else Fraction(0))
-    if isinstance(t, One):
-        return Defined(m.one if m else Fraction(1))
-    if isinstance(t, Var):
-        if t.name not in a:
-            raise MissingAssignment(t.name)
-        value = a[t.name]
-        return Defined(value if m else Fraction(value))
-    if isinstance(t, (Add, Mul, Sub)):
-        left = _peval(t.left, variant, m, a)
-        right = _peval(t.right, variant, m, a)
-        if left is UNDEFINED or right is UNDEFINED:
-            return UNDEFINED
-        x, y = left.value, right.value
-        if isinstance(t, Add):
-            return Defined(m.add[x][y] if m else x + y)
-        if isinstance(t, Mul):
-            return Defined(m.mul[x][y] if m else x * y)
-        return Defined(m.add[x][m.neg[y]] if m else x - y)
-    if isinstance(t, Neg):
-        arg = _peval(t.arg, variant, m, a)
-        if arg is UNDEFINED:
-            return UNDEFINED
-        return Defined(m.neg[arg.value] if m else -arg.value)
-    if isinstance(t, Inv):
-        arg = _peval(t.arg, variant, m, a)
-        if arg is UNDEFINED:
-            return UNDEFINED
-        zero = m.zero if m else 0
-        if variant is PunchVariant.INV_ZERO and arg.value == zero:
-            return UNDEFINED
-        return Defined(m.inv[arg.value] if m else q0_inv(arg.value))
-    assert isinstance(t, Div)
-    num = _peval(t.num, variant, m, a)
-    den = _peval(t.den, variant, m, a)
-    if num is UNDEFINED or den is UNDEFINED:
-        return UNDEFINED
-    zero = m.zero if m else 0
-    if den.value == zero:
-        if variant is PunchVariant.DIV_ZERO_ALL:
-            return UNDEFINED
-        if variant is PunchVariant.DIV_ZERO_NONZERO_NUM and num.value != zero:
-            return UNDEFINED
+@dataclass(frozen=True)
+class Violation:
+    """A punched application, the subterm that leaves a term undefined.
+
+    It is also exactly a violation of the usage convention that forbids
+    writing that application (see meadows.convention).
+    """
+
+    subterm: Term
+    detail: str
+
+    def __str__(self):
+        from .parsing import render
+
+        return f"Violation at {render(self.subterm)}: {self.detail}"
+
+
+def punched_value(t: Term, variant: PunchVariant, m: FiniteMeadow | None,
+                  a: Assignment) -> Value | Violation:
+    """t's value in the punched model, or the Violation that leaves it undefined.
+
+    Undefinedness is strict, so the application reported is the first in
+    leftmost-innermost order.  The signature and the assignment are the
+    caller's to check.
+    """
+    total = Q0_ALGEBRA if m is None else m.algebra()
+    zero = total[Zero](t)
+
+    def strict(node, *xs):
+        for x in xs:
+            if type(x) is Violation:
+                return x
+        return total[type(node)](node, *xs)
+
+    def var(node: Var):
+        if node.name not in a:
+            raise MissingAssignment(node.name)
+        return Fraction(a[node.name]) if m is None else a[node.name]
+
+    def inverse(node: Inv, x):
+        if type(x) is Violation:
+            return x
+        if variant is PunchVariant.INV_ZERO and x == zero:
+            return Violation(node, "inverse of 0")
+        return total[Inv](node, x)
+
+    def divide(node: Div, x, y):
+        if type(x) is Violation or type(y) is Violation:
+            return x if type(x) is Violation else y
+        if y != zero:
+            return total[Div](node, x, y)
+        if variant is PunchVariant.DIV_ZERO_ALL or (
+            variant is PunchVariant.DIV_ZERO_NONZERO_NUM and x != zero
+        ):
+            return Violation(node, "denominator 0")
         # Liberal variant with zero numerator, or the unpunched inverse
         # notation would not produce Div nodes at all (signature checked).
-        return Defined(zero if m else Fraction(0))
-    return Defined(m.div(num.value, den.value) if m else num.value / den.value)
+        return zero
+
+    algebra = dict.fromkeys(total, strict)
+    algebra.update({Var: var, Inv: inverse, Div: divide})
+    return fold(t, algebra)
 
 
 @dataclass(frozen=True)

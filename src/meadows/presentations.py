@@ -23,10 +23,10 @@ from itertools import product as iter_product
 
 from .parsing import parse_term
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, free_vars,
+    Add, Neg, Sub, Term, Var,
+    Signature, constructors, free_vars,
 )
-from .semantics import FiniteMeadow, eval_blocks
+from .semantics import OP_KEY, FiniteMeadow, eval_blocks
 
 __all__ = [
     "Symbol", "Equation", "Presentation",
@@ -52,11 +52,6 @@ DEFAULT_SYMBOLS = {
     "sub": ("-", 2),
 }
 
-_NODE_KEY = {
-    Zero: "zero", One: "one", Add: "add", Mul: "mul",
-    Neg: "neg", Inv: "inv", Div: "div", Sub: "sub",
-}
-
 
 @dataclass(frozen=True)
 class Symbol:
@@ -74,21 +69,10 @@ class Equation:
     rhs: Term
 
 
-def _term_ops(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        key = _NODE_KEY.get(type(node))
-        if key is not None:
-            out.add(key)
-        if isinstance(node, (Add, Mul, Sub)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Div):
-            stack.extend((node.num, node.den))
-        elif isinstance(node, (Neg, Inv)):
-            stack.append(node.arg)
-    return out
+def _equation_ops(eq: Equation) -> frozenset[str]:
+    """The operator keys occurring in either side of eq."""
+    used = constructors(eq.lhs) | constructors(eq.rhs)
+    return frozenset(OP_KEY[c] for c in used if c in OP_KEY)
 
 
 @dataclass(frozen=True)
@@ -106,7 +90,7 @@ class Presentation:
         if not self.hidden <= keys:
             raise ValueError("hidden symbols not in signature")
         for eq in self.axioms:
-            used = _term_ops(eq.lhs) | _term_ops(eq.rhs)
+            used = _equation_ops(eq)
             if not used <= keys:
                 raise ValueError(
                     f"axiom {eq.name} uses symbols outside the signature: "
@@ -465,7 +449,7 @@ def visible_models_check(
     hidden = sorted(p.hidden)
     visible_only = [
         eq for eq in p.axioms
-        if not (_term_ops(eq.lhs) | _term_ops(eq.rhs)) & set(hidden)
+        if not _equation_ops(eq) & set(hidden)
     ]
     for eq in visible_only:
         if not _axiom_holds_everywhere(eq, reduct, size, partial=False):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .terms import (
-    Add, Div, Inv, Mul, Neg, Sub, Term, Var, Zero, One, ONE,
-    Signature, check_conforms,
+    CONSTRUCTORS, Add, Div, Inv, Mul, Neg, Sub, Term, Zero, ONE,
+    Signature, check_conforms, fold, rebuild,
 )
 
 __all__ = ["Projection", "project"]
@@ -39,49 +39,23 @@ _TARGET = {
 }
 
 
-def _dmn_to_imn(t: Term) -> Term:
-    if isinstance(t, Add):
-        return Add(_dmn_to_imn(t.left), _dmn_to_imn(t.right))
-    if isinstance(t, Mul):
-        return Mul(_dmn_to_imn(t.left), _dmn_to_imn(t.right))
-    if isinstance(t, Neg):
-        return Neg(_dmn_to_imn(t.arg))
-    if isinstance(t, Div):
-        return Mul(_dmn_to_imn(t.num), Inv(_dmn_to_imn(t.den)))
-    return t  # 0, 1, variables
+_RD_ZERO = Sub(ONE, ONE)
+_REBUILD = dict.fromkeys(CONSTRUCTORS, rebuild)
 
-
-def _imn_to_dmn(t: Term) -> Term:
-    if isinstance(t, Add):
-        return Add(_imn_to_dmn(t.left), _imn_to_dmn(t.right))
-    if isinstance(t, Mul):
-        return Mul(_imn_to_dmn(t.left), _imn_to_dmn(t.right))
-    if isinstance(t, Neg):
-        return Neg(_imn_to_dmn(t.arg))
-    if isinstance(t, Inv):
-        return Div(ONE, _imn_to_dmn(t.arg))
-    return t
-
-
-def _rd_zero() -> Term:
-    return Sub(ONE, ONE)
-
-
-def _imn_to_rdmn(t: Term) -> Term:
-    if isinstance(t, Zero):
-        return _rd_zero()
-    if isinstance(t, (One, Var)):
-        return t
-    if isinstance(t, Add):
+_ALGEBRA = {
+    Projection.DMN_TO_IMN: {**_REBUILD, Div: lambda t, num, den: Mul(num, Inv(den))},
+    Projection.IMN_TO_DMN: {**_REBUILD, Inv: lambda t, arg: Div(ONE, arg)},
+    Projection.IMN_TO_RDMN: {
+        **_REBUILD,
+        Zero: lambda t: _RD_ZERO,
         # p + q  becomes  p - ((1 - 1) - q)
-        return Sub(_imn_to_rdmn(t.left), Sub(_rd_zero(), _imn_to_rdmn(t.right)))
-    if isinstance(t, Mul):
+        Add: lambda t, p, q: Sub(p, Sub(_RD_ZERO, q)),
         # p * q  becomes  p / (1 / q)
-        return Div(_imn_to_rdmn(t.left), Div(ONE, _imn_to_rdmn(t.right)))
-    if isinstance(t, Neg):
-        return Sub(_rd_zero(), _imn_to_rdmn(t.arg))
-    assert isinstance(t, Inv)
-    return Div(ONE, _imn_to_rdmn(t.arg))
+        Mul: lambda t, p, q: Div(p, Div(ONE, q)),
+        Neg: lambda t, arg: Sub(_RD_ZERO, arg),
+        Inv: lambda t, arg: Div(ONE, arg),
+    },
+}
 
 
 def project(t: Term, which: Projection) -> Term:
@@ -91,8 +65,4 @@ def project(t: Term, which: Projection) -> Term:
     output conforms to its target signature by construction.
     """
     check_conforms(t, _SOURCE[which])
-    if which is Projection.DMN_TO_IMN:
-        return _dmn_to_imn(t)
-    if which is Projection.IMN_TO_DMN:
-        return _imn_to_dmn(t)
-    return _imn_to_rdmn(t)
+    return fold(t, _ALGEBRA[which])

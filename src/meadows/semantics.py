@@ -26,7 +26,7 @@ from typing import Mapping, Sequence, Union
 
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    free_vars,
+    fold, free_vars,
 )
 
 __all__ = [
@@ -61,6 +61,19 @@ def q0_div(x: Fraction, y: Fraction) -> Fraction:
     return Fraction(0) if y == 0 else x / y
 
 
+#: The fold algebra of eval_q0 on closed terms.
+Q0_ALGEBRA = {
+    Zero: lambda t: Fraction(0),
+    One: lambda t: Fraction(1),
+    Add: lambda t, x, y: x + y,
+    Mul: lambda t, x, y: x * y,
+    Sub: lambda t, x, y: x - y,
+    Neg: lambda t, x: -x,
+    Inv: lambda t, x: q0_inv(x),
+    Div: lambda t, x, y: q0_div(x, y),
+}
+
+
 def eval_q0(t: Term, a: Assignment | None = None) -> Fraction:
     """Evaluate t in the zero-totalized rationals under assignment a.
 
@@ -68,26 +81,13 @@ def eval_q0(t: Term, a: Assignment | None = None) -> Fraction:
     reading x - y; division and inverse are total per q0_div and q0_inv.
     """
     a = a or {}
-    if isinstance(t, Zero):
-        return Fraction(0)
-    if isinstance(t, One):
-        return Fraction(1)
-    if isinstance(t, Var):
+
+    def var(t: Var) -> Fraction:
         if t.name not in a:
             raise MissingAssignment(t.name)
         return Fraction(a[t.name])
-    if isinstance(t, Add):
-        return eval_q0(t.left, a) + eval_q0(t.right, a)
-    if isinstance(t, Mul):
-        return eval_q0(t.left, a) * eval_q0(t.right, a)
-    if isinstance(t, Sub):
-        return eval_q0(t.left, a) - eval_q0(t.right, a)
-    if isinstance(t, Neg):
-        return -eval_q0(t.arg, a)
-    if isinstance(t, Inv):
-        return q0_inv(eval_q0(t.arg, a))
-    assert isinstance(t, Div)
-    return q0_div(eval_q0(t.num, a), eval_q0(t.den, a))
+
+    return fold(t, {**Q0_ALGEBRA, Var: var})
 
 
 class NotRegular(ValueError):
@@ -143,6 +143,20 @@ class FiniteMeadow:
                 raise ValueError(
                     f"value {value!r} of {name} is outside the carrier 0..{self.size - 1}"
                 )
+
+    def algebra(self) -> dict:
+        """The fold algebra of closed terms in this model, one value at a time."""
+        add, mul, neg = self.add, self.mul, self.neg
+        return {
+            Zero: lambda t: self.zero,
+            One: lambda t: self.one,
+            Add: lambda t, x, y: add[x][y],
+            Mul: lambda t, x, y: mul[x][y],
+            Sub: lambda t, x, y: add[x][neg[y]],
+            Neg: lambda t, x: neg[x],
+            Inv: lambda t, x: self.inv[x],
+            Div: lambda t, x, y: self.div(x, y),
+        }
 
     def tables(self) -> dict[str, object]:
         """The tabulated operations keyed by symbol; inv only when present."""
@@ -242,9 +256,11 @@ def zn_meadow(n: int) -> FiniteMeadow:
 #: Memory is O(BLOCK x term size) whatever the carrier size.
 BLOCK = 512
 
-_CONSTANT = {Zero: "zero", One: "one"}
-_UNARY = {Neg: "neg", Inv: "inv"}
-_BINARY = {Add: "add", Mul: "mul", Sub: "sub", Div: "div"}
+#: The key of each operator constructor in a model's tables.
+OP_KEY = {
+    Zero: "zero", One: "one", Add: "add", Mul: "mul",
+    Neg: "neg", Inv: "inv", Div: "div", Sub: "sub",
+}
 # Symbols a FiniteMeadow does not tabulate, read per entry instead:
 # x - y = add[x][neg[y]] and x / y = mul[x][inv[y]].  Only total tables
 # lack them: the expansion search always passes sub and div when used.
@@ -258,56 +274,45 @@ def _table(tables: Mapping[str, object], key: str):
         raise ValueError(f"model provides no interpretation for {key!r}") from None
 
 
-def _binary(tables, key: str, xs: list, ys: list, partial: bool) -> list:
-    if key in tables or key not in _DERIVED:
-        table = _table(tables, key)
-        if partial:
-            return [None if x is None or y is None else table[x][y] for x, y in zip(xs, ys)]
-        return [table[x][y] for x, y in zip(xs, ys)]
-    outer, inner = (_table(tables, k) for k in _DERIVED[key])
-    return [outer[x][inner[y]] for x, y in zip(xs, ys)]
-
-
 def _fold(t: Term, tables: Mapping[str, object], env: Mapping[str, list],
           n: int, partial: bool = False) -> list:
     """The value column of t over a block of n assignments.
 
     tables maps operator keys (zero, one, add, mul, neg, inv, div, sub)
-    to their tables; sub and div fall back to _DERIVED when absent.  env
-    maps each variable to its column of n values.  In partial mode a
-    table entry may be None (not yet decided), and None propagates.  The
-    walk keeps its own stack, so depth is not bounded by recursion.
+    to their tables, each looked up when a node first needs it; sub and
+    div fall back to _DERIVED when absent.  env maps each variable to its
+    column of n values.  In partial mode a table entry may be None (not
+    yet decided), and None propagates.
     """
-    columns: list[list] = []
-    todo: list[tuple[Term, bool]] = [(t, False)]
-    while todo:
-        node, ready = todo.pop()
-        kind = type(node)
-        if kind is Var:
-            if node.name not in env:
-                raise MissingAssignment(node.name)
-            columns.append(env[node.name])
-        elif kind in _CONSTANT:
-            columns.append([_table(tables, _CONSTANT[kind])] * n)
-        elif kind in _UNARY:
-            if not ready:
-                todo += ((node, True), (node.arg, False))
-                continue
-            table = _table(tables, _UNARY[kind])
-            xs = columns.pop()
+    def var(node: Var) -> list:
+        if node.name not in env:
+            raise MissingAssignment(node.name)
+        return env[node.name]
+
+    def constant(node: Term) -> list:
+        return [_table(tables, OP_KEY[type(node)])] * n
+
+    def unary(node: Term, xs: list) -> list:
+        table = _table(tables, OP_KEY[type(node)])
+        if partial:
+            return [None if x is None else table[x] for x in xs]
+        return [table[x] for x in xs]
+
+    def binary(node: Term, xs: list, ys: list) -> list:
+        key = OP_KEY[type(node)]
+        if key in tables or key not in _DERIVED:
+            table = _table(tables, key)
             if partial:
-                columns.append([None if x is None else table[x] for x in xs])
-            else:
-                columns.append([table[x] for x in xs])
-        else:
-            if not ready:
-                left, right = (node.num, node.den) if kind is Div else (node.left, node.right)
-                todo += ((node, True), (right, False), (left, False))
-                continue
-            ys = columns.pop()
-            xs = columns.pop()
-            columns.append(_binary(tables, _BINARY[kind], xs, ys, partial))
-    return columns[0]
+                return [None if x is None or y is None else table[x][y]
+                        for x, y in zip(xs, ys)]
+            return [table[x][y] for x, y in zip(xs, ys)]
+        outer, inner = (_table(tables, k) for k in _DERIVED[key])
+        return [outer[x][inner[y]] for x, y in zip(xs, ys)]
+
+    return fold(t, {
+        Var: var, Zero: constant, One: constant, Neg: unary, Inv: unary,
+        Add: binary, Mul: binary, Sub: binary, Div: binary,
+    })
 
 
 def eval_blocks(

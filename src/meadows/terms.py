@@ -7,24 +7,38 @@ multiplicative inverse (inversive notation) or a binary division
 except in the reduced divisive signature, where it is a primitive
 constructor of its own.
 
-Terms are immutable values: structural equality and hashing come from
-the frozen dataclasses, and that structural equality is the one meant
-whenever two terms are called "syntactically equal".
+Terms are immutable and interned (hash-consed): building a term returns
+the one live object with that constructor and those children.  Two terms
+are structurally equal -- the equality meant whenever two terms are
+called "syntactically equal" -- exactly when they are the same object,
+so == and hash take constant time at any depth.  The intern tables hold
+their terms weakly and shrink as terms are dropped.
+
+Every walk over a term is a fold: fold(t, algebra) combines child
+results bottom-up with an explicit stack, visiting each distinct
+subterm once, so term depth is bounded by memory, not by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from enum import Enum
+from typing import Callable, Mapping, TypeVar
 
 __all__ = [
     "Term", "Zero", "One", "Var", "Add", "Mul", "Neg", "Inv", "Div", "Sub",
-    "ZERO", "ONE", "Signature", "SignatureError",
+    "ZERO", "ONE", "CONSTRUCTORS", "Signature", "SignatureError",
+    "fold", "rebuild", "constructors",
     "numeral", "power", "conforms", "check_conforms", "subst", "free_vars",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+R = TypeVar("R")
 
 
 class SignatureError(ValueError):
@@ -36,68 +50,204 @@ class SignatureError(ValueError):
         super().__init__(f"{symbol} not in signature {sig.value}")
 
 
-@dataclass(frozen=True)
+class _Ref(weakref.ref):
+    """A weak reference to an interned term that remembers where it is stored."""
+
+    __slots__ = ("table", "key")
+
+
+# Each constructor interns its terms in its own table, which maps the
+# constructor arguments to a weak reference to the live term built from
+# them.  A key gains a reference only atomically (setdefault), loses it
+# only once it is dead (atomically, as in weakref.WeakValueDictionary),
+# and a dead one is replaced only under the lock, so two threads building
+# the same term get the same object.
+_REPLACE_LOCK = threading.Lock()
+
+
+def _forget(ref: _Ref, remove=_remove_dead_weakref) -> None:
+    # Bound as a default so that it survives module teardown at exit.
+    remove(ref.table, ref.key)
+
+
+def _intern(table: dict, key, node: "Term") -> "Term":
+    """The live term stored under key: node, unless one was stored first."""
+    ref = _Ref(node, _forget)
+    ref.table = table
+    ref.key = key
+    while True:
+        stored = table.setdefault(key, ref)
+        if stored is ref:
+            return node
+        live = stored()
+        if live is not None:
+            return live
+        with _REPLACE_LOCK:
+            if table.get(key) is stored:
+                table[key] = ref
+                return node
+
+
 class Term:
-    pass
+    """A meadow term.  Each subclass is one constructor.
+
+    children holds the subterms in order (none for 0, 1 and variables),
+    and a constructor's _fields name them.  _symbols has the bit of every
+    constructor occurring in the term, so signature checks that pass take
+    constant time.
+    """
+
+    __slots__ = ("children", "_symbols", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _bit = 0
+    _interned: dict = {}
+
+    def __new__(cls, *children: "Term") -> "Term":
+        table = cls._interned
+        ref = table.get(children)
+        node = None if ref is None else ref()
+        if node is None:
+            if len(children) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} subterm(s)")
+            symbols = cls._bit
+            for kid in children:
+                symbols |= kid._symbols
+            node = object.__new__(cls)
+            _SET_CHILDREN(node, children)
+            _SET_SYMBOLS(node, symbols)
+            node = _intern(table, children, node)
+        return node
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._interned = {}
+        for i, field in enumerate(cls._fields):
+            setattr(cls, field, property(lambda t, i=i: t.children[i]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self.children
+
+    def __repr__(self) -> str:
+        return fold(self, _REPR)
 
 
-@dataclass(frozen=True)
+_SET_CHILDREN = Term.children.__set__
+_SET_SYMBOLS = Term._symbols.__set__
+
+
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    children = ()
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    def __new__(cls, name: str) -> "Var":
+        ref = cls._interned.get(name)
+        node = None if ref is None else ref()
+        if node is None:
+            if not _IDENT_RE.match(name):
+                raise ValueError(f"invalid variable name: {name!r}")
+            node = object.__new__(cls)
+            Var.name.__set__(node, name)
+            _SET_SYMBOLS(node, cls._bit)
+            node = _intern(cls._interned, name, node)
+        return node
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
 
-@dataclass(frozen=True)
 class Add(Term):
-    left: Term
-    right: Term
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    arg: Term
+    __slots__ = ()
+    _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Inv(Term):
-    arg: Term
+    __slots__ = ()
+    _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Div(Term):
-    num: Term
-    den: Term
+    __slots__ = ()
+    _fields = ("num", "den")
 
 
-@dataclass(frozen=True)
 class Sub(Term):
     """Binary subtraction, primitive only in the reduced divisive signature."""
 
-    left: Term
-    right: Term
+    __slots__ = ()
+    _fields = ("left", "right")
 
+
+CONSTRUCTORS = (Zero, One, Var, Add, Mul, Neg, Inv, Div, Sub)
+for _i, _cls in enumerate(CONSTRUCTORS):
+    _cls._bit = 1 << _i
 
 ZERO = Zero()
 ONE = One()
+
+
+def fold(t: Term, algebra: Mapping[type, Callable[..., R]],
+         memo: dict[Term, R] | None = None) -> R:
+    """Fold t bottom-up: a node's result is algebra[type(node)](node, *child results).
+
+    Children are folded left to right before their parent, each distinct
+    subterm once (shared subterms are one object, so their result is
+    reused).  memo, when given, holds the results of earlier folds with
+    the same algebra, which are reused, and receives this fold's.  The
+    walk keeps its own stack, so any depth that fits in memory works.
+    """
+    done: dict[Term, R] = {} if memo is None else memo
+    if t in done:
+        return done[t]
+    result = done.__getitem__
+    stack = [t]  # the path from t down to the node being worked on
+    while stack:
+        node = stack[-1]
+        for kid in node.children:
+            if kid not in done:
+                if kid.children:
+                    stack.append(kid)
+                    break
+                done[kid] = algebra[type(kid)](kid)
+        else:
+            stack.pop()
+            done[node] = algebra[type(node)](node, *map(result, node.children))
+    return done[t]
+
+
+def rebuild(node: Term, *children: Term) -> Term:
+    """node with its children replaced; node itself when they are unchanged."""
+    return node if children == node.children else type(node)(*children)
+
+
+def _repr_node(t: Term, *kids: str) -> str:
+    args = kids if type(t) is not Var else (repr(t.name),)
+    return f"{type(t).__name__}({', '.join(args)})"
+
+
+_REPR = dict.fromkeys(CONSTRUCTORS, _repr_node)
 
 
 class Signature(Enum):
@@ -126,6 +276,12 @@ _ALLOWED: dict[Signature, frozenset[type]] = {
     Signature.RD: frozenset({One, Var, Sub, Div}),
 }
 
+# The bits of the constructors outside each signature.
+_FORBIDDEN = {
+    sig: sum(c._bit for c in CONSTRUCTORS if c not in allowed)
+    for sig, allowed in _ALLOWED.items()
+}
+
 # Display names used in error messages, one per constructor.
 _SYMBOL_NAME: dict[type, str] = {
     Zero: "0",
@@ -137,16 +293,6 @@ _SYMBOL_NAME: dict[type, str] = {
     Div: "/",
     Sub: "- (binary)",
 }
-
-
-def _children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Add, Mul, Sub)):
-        return (t.left, t.right)
-    if isinstance(t, Div):
-        return (t.num, t.den)
-    if isinstance(t, (Neg, Inv)):
-        return (t.arg,)
-    return ()
 
 
 def numeral(n: int) -> Term:
@@ -171,56 +317,48 @@ def power(t: Term, n: int) -> Term:
     return out
 
 
+def constructors(t: Term) -> frozenset[type]:
+    """The constructors occurring in t."""
+    return frozenset(c for c in CONSTRUCTORS if t._symbols & c._bit)
+
+
 def conforms(t: Term, sig: Signature) -> bool:
     """True iff every constructor occurring in t belongs to sig's symbol set."""
-    allowed = _ALLOWED[sig]
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) not in allowed:
-            return False
-        stack.extend(_children(node))
-    return True
+    return not t._symbols & _FORBIDDEN[sig]
 
 
 def check_conforms(t: Term, sig: Signature) -> None:
     """Like conforms, but raises SignatureError naming the offending symbol."""
-    allowed = _ALLOWED[sig]
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) not in allowed:
-            raise SignatureError(_SYMBOL_NAME[type(node)], sig)
-        stack.extend(_children(node))
+    forbidden = _FORBIDDEN[sig]
+    if t._symbols & forbidden:
+        # The offender named is the first met visiting each node before its
+        # children and the right child before the left.
+        node = t
+        while not node._bit & forbidden:
+            node = next(kid for kid in reversed(node.children) if kid._symbols & forbidden)
+        raise SignatureError(_SYMBOL_NAME[type(node)], sig)
 
 
 def subst(t: Term, v: str, replacement: Term) -> Term:
     """Replace every occurrence of the variable v in t by replacement."""
-    if isinstance(t, Var):
-        return replacement if t.name == v else t
-    if isinstance(t, Add):
-        return Add(subst(t.left, v, replacement), subst(t.right, v, replacement))
-    if isinstance(t, Mul):
-        return Mul(subst(t.left, v, replacement), subst(t.right, v, replacement))
-    if isinstance(t, Sub):
-        return Sub(subst(t.left, v, replacement), subst(t.right, v, replacement))
-    if isinstance(t, Neg):
-        return Neg(subst(t.arg, v, replacement))
-    if isinstance(t, Inv):
-        return Inv(subst(t.arg, v, replacement))
-    if isinstance(t, Div):
-        return Div(subst(t.num, v, replacement), subst(t.den, v, replacement))
-    return t
+    algebra = dict.fromkeys(CONSTRUCTORS, rebuild)
+    algebra[Var] = lambda node: replacement if node.name == v else node
+    return fold(t, algebra)
+
+
+def _union(node: Term, *kids: frozenset[str]) -> frozenset[str]:
+    names = _NO_VARS
+    for other in kids:
+        if not other <= names:
+            names = names | other
+    return names
+
+
+_NO_VARS: frozenset[str] = frozenset()
+_FREE_VARS = dict.fromkeys(CONSTRUCTORS, _union)
+_FREE_VARS[Var] = lambda node: frozenset((node.name,))
 
 
 def free_vars(t: Term) -> frozenset[str]:
     """The set of variable names occurring in t."""
-    names: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            names.add(node.name)
-        else:
-            stack.extend(_children(node))
-    return frozenset(names)
+    return fold(t, _FREE_VARS)

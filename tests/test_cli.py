@@ -1,4 +1,5 @@
 import json
+import sys
 
 from meadows.cli import run
 
@@ -200,6 +201,20 @@ def test_parse_errors_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_deep_numeral_within_default_recursion_limit(capsys):
+    limit = sys.getrecursionlimit()
+    code, out, _ = invoke(capsys, "eval", "60000")
+    assert (code, out) == (0, "60000")
+    code, out, _ = invoke(capsys, "comply", "--convention", "div0", "1 / (60000 - 60000)")
+    assert code == 1 and out.startswith("Violation at ")
+    assert sys.getrecursionlimit() == limit
+
+
+def test_formula_nested_too_deeply_exits_2(capsys):
+    code, _, err = invoke(capsys, "truth", "~" * 5000 + "0 = 0")
+    assert code == 2 and err == "error: formula is nested too deeply"
 
 
 def test_json_determinism(capsys):

@@ -62,6 +62,17 @@ def test_check_conforms_names_the_symbol():
     assert "^-1" in str(err.value)
 
 
+def test_check_conforms_names_the_first_offender():
+    # The first offender met visiting each node before its children and the
+    # right child before the left.
+    with pytest.raises(SignatureError, match="/"):
+        check_conforms(Add(Neg(Var("x")), Div(ONE, ONE)), Signature.IAMD)
+    with pytest.raises(SignatureError, match=r"\(unary\)"):
+        check_conforms(Add(Div(ONE, ONE), Mul(Neg(ONE), ONE)), Signature.IAMD)
+    with pytest.raises(SignatureError, match="^0 "):
+        check_conforms(Inv(Add(Neg(ONE), ZERO)), Signature.IAMD)
+
+
 def test_subst_examples():
     x, y = Var("x"), Var("y")
     assert subst(Mul(x, Inv(x)), "x", ZERO) == Mul(ZERO, Inv(ZERO))
