@@ -406,10 +406,11 @@ def _freeze_table(table, arity: int):
     return tuple(tuple(row) for row in table)
 
 
-def _axiom_holds_everywhere(eq: Equation, ops, size: int, partial: bool) -> bool:
-    """Does eq hold at every assignment?  In partial mode an assignment at
-    which either side is undecided (None) does not count against it."""
-    names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
+def _axiom_holds_everywhere(eq: Equation, names: list[str], ops, size: int,
+                            partial: bool) -> bool:
+    """Does eq hold at every assignment of its variables, names?  In partial
+    mode an assignment at which either side is undecided (None) does not
+    count against it."""
     for _, (lhs, rhs) in eval_blocks((eq.lhs, eq.rhs), ops, names, size, partial):
         if lhs == rhs:
             continue
@@ -446,13 +447,14 @@ def visible_models_check(
         raise ValueError(f"model does not interpret visible symbols {missing}")
     reduct = {k: available[k] for k in p.visible_keys}
 
+    names = {eq: sorted(free_vars(eq.lhs) | free_vars(eq.rhs)) for eq in p.axioms}
     hidden = sorted(p.hidden)
     visible_only = [
         eq for eq in p.axioms
         if not _equation_ops(eq) & set(hidden)
     ]
     for eq in visible_only:
-        if not _axiom_holds_everywhere(eq, reduct, size, partial=False):
+        if not _axiom_holds_everywhere(eq, names[eq], reduct, size, partial=False):
             return ExpansionReport(False, [], failure=f"axiom {eq.name} fails on visible reduct")
 
     # Candidate values per hidden table slot, pruned by the axioms that can
@@ -474,7 +476,7 @@ def visible_models_check(
                     trial[other] = blanks[other]
                 trial[key] = _set_slot(blanks[key], arity, slot, value)
                 ok = all(
-                    _axiom_holds_everywhere(eq, trial, size, partial=True)
+                    _axiom_holds_everywhere(eq, names[eq], trial, size, partial=True)
                     for eq in p.axioms
                 )
                 if ok:
@@ -502,7 +504,8 @@ def visible_models_check(
         ops = dict(reduct)
         for key in hidden:
             ops[key] = _freeze_table(tables[key], OP_ARITY[key])
-        if all(_axiom_holds_everywhere(eq, ops, size, partial=False) for eq in p.axioms):
+        if all(_axiom_holds_everywhere(eq, names[eq], ops, size, partial=False)
+               for eq in p.axioms):
             expansions.append({k: ops[k] for k in hidden})
     if not expansions:
         return ExpansionReport(False, [], failure="no expansion satisfies all axioms")

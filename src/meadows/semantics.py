@@ -3,11 +3,16 @@
 Two families of models are provided.  The zero-totalized rationals
 evaluate terms exactly with arbitrary-precision rationals, where the
 multiplicative inverse of zero is zero and division by zero yields
-zero.  Finite meadows carry explicit operation tables over a carrier
-0..n-1; the prime ones are the zero-totalized prime fields Z_p, and
-commutative von Neumann regular rings (for example Z_n with n
-squarefree) expand uniquely to meadows by a pointwise search for
-weak inverses.
+zero.  Finite meadows live on a carrier 0..n-1.  Z_n is modular
+arithmetic: the prime ones are the zero-totalized prime fields Z_p,
+and Z_n with n squarefree is the unique meadow expansion of a
+commutative von Neumann regular ring, with inv(x) = x^(2*lambda(n)-1)
+mod n (lambda is Carmichael's function).  Evaluating at one assignment
+computes each operation arithmetically, so it costs O(term) whatever
+n is; the n x n operation tables are built, once per model, only when
+an exhaustive check reads them.  Other finite meadows carry explicit
+tables, and any finite commutative regular ring given by tables
+expands to a meadow by a pointwise search for weak inverses.
 
 Also here: exhaustive axiom checking of a presentation against a
 finite model, and the two number-theoretic witness searches (every
@@ -19,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
+from math import lcm
 from operator import ne
 from typing import Mapping, Sequence, Union
 
@@ -32,7 +38,7 @@ from .terms import (
 __all__ = [
     "Q0", "Value", "Assignment", "MissingAssignment",
     "q0_inv", "q0_div", "eval_q0",
-    "FiniteMeadow", "NotRegular", "NotUnique",
+    "FiniteMeadow", "ModularMeadow", "NotRegular", "NotUnique",
     "zp_meadow", "zn_ring", "zn_meadow", "eval_model", "eval_blocks",
     "AxiomFailure", "check_axioms", "is_prime",
     "two_squares", "corollary_witness",
@@ -132,9 +138,7 @@ class FiniteMeadow:
         return range(self.size)
 
     def div(self, x: int, y: int) -> int:
-        if self.inv is None:
-            raise ValueError("no inverse table; expand the ring first")
-        return self.mul[x][self.inv[y]]
+        return self.algebra()[Div](None, x, y)
 
     def check_assignment(self, a: Assignment) -> None:
         """Raise ValueError unless every value assigned in a is a carrier element."""
@@ -146,17 +150,21 @@ class FiniteMeadow:
 
     def algebra(self) -> dict:
         """The fold algebra of closed terms in this model, one value at a time."""
-        add, mul, neg = self.add, self.mul, self.neg
-        return {
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        algebra = {
             Zero: lambda t: self.zero,
             One: lambda t: self.one,
             Add: lambda t, x, y: add[x][y],
             Mul: lambda t, x, y: mul[x][y],
             Sub: lambda t, x, y: add[x][neg[y]],
             Neg: lambda t, x: neg[x],
-            Inv: lambda t, x: self.inv[x],
-            Div: lambda t, x, y: self.div(x, y),
+            Inv: _no_inverse,
+            Div: _no_inverse,
         }
+        if inv is not None:
+            algebra[Inv] = lambda t, x: inv[x]
+            algebra[Div] = lambda t, x, y: mul[x][inv[y]]
+        return algebra
 
     def tables(self) -> dict[str, object]:
         """The tabulated operations keyed by symbol; inv only when present."""
@@ -186,6 +194,77 @@ class FiniteMeadow:
         return table
 
 
+def _no_inverse(t: Term, *args: int) -> int:
+    raise ValueError("model provides no interpretation for 'inv'")
+
+
+class ModularMeadow(FiniteMeadow):
+    """Z_n by modular arithmetic; a meadow when given an inverse exponent.
+
+    Build it with zn_ring, zp_meadow or zn_meadow.  inv(x) is
+    pow(x, exponent, n), and exponent is None for the bare ring.
+    algebra() computes each operation with %, so evaluating a term at one
+    assignment builds no table.  The tables add, mul, neg and inv hold
+    the same values for exhaustive evaluation, which looks them up faster
+    than it computes them; each is built on first read and cached.
+    """
+
+    def __init__(self, n: int, exponent: int | None = None):
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "zero", 0)
+        object.__setattr__(self, "one", 1 % n)
+
+    def __repr__(self) -> str:
+        kind = "zn_ring" if self.exponent is None else "zn_meadow"
+        return f"{kind}({self.size})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ModularMeadow:
+            return NotImplemented
+        return (self.size, self.exponent) == (other.size, other.exponent)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.exponent))
+
+    @cached_property
+    def add(self) -> tuple[tuple[int, ...], ...]:
+        row = tuple(range(self.size))
+        return tuple(row[x:] + row[:x] for x in row)
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        n = self.size
+        return tuple(tuple(x * y % n for y in range(n)) for x in range(n))
+
+    @cached_property
+    def neg(self) -> tuple[int, ...]:
+        n = self.size
+        return tuple(-x % n for x in range(n))
+
+    @cached_property
+    def inv(self) -> tuple[int, ...] | None:
+        n, e = self.size, self.exponent
+        return None if e is None else tuple(pow(x, e, n) for x in range(n))
+
+    def algebra(self) -> dict:
+        n, e, one = self.size, self.exponent, self.one
+        algebra = {
+            Zero: lambda t: 0,
+            One: lambda t: one,
+            Add: lambda t, x, y: (x + y) % n,
+            Mul: lambda t, x, y: x * y % n,
+            Sub: lambda t, x, y: (x - y) % n,
+            Neg: lambda t, x: -x % n,
+            Inv: _no_inverse,
+            Div: _no_inverse,
+        }
+        if e is not None:
+            algebra[Inv] = lambda t, x: pow(x, e, n)
+            algebra[Div] = lambda t, x, y: x * pow(y, e, n) % n
+        return algebra
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -197,29 +276,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def zn_ring(n: int) -> FiniteMeadow:
-    """The commutative ring Z_n with no inverse table."""
+def zn_ring(n: int) -> ModularMeadow:
+    """The commutative ring Z_n, with no inverse."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    rng = range(n)
-    return FiniteMeadow(
-        size=n,
-        add=tuple(tuple((x + y) % n for y in rng) for x in rng),
-        mul=tuple(tuple((x * y) % n for y in rng) for x in rng),
-        neg=tuple((-x) % n for x in rng),
-        inv=None,
-        zero=0,
-        one=1 % n,
-    )
+    return ModularMeadow(n)
 
 
-def zp_meadow(p: int) -> FiniteMeadow:
+def zp_meadow(p: int) -> ModularMeadow:
     """The zero-totalized prime field Z_p: inv(0) = 0, inv(x) = x^(p-2) otherwise."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ring = zn_ring(p)
-    inv = tuple(0 if x == 0 else pow(x, -1, p) for x in range(p))
-    return FiniteMeadow(ring.size, ring.add, ring.mul, ring.neg, inv, 0, 1)
+    return zn_meadow(p)
 
 
 def expand_regular_ring(ring: FiniteMeadow) -> FiniteMeadow:
@@ -247,9 +315,28 @@ def expand_regular_ring(ring: FiniteMeadow) -> FiniteMeadow:
     )
 
 
-def zn_meadow(n: int) -> FiniteMeadow:
-    """The meadow expansion of Z_n; defined exactly when n is squarefree."""
-    return expand_regular_ring(zn_ring(n))
+def zn_meadow(n: int) -> ModularMeadow:
+    """The meadow expansion of Z_n; defined exactly when n is squarefree.
+
+    Over Z_n, x^(2*lambda(n)-1) is the unique weak inverse of x: modulo
+    each prime q dividing n it is 0 for x = 0 mod q and x^-1 otherwise,
+    because q - 1 divides lambda(n).  When q^2 divides n, q has no weak
+    inverse; NotRegular names the least such q, which is also the least
+    element without one.
+    """
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    carmichael, rest, q = 1, n, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            rest //= q
+            if rest % q == 0:
+                raise NotRegular(q)
+            carmichael = lcm(carmichael, q - 1)
+        q += 1
+    if rest > 1:
+        carmichael = lcm(carmichael, rest - 1)
+    return ModularMeadow(n, 2 * carmichael - 1)
 
 
 #: Assignments evaluated together by check_axioms and the expansion search.
@@ -335,10 +422,20 @@ def eval_blocks(
 
 
 def eval_model(t: Term, m: FiniteMeadow, a: Assignment | None = None) -> int:
-    """Evaluate t in the finite meadow m under assignment a."""
+    """Evaluate t in the finite meadow m under assignment a.
+
+    One value per node, from m.algebra(): Z_n computes it, so no table is
+    built whatever n is.
+    """
     a = a or {}
     m.check_assignment(a)
-    return _fold(t, m.tables(), {name: [value] for name, value in a.items()}, 1)[0]
+
+    def var(node: Var) -> int:
+        if node.name not in a:
+            raise MissingAssignment(node.name)
+        return a[node.name]
+
+    return fold(t, {**m.algebra(), Var: var})
 
 
 @dataclass(frozen=True)

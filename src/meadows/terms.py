@@ -130,7 +130,9 @@ class Term:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), self.children
+        # A flat post-order list, so pickling and deep copies of a term of
+        # any depth do not recurse.
+        return _unflatten, (_flatten(self),)
 
     def __repr__(self) -> str:
         return fold(self, _REPR)
@@ -163,9 +165,6 @@ class Var(Term):
             _SET_SYMBOLS(node, cls._bit)
             node = _intern(cls._interned, name, node)
         return node
-
-    def __reduce__(self):
-        return Var, (self.name,)
 
 
 class Add(Term):
@@ -235,6 +234,27 @@ def fold(t: Term, algebra: Mapping[type, Callable[..., R]],
             stack.pop()
             done[node] = algebra[type(node)](node, *map(result, node.children))
     return done[t]
+
+
+def _flatten(t: Term) -> tuple[tuple, ...]:
+    """t's distinct subterms in post-order: (Var, name) for a variable,
+    else the constructor and the positions of its children in the list."""
+    nodes: list[tuple] = []
+
+    def visit(node: Term, *kids: int) -> int:
+        nodes.append((Var, node.name) if type(node) is Var else (type(node), *kids))
+        return len(nodes) - 1
+
+    fold(t, dict.fromkeys(CONSTRUCTORS, visit))
+    return tuple(nodes)
+
+
+def _unflatten(nodes: tuple[tuple, ...]) -> Term:
+    """The term _flatten encoded: the last of its nodes."""
+    built: list[Term] = []
+    for cls, *args in nodes:
+        built.append(cls(*args) if cls is Var else cls(*map(built.__getitem__, args)))
+    return built[-1]
 
 
 def rebuild(node: Term, *children: Term) -> Term:

@@ -117,6 +117,11 @@ def test_truth_domain_flag_and_env(capsys, monkeypatch):
     assert (code, out) == (1, "U")
 
 
+def test_eval_in_a_large_prime_field(capsys):
+    code, out, _ = invoke(capsys, "eval", "--model", "zp:10007", "--assign", "x=2", "inv(x) + 1")
+    assert (code, out) == (0, str(pow(2, -1, 10007) + 1))
+
+
 def test_truth_finite_model(capsys):
     code, out, _ = invoke(
         capsys, "truth", "--variant", "inv0", "--model", "zp:3",

@@ -4,7 +4,9 @@ Every test here runs under Python's default recursion limit, far below
 the depth of the terms it builds.
 """
 
+import copy
 import gc
+import pickle
 import sys
 import threading
 
@@ -96,6 +98,18 @@ def test_deep_numeral_identity_and_evaluation(deep):
     check_conforms(deep, Signature.IAMDZ)
     with pytest.raises(SignatureError, match=r"\^-1"):
         check_conforms(Add(deep, Inv(ONE)), Signature.CR)
+
+
+def test_pickle_and_deepcopy_return_the_interned_term():
+    x = Var("x")
+    shared = Add(Mul(x, Inv(x)), Div(ONE, Mul(x, Inv(x))))
+    for t in (x, ZERO, shared):
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t
+    # Not the deep fixture, and compared as booleans: a failure report
+    # would print the deep term's repr, which takes time quadratic in depth.
+    t = Add(numeral(DEEP), x)
+    assert [pickle.loads(pickle.dumps(t)) is t, copy.deepcopy(t) is t] == [True, True]
 
 
 def test_deep_numeral_rewrites(deep):

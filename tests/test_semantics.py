@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows.parsing import parse_term
+from meadows.partial import Defined, PunchVariant, punch_eval
 from meadows.presentations import builtin
 from meadows.semantics import (
     AxiomFailure, FiniteMeadow, MissingAssignment, NotRegular, NotUnique,
@@ -93,6 +95,36 @@ def test_expansion_uniqueness_never_trips():
             zn_meadow(n)
         except NotUnique as exc:  # pragma: no cover
             pytest.fail(f"uniqueness violated for Z_{n}: {exc}")
+
+
+def test_modular_inverse_is_the_regular_ring_expansion():
+    for n in range(1, 61):
+        try:
+            expected = expand_regular_ring(zn_ring(n)).inv
+        except NotRegular as exc:
+            with pytest.raises(NotRegular) as err:
+                zn_meadow(n)
+            assert err.value.element == exc.element, n
+        else:
+            assert zn_meadow(n).inv == expected, n
+
+
+def test_large_prime_field_evaluates_without_tables():
+    t = Div(Add(Var("x"), ONE), Mul(Var("x"), Var("x")))
+    tracemalloc.start()
+    try:
+        m = zp_meadow(2003)
+        value = eval_model(t, m, {"x": 5})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 6 * pow(25, -1, 2003) % 2003
+    assert peak < 5 * 2**20
+    assert punch_eval(t, PunchVariant.DIV_ZERO_ALL, m, {"x": 5}) == Defined(value)
+    assert repr(m) == "zn_meadow(2003)"
+    assert m == zn_meadow(2003) and hash(m) == hash(zn_meadow(2003))
+    assert m != zn_ring(2003)
+    assert not {"add", "mul", "neg", "inv"} & vars(m).keys()
 
 
 def test_two_squares_examples():
@@ -244,6 +276,18 @@ def _naive_check_axioms(m: FiniteMeadow, name: str) -> list[AxiomFailure]:
         if bad:
             failures.append(AxiomFailure(eq.name, *bad[0], len(bad)))
     return failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.randoms(use_true_random=False), st.data())
+def test_modular_eval_matches_table_evaluation(n, rng, data):
+    try:
+        m, sigs = zn_meadow(n), (Signature.IMD, Signature.DMD, Signature.RD)
+    except NotRegular:
+        m, sigs = zn_ring(n), (Signature.CR,)
+    t = random_term(rng, rng.choice(sigs), 5)
+    a = {v: data.draw(st.integers(0, n - 1)) for v in sorted(free_vars(t))}
+    assert eval_model(t, m, a) == _naive_eval(t, m, a)
 
 
 @st.composite
