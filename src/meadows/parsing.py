@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .terms import (
     CONSTRUCTORS, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, check_conforms, fold, numeral,
+    Signature, _join, check_conforms, fold, numeral,
 )
 
 __all__ = ["ParseError", "Token", "tokenize", "parse_term", "parse_term_prefix", "render"]
@@ -239,18 +239,6 @@ def _sexpr_node(t: Term, *kids):
 
 
 _SEXPR = dict.fromkeys(CONSTRUCTORS, _sexpr_node)
-
-
-def _join(rope) -> str:
-    parts: list[str] = []
-    stack = [rope]
-    while stack:
-        piece = stack.pop()
-        if type(piece) is str:
-            parts.append(piece)
-        else:
-            stack += reversed(piece)
-    return "".join(parts)
 
 
 def render(t: Term, style: str = "infix", numerals: bool = False) -> str:

@@ -26,7 +26,7 @@ from .terms import (
     Add, Neg, Sub, Term, Var,
     Signature, constructors, free_vars,
 )
-from .semantics import OP_KEY, FiniteMeadow, eval_blocks
+from .semantics import OP_KEY, FiniteMeadow, equation_lines
 
 __all__ = [
     "Symbol", "Equation", "Presentation",
@@ -406,15 +406,12 @@ def _freeze_table(table, arity: int):
     return tuple(tuple(row) for row in table)
 
 
-def _axiom_holds_everywhere(eq: Equation, names: list[str], ops, size: int,
-                            partial: bool) -> bool:
-    """Does eq hold at every assignment of its variables, names?  In partial
-    mode an assignment at which either side is undecided (None) does not
-    count against it."""
-    for _, (lhs, rhs) in eval_blocks((eq.lhs, eq.rhs), ops, names, size, partial):
-        if lhs == rhs:
-            continue
-        if not partial or any(
+def _axiom_holds_everywhere(lines, tables) -> bool:
+    """Does the equation compiled into lines (by equation_lines) hold at
+    every assignment under tables?  An assignment at which either side is
+    undecided (None) does not count against it."""
+    for _, lhs, rhs in lines(tables):
+        if lhs != rhs and any(
             x is not None and y is not None and x != y for x, y in zip(lhs, rhs)
         ):
             return False
@@ -447,14 +444,21 @@ def visible_models_check(
         raise ValueError(f"model does not interpret visible symbols {missing}")
     reduct = {k: available[k] for k in p.visible_keys}
 
-    names = {eq: sorted(free_vars(eq.lhs) | free_vars(eq.rhs)) for eq in p.axioms}
     hidden = sorted(p.hidden)
+    # Each axiom is compiled once, in partial mode, which is exact on
+    # tables without undecided entries too; the tables come per call.
+    keys = reduct.keys() | p.hidden
+    lines = {
+        eq: equation_lines(eq.lhs, eq.rhs, sorted(free_vars(eq.lhs) | free_vars(eq.rhs)),
+                           size, keys, partial=True)
+        for eq in p.axioms
+    }
     visible_only = [
         eq for eq in p.axioms
         if not _equation_ops(eq) & set(hidden)
     ]
     for eq in visible_only:
-        if not _axiom_holds_everywhere(eq, names[eq], reduct, size, partial=False):
+        if not _axiom_holds_everywhere(lines[eq], reduct):
             return ExpansionReport(False, [], failure=f"axiom {eq.name} fails on visible reduct")
 
     # Candidate values per hidden table slot, pruned by the axioms that can
@@ -475,10 +479,7 @@ def visible_models_check(
                 for other in hidden:
                     trial[other] = blanks[other]
                 trial[key] = _set_slot(blanks[key], arity, slot, value)
-                ok = all(
-                    _axiom_holds_everywhere(eq, names[eq], trial, size, partial=True)
-                    for eq in p.axioms
-                )
+                ok = all(_axiom_holds_everywhere(lines[eq], trial) for eq in p.axioms)
                 if ok:
                     survivors.append(value)
             if not survivors:
@@ -504,8 +505,7 @@ def visible_models_check(
         ops = dict(reduct)
         for key in hidden:
             ops[key] = _freeze_table(tables[key], OP_ARITY[key])
-        if all(_axiom_holds_everywhere(eq, names[eq], ops, size, partial=False)
-               for eq in p.axioms):
+        if all(_axiom_holds_everywhere(lines[eq], ops) for eq in p.axioms):
             expansions.append({k: ops[k] for k in hidden})
     if not expansions:
         return ExpansionReport(False, [], failure="no expansion satisfies all axioms")

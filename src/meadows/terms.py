@@ -135,7 +135,7 @@ class Term:
         return _unflatten, (_flatten(self),)
 
     def __repr__(self) -> str:
-        return fold(self, _REPR)
+        return _join(fold(self, _REPR))
 
 
 _SET_CHILDREN = Term.children.__set__
@@ -262,9 +262,26 @@ def rebuild(node: Term, *children: Term) -> Term:
     return node if children == node.children else type(node)(*children)
 
 
-def _repr_node(t: Term, *kids: str) -> str:
-    args = kids if type(t) is not Var else (repr(t.name),)
-    return f"{type(t).__name__}({', '.join(args)})"
+def _join(rope) -> str:
+    """The text of a rope: a string, or a tuple of ropes to concatenate."""
+    parts: list[str] = []
+    stack = [rope]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            parts.append(piece)
+        else:
+            stack += reversed(piece)
+    return "".join(parts)
+
+
+def _repr_node(t: Term, *kids):
+    # A rope, so that no node copies its children's text.
+    if type(t) is Var:
+        return f"Var({t.name!r})"
+    if len(kids) == 2:
+        return type(t).__name__, "(", kids[0], ", ", kids[1], ")"
+    return (type(t).__name__, "(", *kids, ")")
 
 
 _REPR = dict.fromkeys(CONSTRUCTORS, _repr_node)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from meadows.presentations import Equation, Presentation, Symbol
 from meadows.terms import (
-    Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
+    Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, ONE, ZERO,
     Signature,
 )
 
@@ -165,3 +166,29 @@ def _rewrite(rng: random.Random, t: Term) -> Term:
     if choice < 0.25:
         return Inv(Inv(t))
     return t
+
+
+def shapes_presentation() -> Presentation:
+    """Equations over every operator whose sides take each shape the line
+    evaluator distinguishes: closed, the last variable (z, or y when z is
+    absent) on one side only, an operand before it (z * x), it squared, and
+    sub and div, which a model without those tables reads as x + -y and
+    x * y^-1."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    symbols = {
+        "zero": Symbol("0", 0), "one": Symbol("1", 0),
+        "add": Symbol("+", 2), "mul": Symbol("*", 2), "neg": Symbol("-", 1),
+        "inv": Symbol("^-1", 1), "div": Symbol("/", 2), "sub": Symbol("-", 2),
+    }
+    axioms = (
+        # Not 1 + 1: a live numeral would break the intern table count of
+        # tests/test_fold.py.
+        Equation("closed", Div(ONE, Add(ONE, Mul(ONE, ONE))), Inv(Sub(ZERO, Neg(ONE)))),
+        Equation("last_left_only", Add(Mul(x, y), Neg(z)), Mul(y, x)),
+        Equation("last_right_only", Inv(x), Sub(Add(y, ONE), x)),
+        Equation("operand_first", Add(z, x), Sub(Mul(z, y), Add(x, y))),
+        Equation("squared", Mul(z, z), Add(Mul(Inv(z), x), z)),
+        Equation("derived", Sub(x, Div(y, z)), Div(Sub(z, x), Neg(y))),
+        Equation("lines", Mul(Add(Inv(y), y), Neg(Div(y, x))), Add(Add(x, y), Inv(Mul(y, y)))),
+    )
+    return Presentation("shapes", tuple(sorted(symbols.items())), frozenset(), axioms)

@@ -164,6 +164,14 @@ def test_check_model(capsys):
     assert code == 2 and "not regular" in err.lower() or "regular" in err
 
 
+def test_check_model_over_the_assignment_cap_exits_2(capsys):
+    # About 3 * 10^9 assignments: refused before any table is built.
+    code, out, err = invoke(capsys, "check-model", "--zp", "1009", "--axioms", "imd")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: checking imd in a model of size 1009 needs ")
+    assert "cap of 100000000" in err
+
+
 def test_witness(capsys):
     code, out, _ = invoke(capsys, "witness", "--prime", "7")
     assert (code, out) == (0, "2^2 + 3^2 + 1 = 2 * 7")

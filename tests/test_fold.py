@@ -9,6 +9,7 @@ import gc
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from meadows.parsing import parse_term, render
 from meadows.projection import Projection, project
 from meadows.semantics import eval_model, eval_q0, zp_meadow
 from meadows.terms import (
-    CONSTRUCTORS, Add, Div, Inv, Mul, Var, ONE, ZERO,
+    CONSTRUCTORS, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
     Signature, SignatureError, check_conforms, fold, free_vars, numeral, subst,
 )
 
@@ -106,10 +107,25 @@ def test_pickle_and_deepcopy_return_the_interned_term():
     for t in (x, ZERO, shared):
         assert pickle.loads(pickle.dumps(t)) is t
         assert copy.deepcopy(t) is t
-    # Not the deep fixture, and compared as booleans: a failure report
-    # would print the deep term's repr, which takes time quadratic in depth.
+    # Not the deep fixture, and compared as booleans, so that a failure
+    # report does not print a term 100,000 levels deep.
     t = Add(numeral(DEEP), x)
     assert [pickle.loads(pickle.dumps(t)) is t, copy.deepcopy(t) is t] == [True, True]
+
+
+def test_repr_text():
+    x = Var("x")
+    assert repr(Add(Mul(x, Inv(ZERO)), Neg(ONE))) == "Add(Mul(Var('x'), Inv(Zero())), Neg(One()))"
+    assert repr(Sub(Div(ONE, Var("y_2")), x)) == "Sub(Div(One(), Var('y_2')), Var('x'))"
+
+
+def test_repr_is_linear_in_depth():
+    depth = 40_000
+    t = numeral(depth)
+    start = time.perf_counter()
+    text = repr(t)
+    assert time.perf_counter() - start < 5
+    assert text == "Add(" * (depth - 1) + "One(), One())" + ", One())" * (depth - 2)
 
 
 def test_deep_numeral_rewrites(deep):

@@ -1,13 +1,20 @@
+from itertools import product
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meadows.presentations import (
     Equation, Presentation, Symbol,
-    builtin, builtin_names, combine, export, hide, md_d, md_rd,
+    _axiom_holds_everywhere, builtin, builtin_names, combine, export, hide, md_d, md_rd,
     parse_module_expression, rename, visible_models_check,
 )
-from meadows.semantics import check_axioms, zp_meadow
-from meadows.terms import Signature, Var
+from meadows.semantics import check_axioms, equation_lines, zp_meadow
+from meadows.terms import Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, Signature, free_vars
 from meadows.parsing import parse_term
+
+from .helpers import shapes_presentation
 
 
 EXPECTED_COUNTS = {
@@ -214,3 +221,75 @@ def test_parse_module_expression():
         parse_module_expression("combine(imd")
     with pytest.raises(ValueError):
         parse_module_expression("imd extra")
+
+
+_KEY = {Zero: "zero", One: "one", Add: "add", Mul: "mul",
+        Neg: "neg", Inv: "inv", Div: "div", Sub: "sub"}
+
+
+def _naive_partial_eval(t, tables: dict, a: dict):
+    """One assignment: None when an operand or a table entry is undecided."""
+    if type(t) is Var:
+        return a[t.name]
+    value = tables[_KEY[type(t)]]
+    for kid in t.children:
+        arg = _naive_partial_eval(kid, tables, a)
+        if arg is None or value is None:
+            return None
+        value = value[arg]
+    return value
+
+
+@st.composite
+def undecided_zn(draw):
+    """Z_n, n <= 7, tabulating every operator (inverse x^-1 for units, else
+    0), with some table entries, constants included, undecided (None)."""
+    n = draw(st.integers(1, 7))
+    inv = [pow(x, -1, n) if gcd(x, n) == 1 else 0 for x in range(n)]
+    tables = {
+        "zero": 0, "one": 1 % n,
+        "add": [[(x + y) % n for y in range(n)] for x in range(n)],
+        "mul": [[x * y % n for y in range(n)] for x in range(n)],
+        "sub": [[(x - y) % n for y in range(n)] for x in range(n)],
+        "div": [[x * inv[y] % n for y in range(n)] for x in range(n)],
+        "neg": [-x % n for x in range(n)],
+        "inv": inv,
+    }
+    for _ in range(draw(st.integers(0, 8))):
+        key = draw(st.sampled_from(sorted(tables)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if key in ("zero", "one"):
+            tables[key] = None
+        elif key in ("neg", "inv"):
+            tables[key][i] = None
+        else:
+            tables[key][i][j] = None
+    return n, tables
+
+
+PARTIAL_AXIOMS = [
+    eq for p in (md_d(), builtin("imd"), builtin("dmd"), shapes_presentation())
+    for eq in p.axioms
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(undecided_zn())
+def test_partial_lines_match_naive_none_propagation(model):
+    n, tables = model
+    for eq in PARTIAL_AXIOMS:
+        names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
+        lines = equation_lines(eq.lhs, eq.rhs, names, n, tables.keys(), partial=True)
+        got = [
+            (outer + (i,))[:len(names)] + (x, y)
+            for outer, lhs, rhs in lines(tables)
+            for i, (x, y) in enumerate(zip(lhs, rhs))
+        ]
+        want = []
+        for values in product(range(n), repeat=len(names)):
+            a = dict(zip(names, values))
+            want.append(values + (_naive_partial_eval(eq.lhs, tables, a),
+                                  _naive_partial_eval(eq.rhs, tables, a)))
+        assert got == want, eq.name
+        holds = all(x is None or y is None or x == y for *_, x, y in want)
+        assert _axiom_holds_everywhere(lines, tables) is holds, eq.name

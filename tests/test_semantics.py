@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from meadows.parsing import parse_term
 from meadows.partial import Defined, PunchVariant, punch_eval
 from meadows.presentations import builtin
+from meadows import semantics
 from meadows.semantics import (
-    AxiomFailure, FiniteMeadow, MissingAssignment, NotRegular, NotUnique,
+    AxiomFailure, FiniteMeadow, MAX_ASSIGNMENTS, MissingAssignment, NotRegular, NotUnique,
     check_axioms, corollary_witness, eval_model, eval_q0,
     expand_regular_ring, is_prime, two_squares, zn_meadow, zn_ring, zp_meadow,
 )
@@ -21,7 +22,7 @@ from meadows.terms import (
     Signature, free_vars, numeral,
 )
 
-from .helpers import oracle_eval, random_assignment, random_term
+from .helpers import oracle_eval, random_assignment, random_term, shapes_presentation
 
 
 def test_eval_q0_examples():
@@ -262,10 +263,10 @@ def _naive_eval(t, m: FiniteMeadow, a: dict) -> int:
     raise TypeError(f"unknown node {t!r}")
 
 
-def _naive_check_axioms(m: FiniteMeadow, name: str) -> list[AxiomFailure]:
+def _naive_check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
     """One assignment at a time, in row-major order."""
     failures = []
-    for eq in builtin(name).axioms:
+    for eq in (builtin(axioms) if isinstance(axioms, str) else axioms).axioms:
         names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
         bad = []
         for values in product(m.carrier, repeat=len(names)):
@@ -320,10 +321,29 @@ def corrupted_zn(draw):
     )
 
 
+SHAPES = shapes_presentation()
+
+
 @settings(max_examples=30, deadline=None)
 @given(corrupted_zn())
 def test_check_axioms_matches_naive_reference(m):
-    # With n up to 13, a 3-variable axiom has up to 2197 assignments, so
-    # witnesses and failure counts must survive several blocks.
-    for name in ("cr", "imd", "dmd"):
-        assert check_axioms(m, name) == _naive_check_axioms(m, name)
+    # With n up to 13, a 3-variable axiom has up to 169 lines of 13
+    # assignments, so witnesses and failure counts must survive many lines.
+    # A corrupted add or mul table is not commutative, which the shapes'
+    # operand-first equations need; m has no sub or div table.
+    for axioms in ("cr", "imd", "dmd", SHAPES):
+        assert check_axioms(m, axioms) == _naive_check_axioms(m, axioms)
+
+
+def test_check_axioms_refuses_more_than_max_assignments(monkeypatch):
+    m = zp_meadow(1009)
+    total = 3 * 1009**3 + 2 * 1009**2 + 5 * 1009  # imd: 3, 2 and 5 axioms in 3, 2, 1 variables
+    with pytest.raises(ValueError, match=f"needs {total} assignments.* cap of {MAX_ASSIGNMENTS}"):
+        check_axioms(m, "imd")
+    assert not {"add", "mul", "neg", "inv"} & vars(m).keys()
+    small = zp_meadow(5)
+    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5)
+    assert check_axioms(small, "imd") == []
+    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5 - 1)
+    with pytest.raises(ValueError, match="cap"):
+        check_axioms(small, "imd")
