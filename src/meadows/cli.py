@@ -17,23 +17,20 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import convention, logic3, normalize, presentations
-from .parsing import ParseError, parse_term, render
-from .partial import Defined, PunchVariant, punch_eval
-from .projection import Projection, project
-from .semantics import (
-    FiniteMeadow, NotRegular, check_axioms, corollary_witness,
-    eval_model, eval_q0, two_squares, zn_meadow, zp_meadow,
-)
-from .terms import Signature, SignatureError, Term
+# Handlers import the other modules they run, so a command loads only what it uses.
+from .parsing import parse_term, render
+from .terms import Signature, Term
+
+if TYPE_CHECKING:
+    from . import presentations
+    from .semantics import FiniteMeadow
 
 __all__ = ["main", "run"]
 
 _SIG_CHOICES = ["mixed", "cr", "imd", "dmd", "iamd", "damd", "iamdz", "damdz", "rd"]
-
-_VARIANTS = {v.value: v for v in PunchVariant}
-_CONVENTIONS = {c.value: c for c in convention.ConventionId}
+_VARIANT_CHOICES = ("div0", "div0lib", "inv0")
 
 
 def _signature(name: str) -> Signature | None:
@@ -60,6 +57,7 @@ def _parse_assignment(text: str | None, carrier: str) -> dict:
 def _load_model(choice: str) -> FiniteMeadow | None:
     if choice == "q0":
         return None
+    from .semantics import zn_meadow, zp_meadow
     kind, _, arg = choice.partition(":")
     if kind == "zp" and arg:
         return zp_meadow(int(arg))
@@ -76,6 +74,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .semantics import eval_model, eval_q0
     model = _load_model(args.model)
     t = parse_term(args.term, _signature(args.sig))
     a = _parse_assignment(args.assign, "finite" if model else "q0")
@@ -85,8 +84,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_peval(args) -> int:
+    from .partial import Defined, PunchVariant, punch_eval
     model = _load_model(args.model)
-    variant = _VARIANTS[args.variant]
+    variant = PunchVariant(args.variant)
     sig = Signature.IMD if variant is PunchVariant.INV_ZERO else Signature.DMD
     t = parse_term(args.term, sig)
     a = _parse_assignment(args.assign, "finite" if model else "q0")
@@ -99,15 +99,13 @@ def _cmd_peval(args) -> int:
     return 1
 
 
-_PROJECTIONS = {
-    "imn": (Projection.DMN_TO_IMN, Signature.DMD),
-    "dmn": (Projection.IMN_TO_DMN, Signature.IMD),
-    "rdmn": (Projection.IMN_TO_RDMN, Signature.IMD),
-}
-
-
 def _cmd_project(args) -> int:
-    which, source = _PROJECTIONS[args.to]
+    from .projection import Projection, project
+    which, source = {
+        "imn": (Projection.DMN_TO_IMN, Signature.DMD),
+        "dmn": (Projection.IMN_TO_DMN, Signature.IMD),
+        "rdmn": (Projection.IMN_TO_RDMN, Signature.IMD),
+    }[args.to]
     t = parse_term(args.term, source)
     image = render(project(t, which))
     _emit(args, {"command": "project", "value": image}, image)
@@ -115,6 +113,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from . import normalize
     sig = Signature(args.sig)
     t = parse_term(args.term, sig)
     nf = normalize.normal_form_closed(t, sig)
@@ -123,6 +122,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _decide_witness(theory: str, t: Term, u: Term) -> dict | None:
+    from . import normalize
+    from .projection import Projection, project
     if theory.startswith("damd"):
         t = project(t, Projection.DMN_TO_IMN)
         u = project(u, Projection.DMN_TO_IMN)
@@ -139,6 +140,7 @@ def _decide_witness(theory: str, t: Term, u: Term) -> dict | None:
 
 
 def _cmd_decide(args) -> int:
+    from . import normalize
     theory = args.theory
     if theory in ("iamd", "iamdz-gil"):
         sig = Signature.IAMD if theory == "iamd" else Signature.IAMDZ
@@ -160,14 +162,11 @@ def _default_domain() -> str:
     return os.environ.get("MEADOW_DEFAULT_DOMAIN", "0,1,2")
 
 
-_EQUALITIES = {e.value: e for e in logic3.Equality}
-_CONNECTIVES = {c.value: c for c in logic3.Connectives}
-_QUANTIFIERS = {q.value: q for q in logic3.Quantifiers}
-
-
 def _cmd_truth(args) -> int:
+    from . import logic3
+    from .partial import PunchVariant
     model = _load_model(args.model)
-    variant = _VARIANTS[args.variant]
+    variant = PunchVariant(args.variant)
     sig = Signature.IMD if variant is PunchVariant.INV_ZERO else Signature.DMD
     domain_text = args.domain if args.domain is not None else _default_domain()
     if model is None:
@@ -178,8 +177,8 @@ def _cmd_truth(args) -> int:
         cfg = logic3.lpmd(domain)
     else:
         cfg = logic3.LogicConfig(
-            _EQUALITIES[args.eq], _CONNECTIVES[args.conn],
-            _QUANTIFIERS[args.quant], domain,
+            logic3.Equality(args.eq), logic3.Connectives(args.conn),
+            logic3.Quantifiers(args.quant), domain,
         )
     f = logic3.parse_formula(args.formula, sig)
     a = _parse_assignment(args.assign, "finite" if model else "q0")
@@ -189,6 +188,7 @@ def _cmd_truth(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import convention
     t = parse_term(args.term, Signature.IAMDZ)
     result = convention.classify(t, args.mode, args.vars_defined)
     _emit(args, {"command": "classify", "verdict": str(result)}, str(result))
@@ -196,12 +196,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_comply(args) -> int:
+    from . import convention
     if args.open:
         t = parse_term(args.term, Signature.IAMDZ)
         result = convention.open_compliance_sufficient(t, args.mode, args.vars_defined)
         _emit(args, {"command": "comply", "verdict": str(result)}, str(result))
         return 0 if result is convention.Sufficiency.CERTIFIED_COMPLIANT else 1
-    conv = _CONVENTIONS[args.convention]
+    conv = convention.ConventionId(args.convention)
     sig = (
         Signature.IMD
         if conv is convention.ConventionId.RELEVANT_INVERSIVE
@@ -222,6 +223,8 @@ def _cmd_comply(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
+    from . import presentations
+    from .semantics import check_axioms, zn_meadow, zp_meadow
     if args.zp is not None:
         model, label = zp_meadow(args.zp), f"zp:{args.zp}"
     elif args.zn is not None:
@@ -244,6 +247,7 @@ def _cmd_check_model(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .semantics import corollary_witness, two_squares
     p = args.prime
     if args.residue is not None:
         v, w = two_squares(p, args.residue)
@@ -270,6 +274,7 @@ def _render_presentation(p: presentations.Presentation) -> str:
 
 
 def _cmd_spec(args) -> int:
+    from . import presentations
     if args.show:
         p = presentations.builtin(args.show)
     else:
@@ -306,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("peval", help="evaluate a term in a punched model")
-    p.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    p.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
     p.add_argument("--model", default="q0")
     p.add_argument("--assign")
     p.add_argument("term")
@@ -332,10 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("truth", help="three-valued truth value of a formula")
-    p.add_argument("--eq", default="weak", choices=sorted(_EQUALITIES))
-    p.add_argument("--conn", default="mccarthy", choices=sorted(_CONNECTIVES))
-    p.add_argument("--quant", default="bochvar", choices=sorted(_QUANTIFIERS))
-    p.add_argument("--variant", default="div0", choices=sorted(_VARIANTS))
+    p.add_argument("--eq", default="weak", choices=("exist", "strong", "weak"))
+    p.add_argument("--conn", default="mccarthy",
+                   choices=("bochvar", "kleene", "mccarthy", "mccarthy-rev"))
+    p.add_argument("--quant", default="bochvar", choices=("bochvar", "kleene"))
+    p.add_argument("--variant", default="div0", choices=_VARIANT_CHOICES)
     p.add_argument("--domain", help="comma-separated carrier values (default 0,1,2)")
     p.add_argument("--logic", choices=["lpmd"], help="preset overriding eq/conn/quant")
     p.add_argument("--model", default="q0")
@@ -350,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("comply", help="division-convention compliance")
-    p.add_argument("--convention", choices=sorted(_CONVENTIONS), default="div0")
+    p.add_argument("--convention", choices=("div0", "div0lib", "inv0"), default="div0")
     p.add_argument("--open", action="store_true",
                    help="sound syntactic check for open terms")
     p.add_argument("--mode", default="strict", choices=["strict", "literal"])
@@ -390,13 +396,13 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, SignatureError, normalize.UnsupportedTheory, NotRegular,
-            ValueError) as exc:
+    except ValueError as exc:  # ParseError, SignatureError, UnsupportedTheory, NotRegular too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Only the formula layer still recurses over its input.
-        print("error: formula is nested too deeply", file=sys.stderr)
+        # Only formulas and module expressions are still parsed recursively.
+        what = "module expression" if args.command == "spec" else "formula"
+        print(f"error: {what} is nested too deeply", file=sys.stderr)
         return 2
 
 

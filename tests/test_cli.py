@@ -2,6 +2,9 @@ import json
 import sys
 
 from meadows.cli import run
+from meadows.convention import ConventionId
+from meadows.logic3 import Connectives, Equality, Quantifiers
+from meadows.partial import PunchVariant
 
 
 def invoke(capsys, *argv):
@@ -228,6 +231,28 @@ def test_deep_numeral_within_default_recursion_limit(capsys):
 def test_formula_nested_too_deeply_exits_2(capsys):
     code, _, err = invoke(capsys, "truth", "~" * 5000 + "0 = 0")
     assert code == 2 and err == "error: formula is nested too deeply"
+
+
+def test_module_expression_nested_too_deeply_exits_2(capsys):
+    expr = "combine(imd," * 3000 + "imd" + ")" * 3000
+    code, out, err = invoke(capsys, "spec", "--flatten", expr)
+    assert (code, out) == (2, "")
+    assert err == "error: module expression is nested too deeply"
+
+
+def test_enum_option_choices_are_the_enum_values(capsys):
+    # The parser spells the values out so that it imports no enum's module.
+    for command, option, enum in (
+        ("peval", "--variant", PunchVariant),
+        ("truth", "--variant", PunchVariant),
+        ("truth", "--eq", Equality),
+        ("truth", "--conn", Connectives),
+        ("truth", "--quant", Quantifiers),
+        ("comply", "--convention", ConventionId),
+    ):
+        code, out, _ = invoke(capsys, command, "--help")
+        values = ",".join(sorted(e.value for e in enum))
+        assert code == 0 and f"{option} {{{values}}}" in out, (command, option)
 
 
 def test_json_determinism(capsys):

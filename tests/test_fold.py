@@ -60,10 +60,13 @@ def test_fold_visits_each_distinct_subterm_once():
 
 
 def test_intern_table_shrinks_when_terms_are_dropped():
+    # No other test uses this variable, so no node of the chain is alive before.
     gc.collect()
     before = interned_count()
-    t = numeral(10_000)
-    assert interned_count() >= before + 9_999
+    t = Var("intern_probe")
+    for _ in range(9_999):
+        t = Add(t, ONE)
+    assert interned_count() >= before + 10_000
     del t
     gc.collect()
     assert interned_count() == before
