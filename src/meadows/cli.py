@@ -37,7 +37,15 @@ def _signature(name: str) -> Signature | None:
     return None if name == "mixed" else Signature(name)
 
 
-def _parse_assignment(text: str | None, carrier: str) -> dict:
+def _parse_value(text: str, finite: bool) -> int | Fraction:
+    """A value literal: an integer in a finite model, else a rational."""
+    try:
+        return int(text) if finite else Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
+def _parse_assignment(text: str | None, finite: bool) -> dict:
     a: dict = {}
     if not text:
         return a
@@ -46,9 +54,7 @@ def _parse_assignment(text: str | None, carrier: str) -> dict:
         if not value:
             raise ValueError(f"bad assignment entry {item!r}; use name=value")
         try:
-            a[name.strip()] = int(value) if carrier == "finite" else Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"bad assignment entry {item!r}: zero denominator") from None
+            a[name.strip()] = _parse_value(value, finite)
         except ValueError as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
     return a
@@ -77,19 +83,18 @@ def _cmd_eval(args) -> int:
     from .semantics import eval_model, eval_q0
     model = _load_model(args.model)
     t = parse_term(args.term, _signature(args.sig))
-    a = _parse_assignment(args.assign, "finite" if model else "q0")
+    a = _parse_assignment(args.assign, model is not None)
     value = eval_model(t, model, a) if model else eval_q0(t, a)
     _emit(args, {"command": "eval", "value": str(value)}, str(value))
     return 0
 
 
 def _cmd_peval(args) -> int:
-    from .partial import Defined, PunchVariant, punch_eval
+    from .partial import _VARIANT_SIG, Defined, PunchVariant, punch_eval
     model = _load_model(args.model)
     variant = PunchVariant(args.variant)
-    sig = Signature.IMD if variant is PunchVariant.INV_ZERO else Signature.DMD
-    t = parse_term(args.term, sig)
-    a = _parse_assignment(args.assign, "finite" if model else "q0")
+    t = parse_term(args.term, _VARIANT_SIG[variant])
+    a = _parse_assignment(args.assign, model is not None)
     result = punch_eval(t, variant, model, a)
     if isinstance(result, Defined):
         value = str(result.value)
@@ -164,15 +169,11 @@ def _default_domain() -> str:
 
 def _cmd_truth(args) -> int:
     from . import logic3
-    from .partial import PunchVariant
+    from .partial import _VARIANT_SIG, PunchVariant
     model = _load_model(args.model)
     variant = PunchVariant(args.variant)
-    sig = Signature.IMD if variant is PunchVariant.INV_ZERO else Signature.DMD
     domain_text = args.domain if args.domain is not None else _default_domain()
-    if model is None:
-        domain = tuple(Fraction(v) for v in domain_text.split(","))
-    else:
-        domain = tuple(int(v) for v in domain_text.split(","))
+    domain = tuple(_parse_value(v, model is not None) for v in domain_text.split(","))
     if args.logic == "lpmd":
         cfg = logic3.lpmd(domain)
     else:
@@ -180,8 +181,8 @@ def _cmd_truth(args) -> int:
             logic3.Equality(args.eq), logic3.Connectives(args.conn),
             logic3.Quantifiers(args.quant), domain,
         )
-    f = logic3.parse_formula(args.formula, sig)
-    a = _parse_assignment(args.assign, "finite" if model else "q0")
+    f = logic3.parse_formula(args.formula, _VARIANT_SIG[variant])
+    a = _parse_assignment(args.assign, model is not None)
     value = logic3.eval_formula(f, cfg, variant, model, a)
     _emit(args, {"command": "truth", "value": str(value)}, str(value))
     return 0 if value is logic3.TruthValue3.T else 1
@@ -203,12 +204,7 @@ def _cmd_comply(args) -> int:
         _emit(args, {"command": "comply", "verdict": str(result)}, str(result))
         return 0 if result is convention.Sufficiency.CERTIFIED_COMPLIANT else 1
     conv = convention.ConventionId(args.convention)
-    sig = (
-        Signature.IMD
-        if conv is convention.ConventionId.RELEVANT_INVERSIVE
-        else Signature.DMD
-    )
-    t = parse_term(args.term, sig)
+    t = parse_term(args.term, convention._CONVENTION_SIG[conv])
     result = convention.closed_compliance(t, conv)
     if isinstance(result, convention.Violation):
         payload = {
@@ -398,11 +394,6 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except ValueError as exc:  # ParseError, SignatureError, UnsupportedTheory, NotRegular too
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # Only formulas and module expressions are still parsed recursively.
-        what = "module expression" if args.command == "spec" else "formula"
-        print(f"error: {what} is nested too deeply", file=sys.stderr)
         return 2
 
 

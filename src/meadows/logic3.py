@@ -17,18 +17,23 @@ Formula grammar: atoms `t = u` and `t != u` over the term grammar,
 `~` (not), `&`, `|`, `->`, `forall x. phi`, `exists x. phi`; negation
 binds tightest, then conjunction, disjunction, implication (right
 associative), and quantifiers reach as far right as possible.
+
+Formulas are interned Term nodes outside terms.CONSTRUCTORS, and every
+walk over them keeps an explicit stack, so formula depth is bounded by
+memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 from .parsing import ParseError, Token, parse_term_prefix, tokenize
 from .partial import Defined, PunchVariant, UNDEFINED, punch_eval
 from .semantics import Assignment, FiniteMeadow, Value
-from .terms import Signature, Term, free_vars
+from .terms import Signature, Term, Var, _FREE_VARS, _union, fold
 
 __all__ = [
     "TruthValue3", "Formula", "Eq", "Neq", "Not", "And", "Or", "Implies",
@@ -52,50 +57,55 @@ class TruthValue3(Enum):
 T, F, U = TruthValue3.T, TruthValue3.F, TruthValue3.U
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Term):
+    """A formula: a node outside CONSTRUCTORS, interned and folded like terms."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = ()
+    _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ()
+    _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class _Quantifier(Formula):
+    __slots__ = ()
+    _fields = ("bound", "body")
+
+    def __new__(cls, var: str, body: Formula) -> "_Quantifier":
+        return Term.__new__(cls, Var(var), body)
+
+    @property
+    def var(self) -> str:
+        return self.children[0].name
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 def Neq(lhs: Term, rhs: Term) -> Formula:
@@ -174,47 +184,20 @@ def _and3(suite: Connectives, a: TruthValue3, b: TruthValue3) -> TruthValue3:
 
 
 def _or3(suite: Connectives, a: TruthValue3, b: TruthValue3) -> TruthValue3:
-    if suite is Connectives.BOCHVAR:
-        if a is U or b is U:
-            return U
-        return T if (a is T or b is T) else F
-    if suite is Connectives.MCCARTHY:
-        if a is T:
-            return T
-        if a is U:
-            return U
-        return b
-    if suite is Connectives.MCCARTHY_REV:
-        if b is T:
-            return T
-        if b is U:
-            return U
-        return a
-    if a is T or b is T:
-        return T
-    if a is F and b is F:
-        return F
-    return U
+    # Every suite satisfies De Morgan's laws.
+    return _not3(_and3(suite, _not3(a), _not3(b)))
 
 
-def _fold_forall(suite: Quantifiers, values: list[TruthValue3]) -> TruthValue3:
-    if suite is Quantifiers.BOCHVAR:
-        if U in values:
-            return U
-        return T if all(v is T for v in values) else F
-    if F in values:
-        return F
-    return T if all(v is T for v in values) else U
+def _fold_forall(suite: Quantifiers, values: Sequence[TruthValue3]) -> TruthValue3:
+    # Bochvar: an undefined instance decides.  Kleene: a false one decides first.
+    if U in values and (suite is Quantifiers.BOCHVAR or F not in values):
+        return U
+    return F if F in values else T
 
 
-def _fold_exists(suite: Quantifiers, values: list[TruthValue3]) -> TruthValue3:
-    if suite is Quantifiers.BOCHVAR:
-        if U in values:
-            return U
-        return T if any(v is T for v in values) else F
-    if T in values:
-        return T
-    return F if all(v is F for v in values) else U
+def _fold_exists(suite: Quantifiers, values: Sequence[TruthValue3]) -> TruthValue3:
+    # Each suite's exists is the De Morgan dual of its forall.
+    return _not3(_fold_forall(suite, [_not3(v) for v in values]))
 
 
 def _atom(
@@ -243,55 +226,52 @@ def eval_formula(
 
     Terms evaluate through the punched model; quantifiers range over
     cfg.domain, with bound variables shadowing the assignment.  The
-    implication a -> b is ~a | b in the active connective suite.
+    implication a -> b is ~a | b in the active connective suite.  Every
+    part is evaluated, left to right and each quantifier instance in
+    domain order, before a connective or quantifier combines the values.
     """
-    a = dict(a or {})
-    return _eval(f, cfg, variant, model, a)
+    values: list[TruthValue3] = []
+    # Frames (formula, environment) still to evaluate.  A formula comes back
+    # with environment None once its parts are evaluated, to combine their
+    # values, the last ones on values.
+    stack: list[tuple[Formula, dict | None]] = [(f, dict(a or {}))]
+    while stack:
+        g, env = stack.pop()
+        if type(g) is Eq:
+            values.append(_atom(*g.children, cfg, variant, model, env))
+        elif env is not None:
+            stack.append((g, None))
+            if isinstance(g, _Quantifier):
+                bound, body = g.children
+                stack += [(body, {**env, bound.name: d}) for d in reversed(cfg.domain)]
+            else:
+                for part in reversed(g.children):
+                    stack.append((part, env))
+        elif type(g) is Not:
+            values.append(_not3(values.pop()))
+        elif isinstance(g, _Quantifier):
+            n = len(cfg.domain)
+            fold_instances = _fold_forall if type(g) is Forall else _fold_exists
+            values[-n:] = [fold_instances(cfg.quantifiers, values[-n:])]
+        else:
+            right = values.pop()
+            left = _not3(values.pop()) if type(g) is Implies else values.pop()
+            connective = _and3 if type(g) is And else _or3
+            values.append(connective(cfg.connectives, left, right))
+    return values[0]
 
 
-def _eval(f, cfg, variant, model, a) -> TruthValue3:
-    if isinstance(f, Eq):
-        return _atom(f.lhs, f.rhs, cfg, variant, model, a)
-    if isinstance(f, Not):
-        return _not3(_eval(f.body, cfg, variant, model, a))
-    if isinstance(f, And):
-        return _and3(
-            cfg.connectives,
-            _eval(f.left, cfg, variant, model, a),
-            _eval(f.right, cfg, variant, model, a),
-        )
-    if isinstance(f, Or):
-        return _or3(
-            cfg.connectives,
-            _eval(f.left, cfg, variant, model, a),
-            _eval(f.right, cfg, variant, model, a),
-        )
-    if isinstance(f, Implies):
-        return _or3(
-            cfg.connectives,
-            _not3(_eval(f.left, cfg, variant, model, a)),
-            _eval(f.right, cfg, variant, model, a),
-        )
-    values = []
-    for d in cfg.domain:
-        inner = dict(a)
-        inner[f.var] = d
-        values.append(_eval(f.body, cfg, variant, model, inner))
-    if isinstance(f, Forall):
-        return _fold_forall(cfg.quantifiers, values)
-    assert isinstance(f, Exists)
-    return _fold_exists(cfg.quantifiers, values)
+def _bind(f: _Quantifier, _bound, body: frozenset[str]) -> frozenset[str]:
+    return body - {f.var}
+
+
+_FORMULA_FREE_VARS = {**_FREE_VARS, Eq: _union, Not: _union, And: _union, Or: _union,
+                      Implies: _union, Forall: _bind, Exists: _bind}
 
 
 def formula_free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Eq):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    if isinstance(f, Not):
-        return formula_free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return formula_free_vars(f.left) | formula_free_vars(f.right)
-    assert isinstance(f, (Forall, Exists))
-    return formula_free_vars(f.body) - {f.var}
+    """The variables occurring in f outside the scope of a quantifier binding them."""
+    return fold(f, _FORMULA_FREE_VARS)
 
 
 @dataclass(frozen=True)
@@ -320,100 +300,80 @@ def two_valued_convention_check(
 
 
 # Formula parsing.  Terms are parsed by the term parser starting at the
-# current token; a '(' may open either a term or a formula, so the atom
-# rule tries the term reading first and backtracks on failure.
+# current token; a '(' may open either a term or a formula, so an atom
+# tries the term reading first and opens a formula group when that fails.
+# Quantifiers start only a whole formula: the input, a quantifier's body,
+# or a parenthesised formula.
+_QUANTIFIER = {"forall": Forall, "exists": Exists}
+# Binding strengths: ~ 5, & 4, | 3, -> 2, quantifiers 1 (they reach as far
+# right as possible), open groups 0.  Pending operators that bind at least
+# as tightly as an incoming connective apply first; '->' is right associative.
+_CONNECTIVE = {"&": (4, And), "|": (3, Or), "->": (2, Implies)}
 
-class _FormulaParser:
-    def __init__(self, tokens: list[Token], sig: Signature):
-        self.tokens = tokens
-        self.sig = sig
-        self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+def _reduce(ops: list[tuple], f: Formula, binding: int) -> Formula:
+    """f as the operand of the pending operators that bind at least as tightly as binding."""
+    while ops and ops[-1][0] >= binding:
+        f = ops.pop()[1](f)
+    return f
 
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == op
 
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        self.i += 1
-
-    def formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in ("forall", "exists"):
-            self.i += 1
-            var = self.peek()
-            if var.kind != "ident":
-                raise ParseError("expected a variable after quantifier", var.pos)
-            self.i += 1
-            self.expect_op(".")
-            body = self.formula()
-            return Forall(var.text, body) if tok.text == "forall" else Exists(var.text, body)
-        return self.implication()
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.at_op("->"):
-            self.i += 1
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.at_op("|"):
-            self.i += 1
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.at_op("&"):
-            self.i += 1
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        if self.at_op("~"):
-            self.i += 1
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        start = self.i
-        try:
-            lhs, self.i = parse_term_prefix(self.tokens, self.i, self.sig)
-        except ParseError:
-            self.i = start
-            if self.at_op("("):
-                self.i += 1
-                f = self.formula()
-                self.expect_op(")")
-                return f
-            raise
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("=", "!="):
-            self.i += 1
-            rhs, self.i = parse_term_prefix(self.tokens, self.i, self.sig)
-            return Eq(lhs, rhs) if tok.text == "=" else Neq(lhs, rhs)
-        # A bare term is not a formula; maybe the '(' opened a formula.
-        if self.tokens[start].kind == "op" and self.tokens[start].text == "(":
-            self.i = start + 1
-            f = self.formula()
-            self.expect_op(")")
-            return f
-        raise ParseError("expected '=' or '!=' after term", tok.pos)
+def _expect(tok: Token, op: str) -> None:
+    if tok.text != op:
+        raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula whose terms conform to sig."""
     tokens = tokenize(text, formula_ops=True)
-    parser = _FormulaParser(tokens, sig)
-    f = parser.formula()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected {tail.text!r} after formula", tail.pos)
-    return f
+    i = 0
+    # Pending operators: (binding, constructor awaiting its last operand),
+    # with the left operand of a connective already applied.
+    ops: list[tuple] = []
+    whole = True  # whether a whole formula starts at token i
+    while True:
+        tok = tokens[i]
+        if whole and tok.text in _QUANTIFIER:
+            var = tokens[i + 1]
+            if var.kind != "ident":
+                raise ParseError("expected a variable after quantifier", var.pos)
+            _expect(tokens[i + 2], ".")
+            ops.append((1, partial(_QUANTIFIER[tok.text], var.text)))
+            i += 3
+            continue
+        whole = tok.text == "("
+        if tok.text == "~":
+            ops.append((5, Not))
+            i += 1
+            continue
+        try:
+            lhs, j = parse_term_prefix(tokens, i, sig)
+        except ParseError:
+            if not whole:
+                raise
+            j = i
+        if tokens[j].text in ("=", "!="):
+            rhs, i = parse_term_prefix(tokens, j + 1, sig)
+            f = Eq(lhs, rhs) if tokens[j].text == "=" else Neq(lhs, rhs)
+        elif whole:
+            # Not a term, or a term without '=': the '(' opens a formula.
+            ops.append((0, None))
+            i += 1
+            continue
+        else:
+            raise ParseError("expected '=' or '!=' after term", tokens[j].pos)
+        # Close groups until a connective follows.
+        while tokens[i].text not in _CONNECTIVE:
+            tok = tokens[i]
+            f = _reduce(ops, f, 1)
+            if not ops:
+                if tok.kind != "end":
+                    raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
+                return f
+            _expect(tok, ")")
+            ops.pop()
+            i += 1
+        binding, cls = _CONNECTIVE[tokens[i].text]
+        ops.append((binding, partial(cls, _reduce(ops, f, binding + (cls is Implies)))))
+        i += 1
+        whole = False

@@ -518,10 +518,56 @@ def visible_models_check(
 
 def parse_module_expression(text: str) -> Presentation:
     tokens = _lex_module_expr(text)
-    expr, i = _parse_module_expr(tokens, 0)
-    if i != len(tokens):
-        raise ValueError(f"unexpected {tokens[i]!r} in module expression")
-    return expr
+    i = 0
+    # Operations waiting for their last operand: (operation, earlier operands).
+    # A combine waits for its left operand as (None, ()).
+    pending: list[tuple] = []
+    while True:
+        head = _token(tokens, i)
+        if head in ("combine", "hide", "export", "rename"):
+            _expect(tokens, i + 1, "(")
+        if head == "combine":
+            pending.append((None, ()))
+            i += 2
+        elif head == "hide":
+            pending.append((hide, (_token(tokens, i + 2),)))
+            _expect(tokens, i + 3, ",")
+            i += 4
+        elif head == "export":
+            _expect(tokens, i + 2, "{")
+            syms = []
+            i += 3
+            while _token(tokens, i) != "}":
+                syms.append(tokens[i])
+                i += 1
+                if _token(tokens, i) == ",":
+                    i += 1
+            _expect(tokens, i + 1, ",")
+            pending.append((export, (syms,)))
+            i += 2
+        elif head == "rename":
+            old = _token(tokens, i + 2)
+            _expect(tokens, i + 3, ":=")
+            pending.append((rename, (old, _token(tokens, i + 4))))
+            _expect(tokens, i + 5, ",")
+            i += 6
+        else:
+            expr = builtin(head)
+            i += 1
+            # Apply the operations this operand completes, up to a combine
+            # that now waits for its right operand.
+            while pending and pending[-1][0] is not None:
+                operation, operands = pending.pop()
+                _expect(tokens, i, ")")
+                expr = operation(*operands, expr)
+                i += 1
+            if not pending:
+                if i != len(tokens):
+                    raise ValueError(f"unexpected {tokens[i]!r} in module expression")
+                return expr
+            _expect(tokens, i, ",")
+            pending[-1] = (combine, (expr,))
+            i += 1
 
 
 def _lex_module_expr(text: str) -> list[str]:
@@ -546,48 +592,6 @@ def _lex_module_expr(text: str) -> list[str]:
             tokens.append(text[i:j])
             i = j
     return tokens
-
-
-def _parse_module_expr(tokens: list[str], i: int) -> tuple[Presentation, int]:
-    head = _token(tokens, i)
-    if head == "combine":
-        _expect(tokens, i + 1, "(")
-        left, j = _parse_module_expr(tokens, i + 2)
-        _expect(tokens, j, ",")
-        right, j = _parse_module_expr(tokens, j + 1)
-        _expect(tokens, j, ")")
-        return combine(left, right), j + 1
-    if head == "hide":
-        _expect(tokens, i + 1, "(")
-        sym = _token(tokens, i + 2)
-        _expect(tokens, i + 3, ",")
-        inner, j = _parse_module_expr(tokens, i + 4)
-        _expect(tokens, j, ")")
-        return hide(sym, inner), j + 1
-    if head == "export":
-        _expect(tokens, i + 1, "(")
-        _expect(tokens, i + 2, "{")
-        syms = []
-        j = i + 3
-        while _token(tokens, j) != "}":
-            syms.append(tokens[j])
-            j += 1
-            if _token(tokens, j) == ",":
-                j += 1
-        _expect(tokens, j + 1, ",")
-        inner, j2 = _parse_module_expr(tokens, j + 2)
-        _expect(tokens, j2, ")")
-        return export(syms, inner), j2 + 1
-    if head == "rename":
-        _expect(tokens, i + 1, "(")
-        old = _token(tokens, i + 2)
-        _expect(tokens, i + 3, ":=")
-        new = _token(tokens, i + 4)
-        _expect(tokens, i + 5, ",")
-        inner, j = _parse_module_expr(tokens, i + 6)
-        _expect(tokens, j, ")")
-        return rename(old, new, inner), j + 1
-    return builtin(head), i + 1
 
 
 def _expect(tokens: list[str], i: int, want: str) -> None:

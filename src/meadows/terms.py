@@ -26,6 +26,7 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
+from collections import defaultdict
 from enum import Enum
 from typing import Callable, Mapping, TypeVar
 
@@ -245,16 +246,17 @@ def _flatten(t: Term) -> tuple[tuple, ...]:
         nodes.append((Var, node.name) if type(node) is Var else (type(node), *kids))
         return len(nodes) - 1
 
-    fold(t, dict.fromkeys(CONSTRUCTORS, visit))
+    fold(t, defaultdict(lambda: visit))
     return tuple(nodes)
 
 
 def _unflatten(nodes: tuple[tuple, ...]) -> Term:
     """The term _flatten encoded: the last of its nodes."""
-    built: list[Term] = []
+    out: list[Term] = []
     for cls, *args in nodes:
-        built.append(cls(*args) if cls is Var else cls(*map(built.__getitem__, args)))
-    return built[-1]
+        # Term.__new__ takes the children, whatever cls's own constructor takes.
+        out.append(Var(*args) if cls is Var else Term.__new__(cls, *map(out.__getitem__, args)))
+    return out[-1]
 
 
 def rebuild(node: Term, *children: Term) -> Term:
@@ -284,7 +286,7 @@ def _repr_node(t: Term, *kids):
     return (type(t).__name__, "(", *kids, ")")
 
 
-_REPR = dict.fromkeys(CONSTRUCTORS, _repr_node)
+_REPR = defaultdict(lambda: _repr_node)
 
 
 class Signature(Enum):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from meadows.logic3 import And, Eq, Exists, Forall, Implies, Not, Or
+from meadows.parsing import render
 from meadows.presentations import Equation, Presentation, Symbol
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, ONE, ZERO,
@@ -192,3 +194,136 @@ def shapes_presentation() -> Presentation:
         Equation("lines", Mul(Add(Inv(y), y), Neg(Div(y, x))), Add(Add(x, y), Inv(Mul(y, y)))),
     )
     return Presentation("shapes", tuple(sorted(symbols.items())), frozenset(), axioms)
+
+
+# ---------------------------------------------------------------------------
+# Formulas: a printer that parse_formula reads back, and a reference
+# evaluator written from the truth tables, independent of logic3.
+
+
+def formula_text(f) -> str:
+    """Text that parse_formula reads back as f: a connective's or negation's
+    operand is parenthesised unless it is an atom, and a quantifier's body
+    runs to the end of the text it is in."""
+    match f:
+        case Eq(lhs=lhs, rhs=rhs):
+            return f"{render(lhs)} = {render(rhs)}"
+        case Not(body=body):
+            return "~" + _operand_text(body)
+        case Forall(var=var, body=body):
+            return f"forall {var}. {formula_text(body)}"
+        case Exists(var=var, body=body):
+            return f"exists {var}. {formula_text(body)}"
+        case And(left=left, right=right):
+            return f"{_operand_text(left)} & {_operand_text(right)}"
+        case Or(left=left, right=right):
+            return f"{_operand_text(left)} | {_operand_text(right)}"
+        case Implies(left=left, right=right):
+            return f"{_operand_text(left)} -> {_operand_text(right)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _operand_text(f) -> str:
+    return formula_text(f) if isinstance(f, Eq) else f"({formula_text(f)})"
+
+
+def oracle_punched(t: Term, variant: str, modulus: int | None = None, a: dict | None = None):
+    """Value of t in the punched rationals (modulus None) or the punched
+    Z_modulus of a prime modulus, or None where t is undefined.
+
+    variant is "inv0" (0^-1 undefined), "div0" (q/0 undefined) or
+    "div0lib" (q/0 undefined for q != 0, and 0/0 = 0); an undefined
+    subterm leaves the whole term undefined."""
+    a = a or {}
+    number = Fraction if modulus is None else int
+    reduce = (lambda v: v) if modulus is None else (lambda v: v % modulus)
+
+    def inverse(v):
+        return 1 / v if modulus is None else pow(v, -1, modulus)
+
+    def value(t):
+        match t:
+            case Zero():
+                return number(0)
+            case One():
+                return number(1)
+            case Var(name=name):
+                return reduce(number(a[name]))
+        parts = [value(kid) for kid in t.children]
+        if None in parts:
+            return None
+        match t:
+            case Add():
+                return reduce(parts[0] + parts[1])
+            case Mul():
+                return reduce(parts[0] * parts[1])
+            case Neg():
+                return reduce(-parts[0])
+            case Inv():
+                return None if parts[0] == 0 else inverse(parts[0])
+            case Div():
+                num, den = parts
+                if den != 0:
+                    return reduce(num * inverse(den))
+                return 0 if variant == "div0lib" and num == 0 else None
+        raise TypeError(f"unexpected node {t!r}")
+
+    return value(t)
+
+
+# Truth tables, one string per left operand T, F, U, one letter per right
+# operand T, F, U.
+_AND = {
+    "bochvar": ("TFU", "FFU", "UUU"),
+    "mccarthy": ("TFU", "FFF", "UUU"),
+    "mccarthy-rev": ("TFU", "FFU", "UFU"),
+    "kleene": ("TFU", "FFF", "UFU"),
+}
+_OR = {
+    "bochvar": ("TTU", "TFU", "UUU"),
+    "mccarthy": ("TTT", "TFU", "UUU"),
+    "mccarthy-rev": ("TTU", "TFU", "TUU"),
+    "kleene": ("TTT", "TFU", "TUU"),
+}
+_NEGATION = {"T": "F", "F": "T", "U": "U"}
+
+
+def oracle_truth(f, eq: str, conn: str, quant: str, domain, variant: str,
+                 modulus: int | None = None, a: dict | None = None) -> str:
+    """Reference truth value, "T", "F" or "U", of formula f.
+
+    eq, conn and quant name the equality mode, connective suite and
+    quantifier suite by their CLI values; quantifiers range over domain."""
+    a = a or {}
+
+    def truth(f, a):
+        match f:
+            case Eq(lhs=lhs, rhs=rhs):
+                left = oracle_punched(lhs, variant, modulus, a)
+                right = oracle_punched(rhs, variant, modulus, a)
+                if left is not None and right is not None:
+                    return "T" if left == right else "F"
+                if eq == "strong":
+                    return "T" if left is None and right is None else "F"
+                return "U" if eq == "weak" else "F"
+            case Not(body=body):
+                return _NEGATION[truth(body, a)]
+            case And(left=left, right=right):
+                return _AND[conn]["TFU".index(truth(left, a))]["TFU".index(truth(right, a))]
+            case Or(left=left, right=right):
+                return _OR[conn]["TFU".index(truth(left, a))]["TFU".index(truth(right, a))]
+            case Implies(left=left, right=right):
+                premise = _NEGATION[truth(left, a)]
+                return _OR[conn]["TFU".index(premise)]["TFU".index(truth(right, a))]
+        instances = {truth(f.body, {**a, f.var: d}) for d in domain}
+        # Bochvar: an undefined instance makes the quantifier undefined.
+        # Kleene: one F instance decides forall, one T instance decides exists.
+        if isinstance(f, Forall):
+            if quant == "bochvar":
+                return "U" if "U" in instances else ("T" if instances == {"T"} else "F")
+            return "F" if "F" in instances else ("U" if "U" in instances else "T")
+        if quant == "bochvar":
+            return "U" if "U" in instances else ("T" if "T" in instances else "F")
+        return "T" if "T" in instances else ("U" if "U" in instances else "F")
+
+    return truth(f, a)

@@ -1,10 +1,11 @@
 import json
 import sys
 
-from meadows.cli import run
+from meadows.cli import _render_presentation, run
 from meadows.convention import ConventionId
 from meadows.logic3 import Connectives, Equality, Quantifiers
 from meadows.partial import PunchVariant
+from meadows.presentations import builtin
 
 
 def invoke(capsys, *argv):
@@ -228,16 +229,20 @@ def test_deep_numeral_within_default_recursion_limit(capsys):
     assert sys.getrecursionlimit() == limit
 
 
-def test_formula_nested_too_deeply_exits_2(capsys):
-    code, _, err = invoke(capsys, "truth", "~" * 5000 + "0 = 0")
-    assert code == 2 and err == "error: formula is nested too deeply"
+def test_deep_formula_within_default_recursion_limit(capsys):
+    limit = sys.getrecursionlimit()
+    code, out, _ = invoke(capsys, "truth", "~" * 5000 + "0 = 0")
+    assert (code, out) == (0, "T")
+    assert sys.getrecursionlimit() == limit
 
 
-def test_module_expression_nested_too_deeply_exits_2(capsys):
+def test_deep_module_expression_within_default_recursion_limit(capsys):
+    limit = sys.getrecursionlimit()
     expr = "combine(imd," * 3000 + "imd" + ")" * 3000
-    code, out, err = invoke(capsys, "spec", "--flatten", expr)
-    assert (code, out) == (2, "")
-    assert err == "error: module expression is nested too deeply"
+    code, out, _ = invoke(capsys, "spec", "--flatten", expr)
+    assert code == 0 and out.startswith("presentation combine(imd,combine(imd,")
+    assert out.splitlines()[1:] == _render_presentation(builtin("imd")).splitlines()[1:]
+    assert sys.getrecursionlimit() == limit
 
 
 def test_enum_option_choices_are_the_enum_values(capsys):
@@ -280,3 +285,8 @@ def test_assignment_zero_denominator_exits_2(capsys):
     code, out, err = invoke(capsys, "eval", "--assign", "x=1/0", "x")
     assert (code, out) == (2, "")
     assert "x=1/0" in err and len(err.splitlines()) == 1
+
+
+def test_domain_zero_denominator_exits_2(capsys):
+    code, out, err = invoke(capsys, "truth", "--domain", "0,1/0", "0 = 0")
+    assert (code, out, err) == (2, "", "error: zero denominator")

@@ -1,6 +1,12 @@
+import copy
+import pickle
+import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meadows.logic3 import (
     And, Connectives, Eq, Equality, Exists, Forall, Implies, LogicConfig,
@@ -9,14 +15,20 @@ from meadows.logic3 import (
     eval_formula, formula_free_vars, lpmd, parse_formula,
     two_valued_convention_check,
 )
+from meadows.parsing import ParseError
 from meadows.partial import PunchVariant
 from meadows.semantics import zp_meadow
-from meadows.terms import Add, Div, Var, ZERO, ONE, Signature
+from meadows.terms import (
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, Signature, SignatureError,
+)
+
+from .helpers import formula_text, oracle_truth
 
 T, F, U = TruthValue3.T, TruthValue3.F, TruthValue3.U
 DIV0 = PunchVariant.DIV_ZERO_ALL
 INV0 = PunchVariant.INV_ZERO
 VALUES = (T, F, U)
+Z5 = zp_meadow(5)
 
 
 def cfg(eq="weak", conn="mccarthy", quant="bochvar", domain=(0, 1, 2)):
@@ -248,6 +260,24 @@ def test_formula_parsing_parenthesized_formulas():
     assert f == Implies(Forall("x", Eq(Var("x"), Var("x"))), Eq(ONE, ONE))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("forall 1. 1 = 1", "expected a variable after quantifier (at position 7)"),
+    ("forall x x = 1", "expected '.', found 'x' (at position 9)"),
+    ("(x = 1", "expected ')', found 'end of input' (at position 6)"),
+    ("((0 = 0) & 1 = 1", "expected ')', found 'end of input' (at position 16)"),
+    ("x = 1 )", "unexpected ')' after formula (at position 6)"),
+    ("x & y = 1", "expected '=' or '!=' after term (at position 2)"),
+    ("~", "expected a term, found 'end of input' (at position 1)"),
+    # A quantifier starts only a whole formula, so here forall is a variable.
+    ("(x + 1) = 1 & forall x. x = 0", "expected '=' or '!=' after term (at position 21)"),
+    ("0 = 0 -> exists y. y = 0", "expected '=' or '!=' after term (at position 16)"),
+])
+def test_formula_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, Signature.IMD)
+    assert str(info.value) == message
+
+
 def test_formula_free_vars_and_shadowing():
     f = parse_formula("forall x. x = y", Signature.DMD)
     assert formula_free_vars(f) == {"y"}
@@ -259,3 +289,141 @@ def test_formula_free_vars_and_shadowing():
 
 def test_neq_is_sugar():
     assert Neq(ONE, ZERO) == Not(Eq(ONE, ZERO))
+
+
+def test_formulas_are_interned_terms():
+    body = Eq(Var("x"), ONE)
+    assert isinstance(body, Term) and body is Eq(Var("x"), ONE)
+    f = Forall("x", Not(body))
+    assert f is Forall("x", Not(Eq(Var("x"), ONE))) and f.var == "x" and f.body is Not(body)
+    assert f is not Exists("x", Not(body)) and f is not Forall("y", Not(body))
+    assert repr(f) == "Forall(Var('x'), Not(Eq(Var('x'), One())))"
+    with pytest.raises(AttributeError):
+        f.body = body
+
+
+def test_domain_values_are_checked_only_when_a_quantifier_is_evaluated():
+    # Every part of a formula is evaluated, so McCarthy's disjunction still
+    # evaluates its right operand after a true left one.
+    # Instances are evaluated in domain order, so 7 is the value reported.
+    cfg = lpmd((0, 7, 8))
+    assert eval_formula(dmd("0 = 0"), cfg, DIV0, Z5) is T
+    with pytest.raises(ValueError, match="value 7 of x is outside the carrier 0..4"):
+        eval_formula(dmd("0 = 0 | (forall x. x = x)"), cfg, DIV0, Z5)
+
+
+# ---------------------------------------------------------------------------
+# Printed formulas, mutations and the reference evaluator
+
+SIG_OF = {
+    INV0: Signature.IMD, DIV0: Signature.DMD, PunchVariant.DIV_ZERO_NONZERO_NUM: Signature.DMD,
+}
+
+
+def terms(sig):
+    leaf = st.sampled_from([ZERO, ONE, Var("x"), Var("y"), Var("z")])
+
+    def branch(t):
+        inverse = st.builds(Div, t, t) if sig is Signature.DMD else st.builds(Inv, t)
+        return st.one_of(st.builds(Add, t, t), st.builds(Mul, t, t), st.builds(Neg, t), inverse)
+
+    return st.recursive(leaf, branch, max_leaves=4)
+
+
+def formulas(sig):
+    # Three variable names, so nested quantifiers often shadow one another.
+    atom = st.builds(Eq, terms(sig), terms(sig))
+    var = st.sampled_from(("x", "y", "z"))
+    return st.recursive(
+        atom,
+        lambda f: st.one_of(
+            st.builds(Not, f), st.builds(And, f, f), st.builds(Or, f, f), st.builds(Implies, f, f),
+            st.builds(Forall, var, f), st.builds(Exists, var, f),
+        ),
+        max_leaves=6,
+    )
+
+
+FORMULAS = {sig: formulas(sig) for sig in (Signature.DMD, Signature.IMD)}
+SHADOWED = Forall(
+    "x", Implies(Exists("x", Eq(Var("x"), ONE)), Not(Eq(Div(ONE, Var("x")), Var("y")))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(FORMULAS)).flatmap(lambda sig: st.tuples(st.just(sig), FORMULAS[sig])))
+@example((Signature.DMD, SHADOWED))
+def test_printed_formulas_parse_back_to_the_same_object(case):
+    sig, f = case
+    assert parse_formula(formula_text(f), sig) is f
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(FORMULAS)), st.data())
+def test_one_character_mutations_parse_or_raise_parse_error(sig, data):
+    text = formula_text(data.draw(FORMULAS[sig]))
+    k = data.draw(st.integers(0, len(text)))
+    c = data.draw(st.sampled_from("()~&|->=!.^/*+01xyz "))
+    mutated = data.draw(st.sampled_from([text[:k] + c + text[k + 1:], text[:k] + c + text[k:],
+                                         text[:k] + text[k + 1:]]))
+    try:
+        f = parse_formula(mutated, sig)
+    except (ParseError, SignatureError):
+        # A mutation can also spell a symbol outside sig, such as ^-1 under dmd.
+        return
+    assert parse_formula(formula_text(f), sig) is f
+
+
+def test_connectives_agree_with_the_reference_tables():
+    for suite in Connectives:
+        for a, b in product(VALUES, repeat=2):
+            left, right = _const(a), _const(b)
+            for f in (Not(left), And(left, right), Or(left, right), Implies(left, right)):
+                want = oracle_truth(f, "weak", suite.value, "bochvar", (0,), "div0")
+                assert str(eval_formula(f, cfg(conn=suite.value), DIV0)) == want, (suite, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(SIG_OF)), st.sampled_from((None, 5)), st.data())
+def test_eval_formula_agrees_with_the_reference_evaluator(variant, modulus, data):
+    f = data.draw(FORMULAS[SIG_OF[variant]])
+    if modulus is None:
+        values = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                                  Fraction(3)])
+    else:
+        values = st.integers(0, modulus - 1)
+    domain = tuple(data.draw(st.lists(values, min_size=1, max_size=3, unique=True)))
+    a = {name: data.draw(values) for name in ("x", "y", "z")}
+    model = None if modulus is None else Z5
+    for eq, conn, quant in product(Equality, Connectives, Quantifiers):
+        value = eval_formula(f, LogicConfig(eq, conn, quant, domain), variant, model, a)
+        want = oracle_truth(
+            f, eq.value, conn.value, quant.value, domain, variant.value, modulus, a,
+        )
+        assert str(value) == want, (formula_text(f), eq, conn, quant, domain, a)
+
+
+# ---------------------------------------------------------------------------
+# Depth: every test here runs under Python's default recursion limit.
+
+DEEP = {
+    "negations": ("~" * 100_000 + "0 = 0", "Not(" * 100_000, frozenset()),
+    "quantifiers": ("forall x. " * 5_000 + "x = x", "Forall(Var('x'), " * 5_000, frozenset()),
+    "parentheses": ("(" * 1_000 + "y = 0" + ")" * 1_000, "Eq(Var('y'), Zero())", {"y"}),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_formulas_within_default_recursion_limit(name):
+    limit = sys.getrecursionlimit()
+    assert limit <= 1000
+    text, repr_prefix, free = DEEP[name]
+    f = parse_formula(text, Signature.DMD)
+    again = parse_formula(text, Signature.DMD)
+    assert again is f and again == f and hash(again) == hash(f)
+    assert eval_formula(f, lpmd((0,)), DIV0, a={"y": 0}) is T
+    assert formula_free_vars(f) == free
+    assert repr(f).startswith(repr_prefix)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    assert sys.getrecursionlimit() == limit

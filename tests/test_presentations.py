@@ -223,6 +223,20 @@ def test_parse_module_expression():
         parse_module_expression("imd extra")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("hide(+,imd", "expected ')', found 'end of input' in module expression"),
+    ("combine(imd,cr x)", "expected ')', found 'x' in module expression"),
+    ("combine(imd cr)", "expected ',', found 'cr' in module expression"),
+    ("export({+},imd imd)", "expected ')', found 'imd' in module expression"),
+    ("combine(imd,combine(cr,imd)", "expected ')', found 'end of input' in module expression"),
+    ("combine(imd,cr) imd", "unexpected 'imd' in module expression"),
+])
+def test_module_expression_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_module_expression(text)
+    assert str(info.value) == message
+
+
 _KEY = {Zero: "zero", One: "one", Add: "add", Mul: "mul",
         Neg: "neg", Inv: "inv", Div: "div", Sub: "sub"}
 
