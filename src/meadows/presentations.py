@@ -24,9 +24,9 @@ from itertools import product as iter_product
 from .parsing import parse_term
 from .terms import (
     Add, Neg, Sub, Term, Var,
-    Signature, constructors, free_vars,
+    Signature, constructors,
 )
-from .semantics import OP_KEY, FiniteMeadow, equation_lines
+from .semantics import OP_KEY, FiniteMeadow, equation_lines, equation_names
 
 __all__ = [
     "Symbol", "Equation", "Presentation",
@@ -267,7 +267,7 @@ def combine(p: Presentation, q: Presentation) -> Presentation:
             )
         by_display[(sym.name, sym.arity)] = key
     hidden = p.hidden | q.hidden
-    for key in hidden:
+    for key in sorted(hidden):
         if key in p.visible_keys or key in q.visible_keys:
             raise ValueError(f"symbol {key} is hidden in one operand, visible in the other")
     axioms = list(p.axioms)
@@ -449,8 +449,8 @@ def visible_models_check(
     # tables without undecided entries too; the tables come per call.
     keys = reduct.keys() | p.hidden
     lines = {
-        eq: equation_lines(eq.lhs, eq.rhs, sorted(free_vars(eq.lhs) | free_vars(eq.rhs)),
-                           size, keys, partial=True)
+        eq: equation_lines(eq.lhs, eq.rhs, equation_names(eq.lhs, eq.rhs), size, keys,
+                           partial=True)
         for eq in p.axioms
     }
     visible_only = [

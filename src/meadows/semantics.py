@@ -19,13 +19,14 @@ finite model, and the two number-theoretic witness searches (every
 residue mod p is a sum of two squares; some w*p equals u^2 + v^2 + 1)
 that underpin the initial-algebra characterization of the rationals.
 An exhaustive check evaluates each equation one line of assignments at
-a time, a line being every value of the last variable: each side is
-compiled once into a function of the other variables' values, which
-computes a subterm without the last variable once per line, takes a
-table row or unary table as it is where an operation is applied to the
-bare last variable, and reads a table entry per value only where both
-operands vary along the line.  check_axioms refuses more than
-MAX_ASSIGNMENTS assignments before it builds a table.
+a time, a line being every value of the last variable.  Each equation
+is compiled once per process into generated straight-line Python: one
+for loop per other variable, each subterm computed in the outermost
+loop where its operands are known, a table row or unary table taken as
+it is where an operation is applied to the bare last variable, and the
+other table entries along a line read by operator.itemgetter, in C.
+check_axioms refuses more than MAX_ASSIGNMENTS assignments before it
+builds a table.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import lcm
-from operator import ne
+from operator import getitem, itemgetter, ne
 from typing import Callable, Collection, Iterator, Mapping, Sequence, Union
 
 from .terms import (
@@ -357,12 +357,10 @@ OP_KEY = {
 # lack them: the expansion search always passes sub and div when used.
 _DERIVED = {"sub": ("add", "neg"), "div": ("mul", "inv")}
 
-# A compiled node is (shape, f): f(T, o) gives its values along the line
-# at the outer values o, reading the tables T.  The shapes: one value for
-# the whole line, the bare last variable (0..n-1, no f), a list, or a
-# table row or unary table read as it is, which becomes a list only when
-# it is a whole side, so that the two sides of an equation compare with ==.
-_SCALAR, _BARE, _LINE, _ROW = range(4)
+# The shapes of a subterm's values along a line: one value for the whole
+# line, the bare last variable (ident, 0..n-1), a table row or unary table
+# read as it is, or a computed line.
+_SCALAR, _BARE, _ROW, _LINE = range(4)
 
 
 def _require(keys: Collection[str], key: str) -> str:
@@ -371,123 +369,128 @@ def _require(keys: Collection[str], key: str) -> str:
     return key
 
 
-def _unary(key: str, arg: tuple, partial: bool) -> tuple:
-    """The compiled node key(arg)."""
-    shape, f = arg
-    if shape == _BARE:
-        return _ROW, lambda T, o: T[key]
-    if shape == _SCALAR:
-        def scalar(T, o):
-            x = f(T, o)
-            return None if x is None else T[key][x]
-        return _SCALAR, scalar
-
-    def line(T, o):
-        table = T[key]
-        if partial:
-            return [None if x is None else table[x] for x in f(T, o)]
-        return [table[x] for x in f(T, o)]
-    return _LINE, line
+def _single_getter(i: int) -> Callable:
+    """itemgetter(i), but returning a 1-tuple as itemgetter(*line) does for longer lines."""
+    return lambda seq: (seq[i],)
 
 
-def _binary(key: str, left: tuple, right: tuple, ident: list, partial: bool) -> tuple:
-    """The compiled node key(left, right); ident is the bare variable's line.
+@lru_cache(maxsize=512)
+def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str],
+              partial: bool) -> Callable:
+    """Compile lhs = rhs into the generator lines(T, size) equation_lines returns.
 
-    An undecided scalar (None) costs one test per line, so it is handled
-    in both modes; only partial mode tests each entry of a line.
-    """
-    (sx, fx), (sy, fy) = left, right
-    nones = [None] * len(ident)
-    if sx == _SCALAR and sy == _SCALAR:
-        def scalar(T, o):
-            x, y = fx(T, o), fy(T, o)
-            return None if x is None or y is None else T[key][x][y]
-        return _SCALAR, scalar
-    if sx == _SCALAR and sy == _BARE:
-        def row(T, o):
-            x = fx(T, o)
-            return nones if x is None else T[key][x]
-        return _ROW, row
-    # Otherwise the bare variable is just another line.
-    if sx == _BARE:
-        fx = lambda T, o: ident  # noqa: E731
-    if sy == _BARE:
-        fy = lambda T, o: ident  # noqa: E731
-    if sx == _SCALAR:
-        def scalar_left(T, o):
-            x = fx(T, o)
-            if x is None:
-                return nones
-            table = T[key][x]
-            if partial:
-                return [None if y is None else table[y] for y in fy(T, o)]
-            return [table[y] for y in fy(T, o)]
-        return _LINE, scalar_left
-    if sy == _SCALAR:
-        def scalar_right(T, o):
-            y = fy(T, o)
-            if y is None:
-                return nones
-            table = T[key]
-            if partial:
-                return [None if x is None else table[x][y] for x in fx(T, o)]
-            return [table[x][y] for x in fx(T, o)]
-        return _LINE, scalar_right
-
-    def lines(T, o):
-        table = T[key]
-        if partial:
-            return [None if x is None or y is None else table[x][y]
-                    for x, y in zip(fx(T, o), fy(T, o))]
-        return [table[x][y] for x, y in zip(fx(T, o), fy(T, o))]
-    return _LINE, lines
-
-
-def _compile_line(t: Term, names: Sequence[str], width: int, keys: Collection[str],
-                  partial: bool) -> Callable:
-    """Compile t into line(tables, outer): its values along one line.
-
-    outer holds the values of all names but the last, which takes every
-    value 0..width-1 along the line.  A subterm without the last variable
-    is computed once per line, and tables are read when line runs.
+    Its source is a nest of for loops over the values o0, o1, ... of all
+    names but the last, and each subterm is computed in the outermost loop
+    where its operands are known.  A node is (shape, name, depth, clean):
+    its values, a local of the generated code bound in the loop at depth,
+    and, in partial mode, whether it never holds None.  The source holds
+    only these fixed identifiers and the table keys of OP_KEY.
     """
     index = {name: j for j, name in enumerate(names[:-1])}
-    last = names[-1] if names else None
-    ident = list(range(width))
+    body: list[list[str]] = [[] for _ in range(max(len(names), 1))]
+    read: set[str] = set()
+    bound: dict[str, tuple] = {}  # by expression, so each is computed once
+    seq = "list" if partial else "tuple"
+
+    def bind(shape: int, depth: int, expr: str) -> tuple:
+        if expr not in bound:
+            bound[expr] = shape, f"t{len(bound)}", depth, False
+            body[depth].append(f"t{len(bound) - 1} = {expr}")
+        return bound[expr]
+
+    def table(key: str) -> str:
+        read.add(_require(keys, key))
+        return key
+
+    def getter(line: tuple) -> str:
+        return bind(_LINE, line[2], f"get(*{line[1]})")[1]
+
+    def apply(key: str, *args: tuple) -> tuple:
+        depth = max(a[2] for a in args)
+        shapes = tuple(a[0] for a in args)
+        tests = " or ".join(f"{a[1]} is None" for a in args
+                            if partial and a[0] == _SCALAR and not a[3])
+        if all(s == _SCALAR for s in shapes):
+            value = key + "".join(f"[{a[1]}]" for a in args)
+            return bind(_SCALAR, depth, f"None if {tests} else {value}" if tests else value)
+        if shapes == (_BARE,):
+            return _ROW, key, 0, False
+        if shapes == (_SCALAR, _BARE):
+            row = f"{key}[{args[0][1]}]"
+            return bind(_ROW, depth, f"nones if {tests} else {row}" if tests else row)
+        if partial:
+            items = [a[1] if a[0] == _SCALAR else f"v{i}" for i, a in enumerate(args)]
+            lines = [(item, a[1]) for item, a in zip(items, args) if a[0] != _SCALAR]
+            tests = " or ".join(f"{x} is None" for x, a in zip(items, args) if not a[3])
+            value = key + "".join(f"[{x}]" for x in items)
+            value = f"None if {tests} else {value}" if tests else value
+            over = lines[0][1] if len(lines) == 1 else f"zip({lines[0][1]}, {lines[1][1]})"
+            targets = ", ".join(x for x, _ in lines)
+            return bind(_LINE, depth, f"[{value} for {targets} in {over}]")
+        # Total tables: whole lines of entries are read by itemgetter, in C.
+        # A tuple is built from a list, not from map: tuple(map(...)) grows
+        # a 10-tuple, so each line would move one tuple to the free list of
+        # its size, which keeps up to 2000 per size alive.
+        x, y = args[0], args[-1]
+        if x[0] == _SCALAR:
+            row = bind(_ROW, x[2], f"{key}[{x[1]}]")[1]
+            return bind(_LINE, depth, f"{getter(y)}({row})")
+        rows = key if x[0] == _BARE else f"{getter(x)}({key})"
+        if len(args) == 1:
+            return bind(_LINE, depth, rows)
+        if y[0] == _SCALAR:
+            return bind(_LINE, depth, f"tuple([*map(itemgetter({y[1]}), {rows})])")
+        return bind(_LINE, depth, f"tuple([*map(getitem, {rows}, {y[1]})])")
 
     def var(node: Var) -> tuple:
-        if node.name == last:
-            return _BARE, None
+        if names and node.name == names[-1]:
+            return _BARE, "ident", 0, True
         if node.name not in index:
             raise MissingAssignment(node.name)
         j = index[node.name]
-        return _SCALAR, lambda T, o: o[j]
+        return _SCALAR, f"o{j}", j + 1, True
 
-    def constant(node: Term) -> tuple:
-        key = _require(keys, OP_KEY[type(node)])
-        return _SCALAR, lambda T, o: T[key]
-
-    def unary(node: Term, arg: tuple) -> tuple:
-        return _unary(_require(keys, OP_KEY[type(node)]), arg, partial)
-
-    def binary(node: Term, left: tuple, right: tuple) -> tuple:
+    def operation(node: Term, *args: tuple) -> tuple:
         key = OP_KEY[type(node)]
+        if not args:
+            return _SCALAR, table(key), 0, False
         if key in keys or key not in _DERIVED:
-            return _binary(_require(keys, key), left, right, ident, partial)
-        outer, inner = (_require(keys, k) for k in _DERIVED[key])
-        return _binary(outer, left, _unary(inner, right, partial), ident, partial)
+            return apply(table(key), *args)
+        outer, inner = _DERIVED[key]
+        return apply(table(outer), args[0], apply(table(inner), args[1]))
 
-    shape, f = fold(t, {
-        Var: var, Zero: constant, One: constant, Neg: unary, Inv: unary,
-        Add: binary, Mul: binary, Sub: binary, Div: binary,
-    })
-    if shape == _SCALAR:
-        return lambda T, o: [f(T, o)] * width
-    if shape == _BARE:
-        return lambda T, o: ident
-    if shape == _ROW:
-        return lambda T, o: list(f(T, o))
-    return f
+    def side(t: Term) -> str:
+        shape, name, depth, _ = fold(t, algebra, memo)
+        if shape == _SCALAR:
+            value = f"[{name}]" if partial else f"({name},)"
+            return bind(_LINE, depth, value + (" * size" if names else ""))[1]
+        return bind(_LINE, depth, f"{seq}({name})")[1] if shape == _ROW else name
+
+    algebra = dict.fromkeys(OP_KEY, operation)
+    algebra[Var] = var
+    memo: dict[Term, tuple] = {}
+    left, right = side(lhs), side(rhs)
+    source = ["def lines(T, size):", "    R = range(size)", f"    ident = {seq}(R)",
+              "    nones = [None] * size" if partial else
+              "    get = itemgetter if size > 1 else _single_getter"]
+    source += [f"    {key} = T[{key!r}]" for key in sorted(read)]
+    for depth, statements in enumerate(body):
+        indent = "    " * (depth + 1)
+        if depth:
+            source.append(f"{indent[4:]}for o{depth - 1} in R:")
+        source += [indent + s for s in statements]
+    outer = "".join(f"o{j}, " for j in range(len(body) - 1))
+    source.append(f"{indent}yield ({outer}), {left}, {right}")
+    namespace = {"itemgetter": itemgetter, "getitem": getitem,
+                 "_single_getter": _single_getter}
+    exec(compile("\n".join(source), "<equation_lines>", "exec"), namespace)
+    return namespace["lines"]
+
+
+@lru_cache(maxsize=512)
+def equation_names(lhs: Term, rhs: Term) -> tuple[str, ...]:
+    """The variables of lhs = rhs, sorted: the names equation_lines takes."""
+    return tuple(sorted(free_vars(lhs) | free_vars(rhs)))
 
 
 def equation_lines(
@@ -497,7 +500,7 @@ def equation_lines(
     size: int,
     keys: Collection[str],
     partial: bool = False,
-) -> Callable[[Mapping[str, object]], Iterator[tuple[tuple[int, ...], list, list]]]:
+) -> Callable[[Mapping[str, object]], Iterator[tuple[tuple[int, ...], Sequence, Sequence]]]:
     """Compile lhs = rhs for evaluation one line of assignments at a time.
 
     names are the variables, sorted, and keys the operator keys (zero,
@@ -506,19 +509,14 @@ def equation_lines(
     ValueError.  The result maps tables to an iterator over the
     assignments of 0..size-1 to names in row-major order, one line per
     value of all names but the last: it yields (outer, lhs values, rhs
-    values), outer being those values and each list holding one value
-    per value of the last name (a single value when names is empty).
-    In partial mode a table entry may be None (not yet decided), and
-    None propagates.
+    values), outer being those values and each side holding one value
+    per value of the last name (a single value when names is empty);
+    both sides are tuples, or lists in partial mode, where a table entry
+    may be None (not yet decided) and None propagates.  Each equation is
+    compiled once per process (see _generate), whatever size and tables.
     """
-    width = size if names else 1
-    left, right = (_compile_line(t, names, width, keys, partial) for t in (lhs, rhs))
-    outer = max(len(names) - 1, 0)
-
-    def lines(tables: Mapping[str, object]):
-        for o in product(range(size), repeat=outer):
-            yield o, left(tables, o), right(tables, o)
-    return lines
+    lines = _generate(lhs, rhs, tuple(names), frozenset(keys), partial)
+    return lambda tables: lines(tables, size)
 
 
 def eval_model(t: Term, m: FiniteMeadow, a: Assignment | None = None) -> int:
@@ -557,11 +555,11 @@ class AxiomFailure:
         )
 
 
-#: The most assignments check_axioms enumerates in one call (about 15 s
-#: at the 7 million a second measured on a 2-vCPU machine): it refuses
-#: (ValueError) a presentation and model that need more instead of running
-#: for hours.  imd, whose three 3-variable axioms dominate its count, is
-#: checked in Z_p up to p = 321.
+#: The most assignments check_axioms enumerates in one call (about 3 s
+#: at the 33 million a second measured for imd in Z_211 on a 2-vCPU
+#: machine): it refuses (ValueError) a presentation and model that need
+#: more instead of running for minutes.  imd, whose three 3-variable
+#: axioms dominate its count, is checked in Z_p up to p = 321.
 MAX_ASSIGNMENTS = 10**8
 
 
@@ -580,8 +578,7 @@ def check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
         from .presentations import builtin
 
         axioms = builtin(axioms)
-    equations = [(eq, sorted(free_vars(eq.lhs) | free_vars(eq.rhs)))
-                 for eq in axioms.axioms]
+    equations = [(eq, equation_names(eq.lhs, eq.rhs)) for eq in axioms.axioms]
     total = sum(m.size ** len(names) for _, names in equations)
     if total > MAX_ASSIGNMENTS:
         raise ValueError(
@@ -589,9 +586,10 @@ def check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
             f"assignments, more than the cap of {MAX_ASSIGNMENTS}"
         )
     tables = m.tables()
+    keys = frozenset(tables)
     failures = []
     for eq, names in equations:
-        lines = equation_lines(eq.lhs, eq.rhs, names, m.size, tables.keys())
+        lines = equation_lines(eq.lhs, eq.rhs, names, m.size, keys)
         first = None
         count = 0
         for outer, lhs, rhs in lines(tables):

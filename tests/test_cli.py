@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+
+import meadows
 
 from meadows.cli import _render_presentation, run
 from meadows.convention import ConventionId
@@ -204,6 +209,21 @@ def test_spec_flatten_truncated_expression_exits_2(capsys):
         code, out, err = invoke(capsys, "spec", "--flatten", expr)
         assert (code, out) == (2, ""), expr
         assert err == "error: unexpected end of module expression", expr
+
+
+def test_combine_clash_message_does_not_depend_on_hash_seed():
+    # The clashing keys are add, inv and mul; the first in sorted order is named.
+    src = str(Path(meadows.__file__).resolve().parent.parent)
+    errors = set()
+    for seed in ("3", "4"):
+        p = subprocess.run(
+            [sys.executable, "-m", "meadows.cli", "spec", "--flatten", "combine(iamd,md_rd)"],
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert p.returncode == 2
+        errors.add(p.stderr)
+    assert errors == {b"error: symbol add is hidden in one operand, visible in the other\n"}
 
 
 def test_parse_errors_exit_2(capsys):

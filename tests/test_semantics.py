@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from meadows.parsing import parse_term
 from meadows.partial import Defined, PunchVariant, punch_eval
-from meadows.presentations import builtin
+from meadows.presentations import Equation, Presentation, Symbol, builtin
 from meadows import semantics
 from meadows.semantics import (
     AxiomFailure, FiniteMeadow, MAX_ASSIGNMENTS, MissingAssignment, NotRegular, NotUnique,
@@ -347,3 +347,57 @@ def test_check_axioms_refuses_more_than_max_assignments(monkeypatch):
     monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5 - 1)
     with pytest.raises(ValueError, match="cap"):
         check_axioms(small, "imd")
+
+
+def _tweak(m: FiniteMeadow, **entries) -> FiniteMeadow:
+    """m with single table entries replaced: key=((x, y), value) or ((x,), value)."""
+    tables = {k: [list(row) if isinstance(row, tuple) else row for row in getattr(m, k)]
+              for k in ("add", "mul", "neg", "inv")}
+    for key, (slot, value) in entries.items():
+        if len(slot) == 2:
+            tables[key][slot[0]][slot[1]] = value
+        else:
+            tables[key][slot[0]] = value
+    return FiniteMeadow(m.size, *(tuple(map(tuple, tables[k])) for k in ("add", "mul")),
+                        tuple(tables["neg"]), tuple(tables["inv"]))
+
+
+def test_check_axioms_edge_cases_match_naive_reference():
+    # Variables named like the locals of the generated code or like table
+    # keys, a closed equation, an operand read in column position and a
+    # carrier of one element, where a line holds one value.
+    v = {name: Var(name) for name in ("o0", "o1", "ident", "width", "t0", "size", "add", "inv")}
+    symbols = {"zero": Symbol("0", 0), "one": Symbol("1", 0), "add": Symbol("+", 2),
+               "mul": Symbol("*", 2), "neg": Symbol("-", 1), "inv": Symbol("^-1", 1)}
+    edge = Presentation("edge", tuple(sorted(symbols.items())), frozenset(), (
+        Equation("local_names", Add(v["o1"], Mul(v["o0"], v["ident"])),
+                 Mul(Add(v["o0"], v["width"]), v["o1"])),
+        Equation("key_names", Mul(v["add"], Inv(v["inv"])), Add(v["t0"], Neg(v["size"]))),
+        Equation("closed", Inv(Add(ONE, ONE)), Mul(ONE, Neg(ONE))),
+        Equation("column", Mul(Var("x"), ONE), Var("x")),
+        Equation("row", Mul(ONE, Var("x")), Var("x")),
+    ))
+    # mul[2][1] = 3 makes Z_5's mul non-commutative: only the column read fails.
+    crooked = _tweak(zp_meadow(5), mul=((2, 1), 3), neg=((1,), 1))
+    for m in (zn_meadow(1), zp_meadow(5), crooked):
+        for axioms in (edge, "imd", "dmd", SHAPES):
+            assert check_axioms(m, axioms) == _naive_check_axioms(m, axioms), (m, axioms)
+    failing = {f.axiom: f for f in check_axioms(crooked, edge)}
+    assert failing["column"].witness == (("x", 2),) and "row" not in failing
+
+
+def test_check_axioms_compiles_each_equation_once():
+    imd = builtin("imd")
+    semantics._generate.cache_clear()
+    assert check_axioms(zp_meadow(5), imd) == []
+    assert check_axioms(_tweak(zp_meadow(7), add=((3, 4), 1)), imd) != []
+    info = semantics._generate.cache_info()
+    assert (info.misses, info.hits) == (len(imd.axioms), len(imd.axioms))
+    # A compile error is raised again on every call, not cached: the eight
+    # ring axioms compile on the first call, inv_inv fails on both.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="model provides no interpretation for 'inv'"):
+            check_axioms(zn_ring(6), "imd")
+    after = semantics._generate.cache_info()
+    assert (after.misses - info.misses, after.hits - info.hits) == (10, 8)
+    assert after.currsize == info.currsize + 8
