@@ -26,7 +26,10 @@ from .terms import (
     Add, Neg, Sub, Term, Var,
     Signature, constructors,
 )
-from .semantics import OP_KEY, FiniteMeadow, equation_lines, equation_names
+from . import semantics
+from .semantics import (
+    OP_ARITY, OP_KEY, FiniteMeadow, LineTables, encode_tables, equation_lines, equation_names,
+)
 
 __all__ = [
     "Symbol", "Equation", "Presentation",
@@ -35,11 +38,6 @@ __all__ = [
     "md_d", "md_rd", "parse_module_expression",
 ]
 
-
-OP_ARITY = {
-    "zero": 0, "one": 0, "add": 2, "mul": 2,
-    "neg": 1, "inv": 1, "div": 2, "sub": 2,
-}
 
 DEFAULT_SYMBOLS = {
     "zero": ("0", 0),
@@ -406,14 +404,13 @@ def _freeze_table(table, arity: int):
     return tuple(tuple(row) for row in table)
 
 
-def _axiom_holds_everywhere(lines, tables) -> bool:
+def _axiom_holds_everywhere(lines, tables: LineTables) -> bool:
     """Does the equation compiled into lines (by equation_lines) hold at
     every assignment under tables?  An assignment at which either side is
-    undecided (None) does not count against it."""
+    undecided (the value tables.size) does not count against it."""
+    undecided = tables.size
     for _, lhs, rhs in lines(tables):
-        if lhs != rhs and any(
-            x is not None and y is not None and x != y for x, y in zip(lhs, rhs)
-        ):
+        if any(x != y and x != undecided != y for x, y in zip(lhs, rhs)):
             return False
     return True
 
@@ -430,7 +427,11 @@ def visible_models_check(
     them automatically); hidden symbols get all possible tables, pruned
     slot by slot before the full product is enumerated, so the result is
     the complete list of valid expansions.  An empty hidden signature makes
-    this a plain exhaustive axiom check.
+    this a plain exhaustive axiom check.  Raises ValueError when a table
+    entry is not a carrier element, and, before any axiom is evaluated,
+    when the visible check and the pruning trials (one per value of each
+    hidden table slot) together need more than semantics.MAX_ASSIGNMENTS
+    assignments.
     """
     if isinstance(model, FiniteMeadow):
         size = model.size
@@ -445,40 +446,44 @@ def visible_models_check(
     reduct = {k: available[k] for k in p.visible_keys}
 
     hidden = sorted(p.hidden)
-    # Each axiom is compiled once, in partial mode, which is exact on
-    # tables without undecided entries too; the tables come per call.
-    keys = reduct.keys() | p.hidden
-    lines = {
-        eq: equation_lines(eq.lhs, eq.rhs, equation_names(eq.lhs, eq.rhs), size, keys,
-                           partial=True)
-        for eq in p.axioms
+    slots_of = {
+        0: [()],
+        1: [(i,) for i in range(size)],
+        2: [(i, j) for i in range(size) for j in range(size)],
     }
+    equations = [(eq, equation_names(eq.lhs, eq.rhs)) for eq in p.axioms]
+    trials = size * sum(len(slots_of[OP_ARITY[k]]) for k in hidden)
+    work = (1 + trials) * sum(size ** len(names) for _, names in equations)
+    if work > semantics.MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"searching expansions of {p.name} in a model of size {size} needs {work} "
+            f"assignments, more than the cap of {semantics.MAX_ASSIGNMENTS}"
+        )
+    # Each axiom is compiled once; the tables come per call.  The reduct
+    # is encoded once, and each trial adds its hidden tables to it.
+    keys = reduct.keys() | p.hidden
+    lines = {eq: equation_lines(eq.lhs, eq.rhs, names, keys) for eq, names in equations}
+    visible = encode_tables(reduct, size)
     visible_only = [
         eq for eq in p.axioms
         if not _equation_ops(eq) & set(hidden)
     ]
     for eq in visible_only:
-        if not _axiom_holds_everywhere(lines[eq], reduct):
+        if not _axiom_holds_everywhere(lines[eq], visible):
             return ExpansionReport(False, [], failure=f"axiom {eq.name} fails on visible reduct")
 
     # Candidate values per hidden table slot, pruned by the axioms that can
     # already be falsified when only that slot is decided.
     slot_candidates: list[tuple[str, object, list[int]]] = []
     blanks = {k: _blank_table(OP_ARITY[k], size) for k in hidden}
-    slots_of = {
-        0: [()],
-        1: [(i,) for i in range(size)],
-        2: [(i, j) for i in range(size) for j in range(size)],
-    }
+    undecided = visible.with_tables(blanks, partial=True)
     for key in hidden:
         arity = OP_ARITY[key]
         for slot in slots_of[arity]:
             survivors = []
             for value in range(size):
-                trial = dict(reduct)
-                for other in hidden:
-                    trial[other] = blanks[other]
-                trial[key] = _set_slot(blanks[key], arity, slot, value)
+                trial = undecided.with_tables(
+                    {key: _set_slot(blanks[key], arity, slot, value)}, partial=True)
                 ok = all(_axiom_holds_everywhere(lines[eq], trial) for eq in p.axioms)
                 if ok:
                     survivors.append(value)
@@ -502,11 +507,10 @@ def visible_models_check(
         tables = {k: _blank_table(OP_ARITY[k], size) for k in hidden}
         for (key, slot, _), value in zip(slot_candidates, choice):
             tables[key] = _set_slot(tables[key], OP_ARITY[key], slot, value)
-        ops = dict(reduct)
-        for key in hidden:
-            ops[key] = _freeze_table(tables[key], OP_ARITY[key])
-        if all(_axiom_holds_everywhere(lines[eq], ops) for eq in p.axioms):
-            expansions.append({k: ops[k] for k in hidden})
+        expansion = {key: _freeze_table(tables[key], OP_ARITY[key]) for key in hidden}
+        candidate = visible.with_tables(expansion)
+        if all(_axiom_holds_everywhere(lines[eq], candidate) for eq in p.axioms):
+            expansions.append(expansion)
     if not expansions:
         return ExpansionReport(False, [], failure="no expansion satisfies all axioms")
     return ExpansionReport(True, expansions)

@@ -24,9 +24,14 @@ is compiled once per process into generated straight-line Python: one
 for loop per other variable, each subterm computed in the outermost
 loop where its operands are known, a table row or unary table taken as
 it is where an operation is applied to the bare last variable, and the
-other table entries along a line read by operator.itemgetter, in C.
-check_axioms refuses more than MAX_ASSIGNMENTS assignments before it
-builds a table.
+code yields only the lines whose two sides differ.  On a carrier of at
+most 255 elements a line is a bytes object and each table read along
+it is one bytes.translate, in C; a model's tables are encoded for this
+once (FiniteMeadow.line_tables).  Larger carriers run the same code on
+tuples.  An undecided table entry, in the expansion search, is the
+value size, which every table maps to itself, so it propagates through
+the reads with no test of its own.  check_axioms refuses more than
+MAX_ASSIGNMENTS assignments before it builds a table.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
-from operator import getitem, itemgetter, ne
-from typing import Callable, Collection, Iterator, Mapping, Sequence, Union
+from operator import getitem, index, itemgetter, ne
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
@@ -48,6 +54,7 @@ __all__ = [
     "q0_inv", "q0_div", "eval_q0",
     "FiniteMeadow", "ModularMeadow", "NotRegular", "NotUnique",
     "zp_meadow", "zn_ring", "zn_meadow", "eval_model", "equation_lines",
+    "LineTables", "encode_tables",
     "AxiomFailure", "MAX_ASSIGNMENTS", "check_axioms", "is_prime",
     "two_squares", "corollary_witness",
 ]
@@ -190,16 +197,18 @@ class FiniteMeadow:
     def ops(self) -> dict[str, object]:
         """tables() plus the derived n x n subtraction and division tables."""
         table = self.tables()
-        table["sub"] = tuple(
-            tuple(self.add[x][self.neg[y]] for y in self.carrier)
-            for x in self.carrier
-        )
-        if self.inv is not None:
-            table["div"] = tuple(
-                tuple(self.mul[x][self.inv[y]] for y in self.carrier)
-                for x in self.carrier
-            )
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        table["sub"] = tuple([tuple([add[x][neg[y]] for y in self.carrier])
+                              for x in self.carrier])
+        if inv is not None:
+            table["div"] = tuple([tuple([mul[x][inv[y]] for y in self.carrier])
+                                  for x in self.carrier])
         return table
+
+    @cached_property
+    def line_tables(self) -> LineTables:
+        """tables(), encoded once for exhaustive checks."""
+        return encode_tables(self.tables(), self.size)
 
 
 def _no_inverse(t: Term, *args: int) -> int:
@@ -214,7 +223,10 @@ class ModularMeadow(FiniteMeadow):
     algebra() computes each operation with %, so evaluating a term at one
     assignment builds no table.  The tables add, mul, neg and inv hold
     the same values for exhaustive evaluation, which looks them up faster
-    than it computes them; each is built on first read and cached.
+    than it computes them; each is built on first read and cached.  Every
+    table is built from lists: tuple(<generator>) grows a 10-tuple to
+    size, which would leave the tuples of each small size in the
+    interpreter's free list for that size when the model dies.
     """
 
     def __init__(self, n: int, exponent: int | None = None):
@@ -238,22 +250,22 @@ class ModularMeadow(FiniteMeadow):
     @cached_property
     def add(self) -> tuple[tuple[int, ...], ...]:
         row = tuple(range(self.size))
-        return tuple(row[x:] + row[:x] for x in row)
+        return tuple([row[x:] + row[:x] for x in row])
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
         n = self.size
-        return tuple(tuple(x * y % n for y in range(n)) for x in range(n))
+        return tuple([tuple([x * y % n for y in range(n)]) for x in range(n)])
 
     @cached_property
     def neg(self) -> tuple[int, ...]:
         n = self.size
-        return tuple(-x % n for x in range(n))
+        return tuple([-x % n for x in range(n)])
 
     @cached_property
     def inv(self) -> tuple[int, ...] | None:
         n, e = self.size, self.exponent
-        return None if e is None else tuple(pow(x, e, n) for x in range(n))
+        return None if e is None else tuple([pow(x, e, n) for x in range(n)])
 
     def algebra(self) -> dict:
         n, e, one = self.size, self.exponent, self.one
@@ -352,15 +364,106 @@ OP_KEY = {
     Zero: "zero", One: "one", Add: "add", Mul: "mul",
     Neg: "neg", Inv: "inv", Div: "div", Sub: "sub",
 }
+#: The number of operands of each operator key.
+OP_ARITY = {
+    "zero": 0, "one": 0, "add": 2, "mul": 2,
+    "neg": 1, "inv": 1, "div": 2, "sub": 2,
+}
 # Symbols a FiniteMeadow does not tabulate, read per entry instead:
 # x - y = add[x][neg[y]] and x / y = mul[x][inv[y]].  Only total tables
 # lack them: the expansion search always passes sub and div when used.
 _DERIVED = {"sub": ("add", "neg"), "div": ("mul", "inv")}
 
 # The shapes of a subterm's values along a line: one value for the whole
-# line, the bare last variable (ident, 0..n-1), a table row or unary table
-# read as it is, or a computed line.
-_SCALAR, _BARE, _ROW, _LINE = range(4)
+# line, the bare last variable (ident, 0..n-1), or a computed line.
+_SCALAR, _BARE, _LINE = range(3)
+
+
+class LineTables(NamedTuple):
+    """Operation tables in the form the code of equation_lines reads.
+
+    A line is a bytes object when size is at most 255 and a tuple
+    otherwise; seq builds one from values and read(line, table) gives
+    table[v] for each value v of line.  The value size stands for an
+    undecided entry, and every table maps it to itself.  tables maps
+    each key to its constant, to (line, padded) for a unary table, or to
+    (rows, padded rows, padded columns) for a binary one.  A padded
+    table maps size, and every value above it, to size, so on bytes it
+    is a bytes.translate table; rows[size] and the padded row and column
+    at size hold only size.
+    """
+
+    size: int
+    ident: Sequence[int]
+    read: Callable
+    seq: Callable
+    tables: dict[str, object]
+
+    def with_tables(self, tables: Mapping[str, object], partial: bool = False) -> LineTables:
+        """These tables with those of tables encoded and added or replaced."""
+        more = encode_tables(tables, self.size, partial).tables
+        return self._replace(tables={**self.tables, **more})
+
+
+def _read_tuple(line: tuple, table: Sequence) -> tuple:
+    return itemgetter(*line)(table)
+
+
+def encode_tables(tables: Mapping[str, object], size: int, partial: bool = False) -> LineTables:
+    """Encode operation tables on the carrier 0..size-1 for equation_lines.
+
+    tables maps operator keys to a constant, a unary table or a binary
+    table (a sequence of rows).  In partial mode an entry may be None,
+    not yet decided, and is encoded as size.  Raises ValueError for a
+    table of the wrong shape and for any other entry that is not an
+    integer in 0..size-1.
+    """
+    small = size < 256
+    seq = bytes if small else tuple
+    ident = seq(range(size))
+    fill = seq((size,)) * (256 if small else size + 1)
+    pad = fill[size:]
+
+    def entries(key: str, table) -> Sequence[int]:
+        # The entries of table in row-major order, each checked.
+        arity = OP_ARITY[key]
+        try:
+            values = [table] if arity == 0 else [*table]
+            if arity == 2 and any(len(row) != size for row in values):
+                raise TypeError
+            values = [*chain.from_iterable(values)] if arity == 2 else values
+        except TypeError:
+            values = None
+        if values is None or len(values) != size ** arity:
+            raise ValueError(f"table {key!r} is not a table of arity {arity} on {size} elements")
+        undecided = values.count(None) if partial else 0
+        if undecided:
+            values = [size if v is None else v for v in values]
+        try:
+            flat = bytes(values) if small else tuple(map(index, values))
+        except (TypeError, ValueError):  # not an integer, or not a byte
+            flat = None
+        # Entries other than 0..size-1 are the undecided ones, or wrong.
+        if flat is None or undecided != len(
+            flat.translate(None, ident) if small else [v for v in flat if not 0 <= v < size]
+        ):
+            raise ValueError(f"table {key!r} holds a value outside the carrier 0..{size - 1}")
+        return flat
+
+    codes: dict[str, object] = {}
+    for key, table in tables.items():
+        if key not in OP_ARITY:
+            raise ValueError(f"unknown operator key {key!r}")
+        flat = entries(key, table)
+        if OP_ARITY[key] == 0:
+            codes[key] = flat[0]
+        elif OP_ARITY[key] == 1:
+            codes[key] = flat, flat + pad
+        else:
+            rows = [flat[x * size:(x + 1) * size] for x in range(size)] + [fill[:size]]
+            codes[key] = (rows, [row + pad for row in rows],
+                          [flat[y::size] + pad for y in range(size)] + [fill])
+    return LineTables(size, ident, bytes.translate if small else _read_tuple, seq, codes)
 
 
 def _require(keys: Collection[str], key: str) -> str:
@@ -369,32 +472,25 @@ def _require(keys: Collection[str], key: str) -> str:
     return key
 
 
-def _single_getter(i: int) -> Callable:
-    """itemgetter(i), but returning a 1-tuple as itemgetter(*line) does for longer lines."""
-    return lambda seq: (seq[i],)
-
-
 @lru_cache(maxsize=512)
-def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str],
-              partial: bool) -> Callable:
-    """Compile lhs = rhs into the generator lines(T, size) equation_lines returns.
+def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str]) -> Callable:
+    """Compile lhs = rhs into the generator lines(E) equation_lines returns.
 
     Its source is a nest of for loops over the values o0, o1, ... of all
     names but the last, and each subterm is computed in the outermost loop
-    where its operands are known.  A node is (shape, name, depth, clean):
-    its values, a local of the generated code bound in the loop at depth,
-    and, in partial mode, whether it never holds None.  The source holds
-    only these fixed identifiers and the table keys of OP_KEY.
+    where its operands are known.  A node is (shape, name, depth): its
+    values, a local of the generated code bound in the loop at depth.  The
+    source holds only these fixed identifiers and the table keys of
+    OP_KEY, and it is the same for every LineTables encoding.
     """
     index = {name: j for j, name in enumerate(names[:-1])}
     body: list[list[str]] = [[] for _ in range(max(len(names), 1))]
     read: set[str] = set()
     bound: dict[str, tuple] = {}  # by expression, so each is computed once
-    seq = "list" if partial else "tuple"
 
     def bind(shape: int, depth: int, expr: str) -> tuple:
         if expr not in bound:
-            bound[expr] = shape, f"t{len(bound)}", depth, False
+            bound[expr] = shape, f"t{len(bound)}", depth
             body[depth].append(f"t{len(bound) - 1} = {expr}")
         return bound[expr]
 
@@ -402,87 +498,71 @@ def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str]
         read.add(_require(keys, key))
         return key
 
-    def getter(line: tuple) -> str:
-        return bind(_LINE, line[2], f"get(*{line[1]})")[1]
-
     def apply(key: str, *args: tuple) -> tuple:
         depth = max(a[2] for a in args)
         shapes = tuple(a[0] for a in args)
-        tests = " or ".join(f"{a[1]} is None" for a in args
-                            if partial and a[0] == _SCALAR and not a[3])
-        if all(s == _SCALAR for s in shapes):
-            value = key + "".join(f"[{a[1]}]" for a in args)
-            return bind(_SCALAR, depth, f"None if {tests} else {value}" if tests else value)
+        x, y = args[0][1], args[-1][1]
+
+        def part(table: str, a: tuple) -> str:
+            # table[a], bound in a's loop when that is outside this one
+            expr = f"{table}[{a[1]}]"
+            return bind(None, a[2], expr)[1] if a[2] < depth else expr
+
+        if shapes == (_SCALAR,):
+            return bind(_SCALAR, depth, f"{key}_p[{x}]")
+        if shapes == (_SCALAR, _SCALAR):
+            return bind(_SCALAR, depth, f"{part(key + '_p', args[0])}[{y}]")
         if shapes == (_BARE,):
-            return _ROW, key, 0, False
+            return _LINE, key, 0
         if shapes == (_SCALAR, _BARE):
-            row = f"{key}[{args[0][1]}]"
-            return bind(_ROW, depth, f"nones if {tests} else {row}" if tests else row)
-        if partial:
-            items = [a[1] if a[0] == _SCALAR else f"v{i}" for i, a in enumerate(args)]
-            lines = [(item, a[1]) for item, a in zip(items, args) if a[0] != _SCALAR]
-            tests = " or ".join(f"{x} is None" for x, a in zip(items, args) if not a[3])
-            value = key + "".join(f"[{x}]" for x in items)
-            value = f"None if {tests} else {value}" if tests else value
-            over = lines[0][1] if len(lines) == 1 else f"zip({lines[0][1]}, {lines[1][1]})"
-            targets = ", ".join(x for x, _ in lines)
-            return bind(_LINE, depth, f"[{value} for {targets} in {over}]")
-        # Total tables: whole lines of entries are read by itemgetter, in C.
-        # A tuple is built from a list, not from map: tuple(map(...)) grows
-        # a 10-tuple, so each line would move one tuple to the free list of
-        # its size, which keeps up to 2000 per size alive.
-        x, y = args[0], args[-1]
-        if x[0] == _SCALAR:
-            row = bind(_ROW, x[2], f"{key}[{x[1]}]")[1]
-            return bind(_LINE, depth, f"{getter(y)}({row})")
-        rows = key if x[0] == _BARE else f"{getter(x)}({key})"
+            return bind(_LINE, depth, f"{key}[{x}]")
         if len(args) == 1:
-            return bind(_LINE, depth, rows)
-        if y[0] == _SCALAR:
-            return bind(_LINE, depth, f"tuple([*map(itemgetter({y[1]}), {rows})])")
-        return bind(_LINE, depth, f"tuple([*map(getitem, {rows}, {y[1]})])")
+            return bind(_LINE, depth, f"read({x}, {key}_p)")
+        if shapes[0] == _SCALAR:
+            return bind(_LINE, depth, f"read({y}, {part(key + '_p', args[0])})")
+        if shapes[1] == _SCALAR:
+            return bind(_LINE, depth, f"read({x}, {part(key + '_c', args[1])})")
+        return bind(_LINE, depth, f"seq(map(getitem, map({key}_p.__getitem__, {x}), {y}))")
 
     def var(node: Var) -> tuple:
         if names and node.name == names[-1]:
-            return _BARE, "ident", 0, True
+            return _BARE, "ident", 0
         if node.name not in index:
             raise MissingAssignment(node.name)
         j = index[node.name]
-        return _SCALAR, f"o{j}", j + 1, True
+        return _SCALAR, f"o{j}", j + 1
 
     def operation(node: Term, *args: tuple) -> tuple:
         key = OP_KEY[type(node)]
         if not args:
-            return _SCALAR, table(key), 0, False
+            return _SCALAR, table(key), 0
         if key in keys or key not in _DERIVED:
             return apply(table(key), *args)
         outer, inner = _DERIVED[key]
         return apply(table(outer), args[0], apply(table(inner), args[1]))
 
     def side(t: Term) -> str:
-        shape, name, depth, _ = fold(t, algebra, memo)
+        shape, name, depth = fold(t, algebra, memo)
         if shape == _SCALAR:
-            value = f"[{name}]" if partial else f"({name},)"
-            return bind(_LINE, depth, value + (" * size" if names else ""))[1]
-        return bind(_LINE, depth, f"{seq}({name})")[1] if shape == _ROW else name
+            return bind(_LINE, depth, f"seq(({name},))" + (" * size" if names else ""))[1]
+        return name
 
     algebra = dict.fromkeys(OP_KEY, operation)
     algebra[Var] = var
     memo: dict[Term, tuple] = {}
     left, right = side(lhs), side(rhs)
-    source = ["def lines(T, size):", "    R = range(size)", f"    ident = {seq}(R)",
-              "    nones = [None] * size" if partial else
-              "    get = itemgetter if size > 1 else _single_getter"]
-    source += [f"    {key} = T[{key!r}]" for key in sorted(read)]
+    source = ["def lines(E):", "    size, ident, read, seq, T = E", "    R = range(size)"]
+    for key in sorted(read):
+        targets = ", ".join([key, f"{key}_p", f"{key}_c"][:OP_ARITY[key] + 1])
+        source.append(f"    {targets} = T[{key!r}]")
     for depth, statements in enumerate(body):
         indent = "    " * (depth + 1)
         if depth:
             source.append(f"{indent[4:]}for o{depth - 1} in R:")
         source += [indent + s for s in statements]
     outer = "".join(f"o{j}, " for j in range(len(body) - 1))
-    source.append(f"{indent}yield ({outer}), {left}, {right}")
-    namespace = {"itemgetter": itemgetter, "getitem": getitem,
-                 "_single_getter": _single_getter}
+    source += [f"{indent}if {left} != {right}:", f"{indent}    yield ({outer}), {left}, {right}"]
+    namespace = {"getitem": getitem}
     exec(compile("\n".join(source), "<equation_lines>", "exec"), namespace)
     return namespace["lines"]
 
@@ -497,26 +577,27 @@ def equation_lines(
     lhs: Term,
     rhs: Term,
     names: Sequence[str],
-    size: int,
     keys: Collection[str],
-    partial: bool = False,
-) -> Callable[[Mapping[str, object]], Iterator[tuple[tuple[int, ...], Sequence, Sequence]]]:
+) -> Callable[[LineTables], Iterator[tuple[tuple[int, ...], Sequence[int], Sequence[int]]]]:
     """Compile lhs = rhs for evaluation one line of assignments at a time.
 
     names are the variables, sorted, and keys the operator keys (zero,
     one, add, mul, neg, inv, div, sub) the tables will hold; sub and div
     fall back to _DERIVED when absent, and a missing key raises
-    ValueError.  The result maps tables to an iterator over the
-    assignments of 0..size-1 to names in row-major order, one line per
-    value of all names but the last: it yields (outer, lhs values, rhs
+    ValueError.  The result maps tables encoded by encode_tables to an
+    iterator over the lines of assignments of 0..size-1 to names, in
+    row-major order, one line per value of all names but the last, on
+    which the two sides differ: it yields (outer, lhs values, rhs
     values), outer being those values and each side holding one value
-    per value of the last name (a single value when names is empty);
-    both sides are tuples, or lists in partial mode, where a table entry
-    may be None (not yet decided) and None propagates.  Each equation is
-    compiled once per process (see _generate), whatever size and tables.
+    per value of the last name (a single value when names is empty) as a
+    line of the encoding.  The value size is an undecided entry; it
+    propagates through every table read, so a side holds size wherever
+    its value reads an undecided entry.  A line not yielded holds equal
+    sides at every assignment.  Each
+    equation is compiled once per process (see _generate), whatever the
+    size, encoding and tables.
     """
-    lines = _generate(lhs, rhs, tuple(names), frozenset(keys), partial)
-    return lambda tables: lines(tables, size)
+    return _generate(lhs, rhs, tuple(names), frozenset(keys))
 
 
 def eval_model(t: Term, m: FiniteMeadow, a: Assignment | None = None) -> int:
@@ -555,11 +636,13 @@ class AxiomFailure:
         )
 
 
-#: The most assignments check_axioms enumerates in one call (about 3 s
-#: at the 33 million a second measured for imd in Z_211 on a 2-vCPU
-#: machine): it refuses (ValueError) a presentation and model that need
-#: more instead of running for minutes.  imd, whose three 3-variable
-#: axioms dominate its count, is checked in Z_p up to p = 321.
+#: The most assignments check_axioms enumerates in one call: it refuses
+#: (ValueError) a presentation and model that need more instead of
+#: running for minutes.  On a 2-vCPU machine imd runs at 355 million
+#: assignments a second in Z_211, where lines are bytes, and at 34
+#: million in Z_257, where they are tuples, so the cap is about 0.3 s and
+#: 3 s of work.  imd, whose three 3-variable axioms dominate its count,
+#: is checked in Z_p up to p = 321.
 MAX_ASSIGNMENTS = 10**8
 
 
@@ -585,16 +668,14 @@ def check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
             f"checking {axioms.name} in a model of size {m.size} needs {total} "
             f"assignments, more than the cap of {MAX_ASSIGNMENTS}"
         )
-    tables = m.tables()
-    keys = frozenset(tables)
+    tables = m.line_tables
+    keys = frozenset(tables.tables)
     failures = []
     for eq, names in equations:
-        lines = equation_lines(eq.lhs, eq.rhs, names, m.size, keys)
+        lines = equation_lines(eq.lhs, eq.rhs, names, keys)
         first = None
         count = 0
         for outer, lhs, rhs in lines(tables):
-            if lhs == rhs:
-                continue
             count += sum(map(ne, lhs, rhs))
             if first is None:
                 i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import gcd
 
@@ -10,7 +11,8 @@ from meadows.presentations import (
     _axiom_holds_everywhere, builtin, builtin_names, combine, export, hide, md_d, md_rd,
     parse_module_expression, rename, visible_models_check,
 )
-from meadows.semantics import check_axioms, equation_lines, zp_meadow
+from meadows import semantics
+from meadows.semantics import check_axioms, encode_tables, equation_lines, zp_meadow
 from meadows.terms import Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, Signature, free_vars
 from meadows.parsing import parse_term
 
@@ -170,6 +172,34 @@ def test_visible_models_check_finds_rd_expansion():
     assert report.expansions[0]["inv"] == ops["inv"]
 
 
+@pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
+def test_visible_models_check_rejects_values_outside_the_carrier(bad):
+    # A value equal to the size would otherwise read as undecided.
+    ops = zp_meadow(2).ops()
+    for key, reduct in (("div", {"one": 1, "sub": ops["sub"], "div": ((0, bad), (0, 1))}),
+                        ("one", {"one": bad, "sub": ops["sub"], "div": ops["div"]})):
+        with pytest.raises(ValueError, match=f"table '{key}'"):
+            visible_models_check(md_rd(), reduct, size=2)
+    for div in (((0, 1),), ((0, 1), (0,)), 2, ((0, 1), 2)):
+        with pytest.raises(ValueError, match="table 'div' is not a table of arity 2 on 2"):
+            visible_models_check(md_rd(), {**ops, "div": div}, size=2)
+
+
+def test_visible_models_check_refuses_more_than_max_assignments(monkeypatch):
+    ops = zp_meadow(23).ops()
+    reduct = {"one": 1, "sub": ops["sub"], "div": ops["div"]}
+    with pytest.raises(ValueError, match=r"model of size 23 needs \d+ assignments, more than"):
+        visible_models_check(md_rd(), reduct, size=23)
+    # md_d over Z_3: the visible check, then 3 values of each of 3 inv slots.
+    work = (1 + 3 * 3) * sum(3 ** len(free_vars(eq.lhs) | free_vars(eq.rhs))
+                             for eq in md_d().axioms)
+    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", work)
+    assert visible_models_check(md_d(), zp_meadow(3)).satisfiable
+    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", work - 1)
+    with pytest.raises(ValueError, match=f"needs {work} assignments"):
+        visible_models_check(md_d(), zp_meadow(3))
+
+
 def test_hide_and_export_commute_with_combine_on_disjoint_signatures():
     # inv fragment {*, ^-1} and subdef {+, -, -(binary)} share no symbols.
     p, q = builtin("inv"), builtin("subdef")
@@ -287,23 +317,103 @@ PARTIAL_AXIOMS = [
 ]
 
 
+def _naive_lines(lhs, rhs, names, tables, n) -> dict:
+    """Map each line's outer values to its (lhs values, rhs values), found
+    one assignment at a time, with an undecided value (None) read as n."""
+    lines = {}
+    for values in product(range(n), repeat=len(names)):
+        a = dict(zip(names, values))
+        line = lines.setdefault(values[:-1], ([], []))
+        for side, out in zip((lhs, rhs), line):
+            value = _naive_partial_eval(side, tables, a)
+            out.append(n if value is None else value)
+    return lines
+
+
 @settings(max_examples=80, deadline=None)
 @given(undecided_zn())
 def test_partial_lines_match_naive_none_propagation(model):
+    # equation_lines yields just the lines whose sides differ, with n as
+    # the undecided value.
     n, tables = model
+    encoded = encode_tables(tables, n, partial=True)
     for eq in PARTIAL_AXIOMS:
         names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
-        lines = equation_lines(eq.lhs, eq.rhs, names, n, tables.keys(), partial=True)
-        got = [
-            (outer + (i,))[:len(names)] + (x, y)
-            for outer, lhs, rhs in lines(tables)
-            for i, (x, y) in enumerate(zip(lhs, rhs))
-        ]
-        want = []
-        for values in product(range(n), repeat=len(names)):
-            a = dict(zip(names, values))
-            want.append(values + (_naive_partial_eval(eq.lhs, tables, a),
-                                  _naive_partial_eval(eq.rhs, tables, a)))
+        lines = equation_lines(eq.lhs, eq.rhs, names, tables.keys())
+        got = [(outer, [*lhs], [*rhs]) for outer, lhs, rhs in lines(encoded)]
+        naive = _naive_lines(eq.lhs, eq.rhs, names, tables, n)
+        want = [(outer, lhs, rhs) for outer, (lhs, rhs) in naive.items() if lhs != rhs]
         assert got == want, eq.name
-        holds = all(x is None or y is None or x == y for *_, x, y in want)
-        assert _axiom_holds_everywhere(lines, tables) is holds, eq.name
+        holds = all(x == y or n in (x, y) for _, lhs, rhs in want for x, y in zip(lhs, rhs))
+        assert _axiom_holds_everywhere(lines, encoded) is holds, eq.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(undecided_zn())
+def test_side_values_match_naive_at_every_assignment(model):
+    # side = v, v the last variable, holds on a line exactly where the side
+    # reads ident, so the lines equation_lines yields and those it skips
+    # give the side's value at every assignment.  v is zz, which sorts
+    # after every variable of the axioms, or else the side's own last
+    # variable, so the side's values vary along the line.
+    n, tables = model
+
+    def decided(table):
+        if isinstance(table, list):
+            return [*map(decided, table)]
+        return 0 if table is None else table
+
+    total = {key: decided(table) for key, table in tables.items()}
+    for values, partial in ((total, False), (tables, True)):
+        encoded = encode_tables(values, n, partial)
+        for eq in PARTIAL_AXIOMS:
+            for side in (eq.lhs, eq.rhs):
+                for last in {"zz", max(free_vars(side), default="zz")}:
+                    names = sorted(free_vars(side) | {last})
+                    lines = equation_lines(side, Var(last), names, values.keys())
+                    got = {outer: [*lhs] for outer, lhs, _ in lines(encoded)}
+                    naive = _naive_lines(side, Var(last), names, values, n)
+                    for outer, (lhs, rhs) in naive.items():
+                        assert rhs == [*range(n)]
+                        assert got.get(outer, rhs) == lhs, (eq.name, side, outer)
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("n", [255, 256])
+def test_lines_at_the_encoding_switch(n, partial):
+    # Lines are bytes up to 255 elements, whose undecided value 255 is the
+    # last byte, and tuples from 256.  Every table read shape: a row and a
+    # column of the bare variable, an operand read along a line, a unary
+    # table, two varying operands, and closed sides.
+    x, y = Var("x"), Var("y")
+    equations = [
+        (Add(x, y), Add(y, x)),
+        (Mul(Add(x, y), Inv(y)), Neg(Mul(Inv(Mul(x, x)), Add(y, One())))),
+        (Mul(x, x), Sub(Zero(), Div(One(), x))),
+        (Inv(Add(One(), One())), Mul(One(), Neg(Zero()))),
+    ]
+    rng = random.Random(n)
+    inv = [pow(v, -1, n) if gcd(v, n) == 1 else 0 for v in range(n)]
+    tables = {
+        "zero": 0, "one": 1,
+        "add": [[(a + b) % n for b in range(n)] for a in range(n)],
+        "mul": [[a * b % n for b in range(n)] for a in range(n)],
+        "sub": [[(a - b) % n for b in range(n)] for a in range(n)],
+        "div": [[a * inv[b] % n for b in range(n)] for a in range(n)],
+        "neg": [-v % n for v in range(n)],
+        "inv": inv,
+    }
+    for key in ("add", "mul", "sub", "div", "neg", "inv"):
+        for _ in range(20):
+            row = tables[key] if key in ("neg", "inv") else \
+                tables[key][rng.choice((n - 1, rng.randrange(n)))]
+            slot = rng.choice((n - 1, rng.randrange(n)))
+            row[slot] = None if partial and rng.random() < 0.5 else rng.choice((n - 1, 0))
+    encoded = encode_tables(tables, n, partial)
+    assert type(encoded.ident) is (bytes if n == 255 else tuple)
+    for lhs, rhs in equations:
+        names = sorted(free_vars(lhs) | free_vars(rhs))
+        lines = equation_lines(lhs, rhs, names, tables.keys())
+        got = [(outer, [*left], [*right]) for outer, left, right in lines(encoded)]
+        naive = _naive_lines(lhs, rhs, names, tables, n)
+        assert got == [(outer, l, r) for outer, (l, r) in naive.items() if l != r]
