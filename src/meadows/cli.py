@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING
 
 # Handlers import the other modules they run, so a command loads only what it uses.
 from .parsing import parse_term, render
-from .terms import Signature, Term
+from .terms import Signature, Term, Var
 
 if TYPE_CHECKING:
     from . import presentations
-    from .semantics import FiniteMeadow
+    from .semantics import Model
 
 __all__ = ["main", "run"]
 
@@ -37,15 +37,16 @@ def _signature(name: str) -> Signature | None:
     return None if name == "mixed" else Signature(name)
 
 
-def _parse_value(text: str, finite: bool) -> int | Fraction:
+def _parse_value(text: str, model: Model) -> int | Fraction:
     """A value literal: an integer in a finite model, else a rational."""
+    from .semantics import FiniteMeadow
     try:
-        return int(text) if finite else Fraction(text)
+        return int(text) if isinstance(model, FiniteMeadow) else Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
 
 
-def _parse_assignment(text: str | None, finite: bool) -> dict:
+def _parse_assignment(text: str | None, model: Model) -> dict:
     a: dict = {}
     if not text:
         return a
@@ -53,17 +54,21 @@ def _parse_assignment(text: str | None, finite: bool) -> dict:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"bad assignment entry {item!r}; use name=value")
+        name = name.strip()
         try:
-            a[name.strip()] = _parse_value(value, finite)
+            Var(name)  # ValueError unless name is a variable's
+            if name in a:
+                raise ValueError(f"{name} is assigned twice")
+            a[name] = _parse_value(value, model)
         except ValueError as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
     return a
 
 
-def _load_model(choice: str) -> FiniteMeadow | None:
+def _load_model(choice: str) -> Model:
+    from .semantics import Q0, zn_meadow, zp_meadow
     if choice == "q0":
-        return None
-    from .semantics import zn_meadow, zp_meadow
+        return Q0
     kind, _, arg = choice.partition(":")
     if kind == "zp" and arg:
         return zp_meadow(int(arg))
@@ -80,11 +85,11 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_eval(args) -> int:
-    from .semantics import eval_model, eval_q0
+    from .semantics import eval_model
     model = _load_model(args.model)
     t = parse_term(args.term, _signature(args.sig))
-    a = _parse_assignment(args.assign, model is not None)
-    value = eval_model(t, model, a) if model else eval_q0(t, a)
+    a = _parse_assignment(args.assign, model)
+    value = eval_model(t, model, a)
     _emit(args, {"command": "eval", "value": str(value)}, str(value))
     return 0
 
@@ -94,7 +99,7 @@ def _cmd_peval(args) -> int:
     model = _load_model(args.model)
     variant = PunchVariant(args.variant)
     t = parse_term(args.term, _VARIANT_SIG[variant])
-    a = _parse_assignment(args.assign, model is not None)
+    a = _parse_assignment(args.assign, model)
     result = punch_eval(t, variant, model, a)
     if isinstance(result, Defined):
         value = str(result.value)
@@ -173,7 +178,7 @@ def _cmd_truth(args) -> int:
     model = _load_model(args.model)
     variant = PunchVariant(args.variant)
     domain_text = args.domain if args.domain is not None else _default_domain()
-    domain = tuple(_parse_value(v, model is not None) for v in domain_text.split(","))
+    domain = tuple(_parse_value(v, model) for v in domain_text.split(","))
     if args.logic == "lpmd":
         cfg = logic3.lpmd(domain)
     else:
@@ -182,7 +187,7 @@ def _cmd_truth(args) -> int:
             logic3.Quantifiers(args.quant), domain,
         )
     f = logic3.parse_formula(args.formula, _VARIANT_SIG[variant])
-    a = _parse_assignment(args.assign, model is not None)
+    a = _parse_assignment(args.assign, model)
     value = logic3.eval_formula(f, cfg, variant, model, a)
     _emit(args, {"command": "truth", "value": str(value)}, str(value))
     return 0 if value is logic3.TruthValue3.T else 1

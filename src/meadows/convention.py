@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Union
 
 from .partial import PunchVariant, Violation, punched_value
+from .semantics import Q0
 from .terms import (
     Add, Inv, Mul, One, Term, Var, Zero,
     Signature, check_conforms, fold, free_vars,
@@ -135,7 +136,7 @@ def closed_compliance(t: Term, c: ConventionId) -> Union[_Compliant, Violation]:
             "use open_compliance_sufficient for the sound syntactic check"
         )
     check_conforms(t, _CONVENTION_SIG[c])
-    value = punched_value(t, _CONVENTION_VARIANT[c], None, {})
+    value = punched_value(t, _CONVENTION_VARIANT[c], Q0, {})
     return value if isinstance(value, Violation) else COMPLIANT
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .parsing import ParseError, Token, parse_term_prefix, tokenize
 from .partial import Defined, PunchVariant, UNDEFINED, punch_eval
-from .semantics import Assignment, FiniteMeadow, Value
+from .semantics import Q0, Assignment, Model, Value
 from .terms import Signature, Term, Var, _FREE_VARS, _union, fold
 
 __all__ = [
@@ -202,7 +202,7 @@ def _fold_exists(suite: Quantifiers, values: Sequence[TruthValue3]) -> TruthValu
 
 def _atom(
     lhs: Term, rhs: Term, cfg: LogicConfig, variant: PunchVariant,
-    model: FiniteMeadow | None, a: Assignment,
+    model: Model | None, a: Assignment,
 ) -> TruthValue3:
     left = punch_eval(lhs, variant, model, a)
     right = punch_eval(rhs, variant, model, a)
@@ -219,12 +219,13 @@ def eval_formula(
     f: Formula,
     cfg: LogicConfig,
     variant: PunchVariant,
-    model: FiniteMeadow | None = None,
+    model: Model | None = Q0,
     a: Assignment | None = None,
 ) -> TruthValue3:
     """Evaluate a formula to T, F, or U.
 
-    Terms evaluate through the punched model; quantifiers range over
+    Terms evaluate through the punched version of model, by default Q0
+    (None is accepted as Q0, as in punch_eval); quantifiers range over
     cfg.domain, with bound variables shadowing the assignment.  The
     implication a -> b is ~a | b in the active connective suite.  Every
     part is evaluated, left to right and each quantifier instance in
@@ -290,7 +291,7 @@ def two_valued_convention_check(
     f: Formula,
     cfg: LogicConfig,
     variant: PunchVariant,
-    model: FiniteMeadow | None = None,
+    model: Model | None = Q0,
 ) -> ConventionReport:
     """A sentence complies with the two-valued logic convention iff it is T or F."""
     if formula_free_vars(f):

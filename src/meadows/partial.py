@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .projection import Projection, project
-from .semantics import (
-    Q0_ALGEBRA, Assignment, FiniteMeadow, MissingAssignment, Value,
-)
+from .semantics import Q0, Assignment, Model, Value, assigned
 from .terms import Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
 
 __all__ = [
@@ -61,21 +59,21 @@ PartialValue = Union[Defined, _Undefined]
 def punch_eval(
     t: Term,
     variant: PunchVariant,
-    model: FiniteMeadow | None = None,
+    model: Model | None = Q0,
     a: Assignment | None = None,
 ) -> PartialValue:
-    """Evaluate t in the punched version of a model (None = the rationals).
+    """Evaluate t in the punched version of a model, by default Q0.
 
     Exactly the punched applications are undefined: an inverse of 0 under
     INV_ZERO, a division by 0 under DIV_ZERO_ALL, and a division by 0
     with nonzero numerator under DIV_ZERO_NONZERO_NUM (so 0/0 stays 0).
     Undefinedness propagates through every operator.  With a finite
     model, every assigned value must be a carrier element (ValueError).
+    model None is accepted as Q0.
     """
+    model = Q0 if model is None else model
     check_conforms(t, _VARIANT_SIG[variant])
-    a = a or {}
-    if model is not None:
-        model.check_assignment(a)
+    a = model.check_assignment(a or {})
     value = punched_value(t, variant, model, a)
     return UNDEFINED if isinstance(value, Violation) else Defined(value)
 
@@ -97,15 +95,15 @@ class Violation:
         return f"Violation at {render(self.subterm)}: {self.detail}"
 
 
-def punched_value(t: Term, variant: PunchVariant, m: FiniteMeadow | None,
+def punched_value(t: Term, variant: PunchVariant, m: Model,
                   a: Assignment) -> Value | Violation:
     """t's value in the punched model, or the Violation that leaves it undefined.
 
     Undefinedness is strict, so the application reported is the first in
-    leftmost-innermost order.  The signature and the assignment are the
-    caller's to check.
+    leftmost-innermost order.  The signature is the caller's to check, and
+    a is what m.check_assignment returned.
     """
-    total = Q0_ALGEBRA if m is None else m.algebra()
+    total = m.algebra()
     zero = total[Zero](t)
 
     def strict(node, *xs):
@@ -113,11 +111,6 @@ def punched_value(t: Term, variant: PunchVariant, m: FiniteMeadow | None,
             if type(x) is Violation:
                 return x
         return total[type(node)](node, *xs)
-
-    def var(node: Var):
-        if node.name not in a:
-            raise MissingAssignment(node.name)
-        return Fraction(a[node.name]) if m is None else a[node.name]
 
     def inverse(node: Inv, x):
         if type(x) is Violation:
@@ -140,7 +133,7 @@ def punched_value(t: Term, variant: PunchVariant, m: FiniteMeadow | None,
         return zero
 
     algebra = dict.fromkeys(total, strict)
-    algebra.update({Var: var, Inv: inverse, Div: divide})
+    algebra.update({Var: partial(assigned, a), Inv: inverse, Div: divide})
     return fold(t, algebra)
 
 
@@ -163,7 +156,7 @@ def recovery_check(
     variant_dst: PunchVariant,
     t: Term,
     a: Assignment | None = None,
-    model: FiniteMeadow | None = None,
+    model: Model | None = Q0,
 ) -> RecoveryReport:
     """Does projecting t into the source notation recover its punched value?
 

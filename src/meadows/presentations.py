@@ -26,9 +26,8 @@ from .terms import (
     Add, Neg, Sub, Term, Var,
     Signature, constructors,
 )
-from . import semantics
 from .semantics import (
-    OP_ARITY, OP_KEY, FiniteMeadow, LineTables, encode_tables, equation_lines, equation_names,
+    OP_ARITY, OP_KEY, FiniteMeadow, LineTables, capped_equations, encode_tables, equation_lines,
 )
 
 __all__ = [
@@ -376,32 +375,13 @@ class ExpansionReport:
         return f"satisfiable with {len(self.expansions)} expansion(s)"
 
 
-def _blank_table(arity: int, size: int):
+def _table(arity: int, size: int, entries: dict):
+    """The table of arity on 0..size-1 holding entries[slot] at each slot, None elsewhere."""
     if arity == 0:
-        return None
+        return entries.get(())
     if arity == 1:
-        return [None] * size
-    return [[None] * size for _ in range(size)]
-
-
-def _set_slot(table, arity: int, slot, value):
-    if arity == 0:
-        return value
-    if arity == 1:
-        table = list(table)
-        table[slot[0]] = value
-        return table
-    table = [list(row) for row in table]
-    table[slot[0]][slot[1]] = value
-    return table
-
-
-def _freeze_table(table, arity: int):
-    if arity == 0:
-        return table
-    if arity == 1:
-        return tuple(table)
-    return tuple(tuple(row) for row in table)
+        return tuple([entries.get((x,)) for x in range(size)])
+    return tuple([tuple([entries.get((x, y)) for y in range(size)]) for x in range(size)])
 
 
 def _axiom_holds_everywhere(lines, tables: LineTables) -> bool:
@@ -446,19 +426,8 @@ def visible_models_check(
     reduct = {k: available[k] for k in p.visible_keys}
 
     hidden = sorted(p.hidden)
-    slots_of = {
-        0: [()],
-        1: [(i,) for i in range(size)],
-        2: [(i, j) for i in range(size) for j in range(size)],
-    }
-    equations = [(eq, equation_names(eq.lhs, eq.rhs)) for eq in p.axioms]
-    trials = size * sum(len(slots_of[OP_ARITY[k]]) for k in hidden)
-    work = (1 + trials) * sum(size ** len(names) for _, names in equations)
-    if work > semantics.MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"searching expansions of {p.name} in a model of size {size} needs {work} "
-            f"assignments, more than the cap of {semantics.MAX_ASSIGNMENTS}"
-        )
+    trials = size * sum(size ** OP_ARITY[k] for k in hidden)
+    equations = capped_equations("searching expansions of", p, size, trials)
     # Each axiom is compiled once; the tables come per call.  The reduct
     # is encoded once, and each trial adds its hidden tables to it.
     keys = reduct.keys() | p.hidden
@@ -475,15 +444,15 @@ def visible_models_check(
     # Candidate values per hidden table slot, pruned by the axioms that can
     # already be falsified when only that slot is decided.
     slot_candidates: list[tuple[str, object, list[int]]] = []
-    blanks = {k: _blank_table(OP_ARITY[k], size) for k in hidden}
+    blanks = {k: _table(OP_ARITY[k], size, {}) for k in hidden}
     undecided = visible.with_tables(blanks, partial=True)
     for key in hidden:
         arity = OP_ARITY[key]
-        for slot in slots_of[arity]:
+        for slot in iter_product(range(size), repeat=arity):
             survivors = []
             for value in range(size):
                 trial = undecided.with_tables(
-                    {key: _set_slot(blanks[key], arity, slot, value)}, partial=True)
+                    {key: _table(arity, size, {slot: value})}, partial=True)
                 ok = all(_axiom_holds_everywhere(lines[eq], trial) for eq in p.axioms)
                 if ok:
                     survivors.append(value)
@@ -504,10 +473,10 @@ def visible_models_check(
 
     expansions = []
     for choice in iter_product(*(s for _, _, s in slot_candidates)):
-        tables = {k: _blank_table(OP_ARITY[k], size) for k in hidden}
+        entries: dict[str, dict] = {k: {} for k in hidden}
         for (key, slot, _), value in zip(slot_candidates, choice):
-            tables[key] = _set_slot(tables[key], OP_ARITY[key], slot, value)
-        expansion = {key: _freeze_table(tables[key], OP_ARITY[key]) for key in hidden}
+            entries[key][slot] = value
+        expansion = {key: _table(OP_ARITY[key], size, entries[key]) for key in hidden}
         candidate = visible.with_tables(expansion)
         if all(_axiom_holds_everywhere(lines[eq], candidate) for eq in p.axioms):
             expansions.append(expansion)

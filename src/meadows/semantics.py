@@ -1,18 +1,20 @@
 """Exact and finite-model semantics for meadow terms.
 
-Two families of models are provided.  The zero-totalized rationals
-evaluate terms exactly with arbitrary-precision rationals, where the
-multiplicative inverse of zero is zero and division by zero yields
-zero.  Finite meadows live on a carrier 0..n-1.  Z_n is modular
-arithmetic: the prime ones are the zero-totalized prime fields Z_p,
-and Z_n with n squarefree is the unique meadow expansion of a
-commutative von Neumann regular ring, with inv(x) = x^(2*lambda(n)-1)
-mod n (lambda is Carmichael's function).  Evaluating at one assignment
-computes each operation arithmetically, so it costs O(term) whatever
-n is; the n x n operation tables are built, once per model, only when
-an exhaustive check reads them.  Other finite meadows carry explicit
-tables, and any finite commutative regular ring given by tables
-expands to a meadow by a pointwise search for weak inverses.
+Two families of models are provided, each a model object with
+algebra() and check_assignment(a), so eval_model evaluates in either.
+Q0, the zero-totalized rationals, evaluates terms exactly with
+arbitrary-precision rationals, where the multiplicative inverse of
+zero is zero and division by zero yields zero.  Finite meadows live on
+a carrier 0..n-1.  Z_n is modular arithmetic: the prime ones are the
+zero-totalized prime fields Z_p, and Z_n with n squarefree is the
+unique meadow expansion of a commutative von Neumann regular ring,
+with inv(x) = x^(2*lambda(n)-1) mod n (lambda is Carmichael's
+function).  Evaluating at one assignment computes each operation
+arithmetically, so it costs O(term) whatever n is; the n x n operation
+tables are built, once per model, only when an exhaustive check reads
+them.  Other finite meadows carry explicit tables, and any finite
+commutative regular ring given by tables expands to a meadow by a
+pointwise search for weak inverses.
 
 Also here: exhaustive axiom checking of a presentation against a
 finite model, and the two number-theoretic witness searches (every
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from math import lcm
 from operator import getitem, index, itemgetter, ne
@@ -62,10 +64,6 @@ __all__ = [
 Value = Union[Fraction, int]
 Assignment = Mapping[str, Value]
 
-#: Marker for the zero-totalized rationals when an API accepts a model choice.
-Q0 = None
-
-
 class MissingAssignment(ValueError):
     def __init__(self, name: str):
         self.name = name
@@ -82,7 +80,7 @@ def q0_div(x: Fraction, y: Fraction) -> Fraction:
     return Fraction(0) if y == 0 else x / y
 
 
-#: The fold algebra of eval_q0 on closed terms.
+#: The fold algebra of Q0 on closed terms.
 Q0_ALGEBRA = {
     Zero: lambda t: Fraction(0),
     One: lambda t: Fraction(1),
@@ -95,20 +93,43 @@ Q0_ALGEBRA = {
 }
 
 
+class ZeroTotalizedRationals:
+    """The zero-totalized rationals; Q0, its one instance, pickles and copies to itself."""
+
+    def __repr__(self) -> str:
+        return "Q0"
+
+    def __reduce__(self) -> str:
+        return "Q0"
+
+    def algebra(self) -> dict:
+        """The fold algebra of closed terms in the rationals."""
+        return Q0_ALGEBRA
+
+    def check_assignment(self, a: Assignment) -> dict[str, Fraction]:
+        """a with each value converted to a Fraction."""
+        return {name: v if type(v) is Fraction else Fraction(v) for name, v in a.items()}
+
+
+#: The zero-totalized rationals, the model an API defaults to.
+Q0 = ZeroTotalizedRationals()
+
+
 def eval_q0(t: Term, a: Assignment | None = None) -> Fraction:
     """Evaluate t in the zero-totalized rationals under assignment a.
 
     Subtraction nodes (reduced divisive terms) evaluate by the derived
     reading x - y; division and inverse are total per q0_div and q0_inv.
     """
-    a = a or {}
+    return eval_model(t, Q0, a)
 
-    def var(t: Var) -> Fraction:
-        if t.name not in a:
-            raise MissingAssignment(t.name)
-        return Fraction(a[t.name])
 
-    return fold(t, {**Q0_ALGEBRA, Var: var})
+def assigned(a: Assignment, node: Var) -> Value:
+    """The value of the variable node in a, or MissingAssignment; a fold's
+    Var case is partial(assigned, a)."""
+    if node.name not in a:
+        raise MissingAssignment(node.name)
+    return a[node.name]
 
 
 class NotRegular(ValueError):
@@ -155,13 +176,14 @@ class FiniteMeadow:
     def div(self, x: int, y: int) -> int:
         return self.algebra()[Div](None, x, y)
 
-    def check_assignment(self, a: Assignment) -> None:
-        """Raise ValueError unless every value assigned in a is a carrier element."""
+    def check_assignment(self, a: Assignment) -> Assignment:
+        """a itself; raises ValueError unless every value in it is a carrier element."""
         for name, value in a.items():
             if not (isinstance(value, int) and 0 <= value < self.size):
                 raise ValueError(
                     f"value {value!r} of {name} is outside the carrier 0..{self.size - 1}"
                 )
+        return a
 
     def algebra(self) -> dict:
         """The fold algebra of closed terms in this model, one value at a time."""
@@ -600,21 +622,19 @@ def equation_lines(
     return _generate(lhs, rhs, tuple(names), frozenset(keys))
 
 
-def eval_model(t: Term, m: FiniteMeadow, a: Assignment | None = None) -> int:
-    """Evaluate t in the finite meadow m under assignment a.
+#: A model of the meadow signatures: Q0 or a finite meadow.
+Model = Union[ZeroTotalizedRationals, FiniteMeadow]
+
+
+def eval_model(t: Term, m: Model, a: Assignment | None = None) -> Value:
+    """Evaluate t in the model m under assignment a.
 
     One value per node, from m.algebra(): Z_n computes it, so no table is
-    built whatever n is.
+    built whatever n is.  In a finite model every value assigned must be
+    a carrier element (ValueError).
     """
-    a = a or {}
-    m.check_assignment(a)
-
-    def var(node: Var) -> int:
-        if node.name not in a:
-            raise MissingAssignment(node.name)
-        return a[node.name]
-
-    return fold(t, {**m.algebra(), Var: var})
+    a = m.check_assignment(a or {})
+    return fold(t, {**m.algebra(), Var: partial(assigned, a)})
 
 
 @dataclass(frozen=True)
@@ -646,6 +666,20 @@ class AxiomFailure:
 MAX_ASSIGNMENTS = 10**8
 
 
+def capped_equations(action: str, p, size: int, trials: int = 0) -> list[tuple]:
+    """The pairs (equation, equation_names) of presentation p; ValueError
+    when evaluating each one at every assignment of 0..size-1 to its
+    variables, 1 + trials times, takes more than MAX_ASSIGNMENTS."""
+    equations = [(eq, equation_names(eq.lhs, eq.rhs)) for eq in p.axioms]
+    work = (1 + trials) * sum(size ** len(names) for _, names in equations)
+    if work > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"{action} {p.name} in a model of size {size} needs {work} "
+            f"assignments, more than the cap of {MAX_ASSIGNMENTS}"
+        )
+    return equations
+
+
 def check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
     """Exhaustively check every equation of a presentation against m.
 
@@ -661,13 +695,7 @@ def check_axioms(m: FiniteMeadow, axioms) -> list[AxiomFailure]:
         from .presentations import builtin
 
         axioms = builtin(axioms)
-    equations = [(eq, equation_names(eq.lhs, eq.rhs)) for eq in axioms.axioms]
-    total = sum(m.size ** len(names) for _, names in equations)
-    if total > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"checking {axioms.name} in a model of size {m.size} needs {total} "
-            f"assignments, more than the cap of {MAX_ASSIGNMENTS}"
-        )
+    equations = capped_equations("checking", axioms, m.size)
     tables = m.line_tables
     keys = frozenset(tables.tables)
     failures = []

@@ -307,6 +307,36 @@ def test_assignment_zero_denominator_exits_2(capsys):
     assert "x=1/0" in err and len(err.splitlines()) == 1
 
 
+def test_malformed_assignment_names_exit_2(capsys):
+    # An empty or invalid name, or a name given twice, is an error, never
+    # silently ignored or overwritten; the first bad entry is reported.
+    for assign, item, reason in (
+        ("=1", "=1", "invalid variable name: ''"),
+        (" =1", " =1", "invalid variable name: ''"),
+        ("X=1", "X=1", "invalid variable name: 'X'"),
+        ("x=1,1x=2", "1x=2", "invalid variable name: '1x'"),
+        ("x-y=1", "x-y=1", "invalid variable name: 'x-y'"),
+        ("x=1,x=2", "x=2", "x is assigned twice"),
+        ("x=1, x =2", " x =2", "x is assigned twice"),
+    ):
+        for argv in (
+            ("eval", "--assign", assign, "1"),
+            ("eval", "--model", "zp:5", "--assign", assign, "1"),
+            ("peval", "--variant", "div0", "--assign", assign, "1"),
+            ("truth", "--model", "zn:6", "--assign", assign, "1 = 1"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: bad assignment entry {item!r}: {reason}", argv
+
+
+def test_well_formed_assignment_names_are_read(capsys):
+    code, out, _ = invoke(capsys, "eval", "--assign", " x =1/2,y_2=3,inv=1", "x + y_2 + inv")
+    assert (code, out) == (0, "9/2")
+    code, out, _ = invoke(capsys, "eval", "--model", "zp:5", "--assign", "x=2,y=4", "x*y")
+    assert (code, out) == (0, "3")
+
+
 def test_domain_zero_denominator_exits_2(capsys):
     code, out, err = invoke(capsys, "truth", "--domain", "0,1/0", "0 = 0")
     assert (code, out, err) == (2, "", "error: zero denominator")

@@ -16,8 +16,8 @@ from meadows.logic3 import (
     two_valued_convention_check,
 )
 from meadows.parsing import ParseError
-from meadows.partial import PunchVariant
-from meadows.semantics import zp_meadow
+from meadows.partial import PunchVariant, punch_eval, recovery_check
+from meadows.semantics import Q0, zp_meadow
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, Signature, SignatureError,
 )
@@ -401,6 +401,43 @@ def test_eval_formula_agrees_with_the_reference_evaluator(variant, modulus, data
             f, eq.value, conn.value, quant.value, domain, variant.value, modulus, a,
         )
         assert str(value) == want, (formula_text(f), eq, conn, quant, domain, a)
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(SIG_OF)), st.sampled_from(list(SIG_OF)), st.data())
+def test_model_none_is_q0(variant, source, data):
+    # None is how callers that predate the Q0 object spell it; z is left
+    # unassigned, so some calls raise MissingAssignment.
+    sig = SIG_OF[variant]
+    t = data.draw(terms(sig))
+    f = data.draw(FORMULAS[sig])
+    values = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), 3])
+    a = {name: data.draw(values) for name in ("x", "y")}
+    cfg = LogicConfig(Equality.STRONG, Connectives.KLEENE, Quantifiers.BOCHVAR,
+                      (Fraction(0), 1, Fraction(-1, 2)))
+
+    def results(*model):
+        return [
+            _outcome(lambda: punch_eval(t, variant, *model, a)),
+            _outcome(lambda: recovery_check(source, variant, t, a, *model)),
+            _outcome(lambda: eval_formula(f, cfg, variant, *model, a)),
+            _outcome(lambda: two_valued_convention_check(f, cfg, variant, *model)),
+        ]
+
+    assert results(None) == results(Q0) == [
+        _outcome(lambda: punch_eval(t, variant, a=a)),
+        _outcome(lambda: recovery_check(source, variant, t, a)),
+        _outcome(lambda: eval_formula(f, cfg, variant, a=a)),
+        _outcome(lambda: two_valued_convention_check(f, cfg, variant)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ from meadows.partial import Defined, PunchVariant, punch_eval
 from meadows.presentations import Equation, Presentation, Symbol, builtin
 from meadows import semantics
 from meadows.semantics import (
-    AxiomFailure, FiniteMeadow, MAX_ASSIGNMENTS, MissingAssignment, NotRegular, NotUnique,
+    Q0, AxiomFailure, FiniteMeadow, MAX_ASSIGNMENTS, MissingAssignment, NotRegular, NotUnique,
     check_axioms, corollary_witness, eval_model, eval_q0,
     expand_regular_ring, is_prime, two_squares, zn_meadow, zn_ring, zp_meadow,
 )
@@ -449,3 +451,52 @@ def test_check_axioms_compiles_each_equation_once():
     after = semantics._generate.cache_info()
     assert (after.misses - info.misses, after.hits - info.hits) == (10, 8)
     assert after.currsize == info.currsize + 8
+
+
+# ---------------------------------------------------------------------------
+# Q0 is a model with the interface of the finite ones.
+
+ALL_TERMS = st.recursive(
+    st.sampled_from([ZERO, ONE, Var("x"), Var("y"), Var("z")]),
+    lambda t: st.one_of(
+        st.builds(Add, t, t), st.builds(Mul, t, t), st.builds(Sub, t, t),
+        st.builds(Neg, t), st.builds(Inv, t), st.builds(Div, t, t),
+    ),
+    max_leaves=12,
+)
+# Integers and rationals, 0 often, so that inverses and divisions of 0 occur.
+Q0_VALUES = st.sampled_from([0, 1, -1]) | st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_TERMS, st.fixed_dictionaries({name: Q0_VALUES for name in "xyz"}))
+def test_eval_model_in_q0_is_eval_q0_and_matches_the_oracle(t, a):
+    value = eval_model(t, Q0, a)
+    assert type(value) is Fraction
+    assert value == eval_q0(t, a) == oracle_eval(t, a)
+
+
+def test_q0_is_one_object_through_repr_pickle_and_copy():
+    assert repr(Q0) == "Q0"
+    assert pickle.loads(pickle.dumps(Q0)) is Q0
+    assert pickle.loads(pickle.dumps([Q0, Q0]))[1] is Q0
+    assert copy.copy(Q0) is Q0
+    assert copy.deepcopy(Q0) is Q0
+    assert copy.deepcopy({"model": [Q0]})["model"][0] is Q0
+
+
+def test_check_assignment_converts_in_q0_and_returns_a_finite_models_argument():
+    converted = Q0.check_assignment({"x": 1, "y": Fraction(1, 2), "z": "3/4"})
+    assert converted == {"x": 1, "y": Fraction(1, 2), "z": Fraction(3, 4)}
+    assert {type(v) for v in converted.values()} == {Fraction}
+    assert Q0.check_assignment({}) == {}
+    a = {"x": 3}
+    assert zp_meadow(5).check_assignment(a) is a
+    with pytest.raises(ValueError, match="outside the carrier"):
+        zp_meadow(5).check_assignment({"x": 5})
+
+
+def test_eval_model_in_q0_reports_missing_variables():
+    with pytest.raises(MissingAssignment, match="'y'"):
+        eval_model(Add(Var("x"), Var("y")), Q0, {"x": 1})
+    assert eval_model(Div(ONE, Var("x")), Q0, {"x": 0}) == 0
