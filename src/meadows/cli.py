@@ -131,13 +131,17 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _decide_witness(theory: str, t: Term, u: Term) -> dict | None:
+def _decide_witness(theory: str, t: Term, u: Term, verdict: bool) -> dict | None:
     from . import normalize
     from .projection import Projection, project
     if theory.startswith("damd"):
         t = project(t, Projection.DMN_TO_IMN)
         u = project(u, Projection.DMN_TO_IMN)
     if theory in ("iamdz-gil", "damdz-gil"):
+        if not verdict:
+            # The first zero set at which the sides differ, and the sides there.
+            zeroed, left, right = normalize._gil_counterexample(t, u)
+            return {"zeroed": zeroed, "left": str(left), "right": str(right)}
         t = normalize.zero_eliminate(t)
         u = normalize.zero_eliminate(u)
     sides = {}
@@ -162,7 +166,7 @@ def _cmd_decide(args) -> int:
     payload = {
         "command": "decide",
         "verdict": "true" if verdict else "false",
-        "witness": _decide_witness(theory, t, u),
+        "witness": _decide_witness(theory, t, u, verdict),
     }
     print(json.dumps(payload, sort_keys=False))
     return 0 if verdict else 1

@@ -10,9 +10,10 @@ decidable by comparing canonical forms.
 With zero in the signature, zero elimination rewrites every term to 0
 or to a zero-free term, closed terms normalize to 0 or to a coprime
 fraction of numerals, and equality under the general inverse law
-(x != 0 implies x * x^-1 = 1) is decided by recursion over
-zero-substitutions: one zero-free comparison for each set of variables
-substituted by 0.
+(x != 0 implies x * x^-1 = 1) is decided by a walk over
+zero-substitutions: one comparison of quotients for each set of
+variables under an inverse substituted by 0, computed on the polynomial
+kernel without rebuilding terms.
 
 Divisive counterparts are decided through the projection into the
 inversive notation.
@@ -192,8 +193,12 @@ def to_polyfrac(t: Term) -> PolyFrac:
     swapping its components, and sums and products combine component-wise.
     """
     check_conforms(t, Signature.IAMD)
-    num, den = fold(t, _POLYFRAC)
-    return PolyFrac(Polynomial._from_kernel(num), Polynomial._from_kernel(den))
+    return _polyfrac(fold(t, _POLYFRAC))
+
+
+def _polyfrac(quotient: tuple) -> PolyFrac:
+    """The PolyFrac of (num, den, ...) kernel dicts."""
+    return PolyFrac(Polynomial._from_kernel(quotient[0]), Polynomial._from_kernel(quotient[1]))
 
 
 _POLYFRAC = {
@@ -220,13 +225,12 @@ def decide_iamd(t: Term, u: Term) -> bool:
     """Equality of arithmetical terms: cross-multiplied expansions must match."""
     check_conforms(t, Signature.IAMD)
     check_conforms(u, Signature.IAMD)
-    return _decide_iamd(t, u)
+    return _same_quotient(fold(t, _POLYFRAC), fold(u, _POLYFRAC))
 
 
-def _decide_iamd(t: Term, u: Term, memo: dict | None = None) -> bool:
-    """decide_iamd on terms already known to be arithmetical."""
-    (tn, td), (un, ud) = fold(t, _POLYFRAC, memo), fold(u, _POLYFRAC, memo)
-    return _poly_mul(tn, ud) == _poly_mul(un, td)
+def _same_quotient(p: tuple, q: tuple) -> bool:
+    """Whether the quotients p and q, each (num, den, ...) kernel dicts, are equal."""
+    return _poly_mul(p[0], q[1]) == _poly_mul(q[0], p[1])
 
 
 @dataclass(frozen=True)
@@ -296,47 +300,122 @@ _ZERO_ELIMINATE = {
 }
 
 
-def _zeroing(v: str) -> dict:
-    """Zero elimination of a zero-free term with the variable v zeroed."""
-    return {**_ZERO_ELIMINATE, Var: lambda t: ZERO_NF if t.name == v else t}
-
-
 def decide_iamdz_gil(t: Term, u: Term) -> bool:
     """Equality of arithmetical-with-zero terms under the general inverse law.
 
-    Recursion over zero-substitutions: both sides are zero-eliminated, a
-    lone zero decides, and zero-free sides must agree both as arithmetical
-    terms (for closed sides, in value) and after substituting 0 for any
-    further set of their variables.  Each set of zeroed variables is
-    decided once, so n variables cost at most 2^n arithmetical decisions.
+    A walk over zero-substitutions: both sides are zero-eliminated, a lone
+    zero decides, and zero-free sides must agree both as quotients of
+    polynomials and after substituting 0 for any further set of the
+    variables that occur under an inverse.  Each such set is decided at
+    most once, so k variables under an inverse cost at most 2^k
+    arithmetical decisions.
     """
     check_conforms(t, Signature.IAMDZ)
     check_conforms(u, Signature.IAMDZ)
-    # Zero elimination is confluent and commutes with substituting 0, so the
-    # pair for a set of zeroed variables does not depend on the order they
-    # were zeroed in.  Each set is therefore decided once, and a child pair
-    # is its parent's zero-eliminated pair with one more variable zeroed.
-    # The pairs share most subterms, so each fold reuses the results of the
-    # earlier folds of this call with the same algebra.
-    seen = {frozenset()}
-    work = [(frozenset(), fold(t, _ZERO_ELIMINATE), fold(u, _ZERO_ELIMINATE))]
-    polyfracs: dict = {}
-    zeroings: dict = {}
-    while work:
-        zeroed, s, s2 = work.pop()
-        if s is ZERO_NF or s2 is ZERO_NF:
-            if s is not s2:
-                return False
+    return _gil_walk(t, u) is None
+
+
+# The zero-substitution walk computes quotients, never terms.  A zero set is
+# a bit set of variables, and a side is the zero-eliminated form of a
+# subterm with those variables zeroed: ZERO_NF, or the (num, den) kernel
+# dicts of its quotient and the bits of the variables it keeps.  Zero
+# elimination is confluent and commutes with substituting 0, so a subterm's
+# side depends only on the zero set's bits among its mask, the variables it
+# keeps with nothing zeroed; memo keys (node, zero set & mask) share one
+# side between all the zero sets that agree on the mask.
+#
+# Only the variables under an inverse (V_inv, those some inverse argument
+# keeps) are zeroed.  Take a zero set Z and let W be its variables outside
+# V_inv.  The pair for Z is the pair for Z - W with W zeroed afterwards,
+# and zeroing W never changes an inverse argument: every denominator stays
+# as it is, and nonzero, and a numerator P becomes P[W:=0].  If the pair for
+# Z - W is equal as quotients P/Q and P'/Q', the identity P*Q' = P'*Q
+# survives substituting 0 for W; Q and Q' are nonzero and all coefficients
+# positive, so P[W:=0] is zero exactly when P'[W:=0] is: one side
+# zero-eliminates to 0 exactly when the other does, and otherwise the
+# quotients stay equal.  A pair that is ZERO_NF on both sides stays so.
+# Zeroing a variable that neither side keeps leaves a pair as it is, so a
+# zero set only grows by a variable its pair keeps.
+
+# The sides of leaves and of nodes from the sides of their children, as a
+# fold algebra; the variable case depends on the bits of a call.
+_GIL_NODE = {
+    Zero: lambda t: ZERO_NF,
+    One: lambda t: (_UNIT, _UNIT, 0),
+    Add: lambda t, l, r: r if l is ZERO_NF else l if r is ZERO_NF else (
+        _poly_add(_poly_mul(l[0], r[1]), _poly_mul(r[0], l[1])),
+        _poly_mul(l[1], r[1]), l[2] | r[2]),
+    Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else (
+        _poly_mul(l[0], r[0]), _poly_mul(l[1], r[1]), l[2] | r[2]),
+    Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else (arg[1], arg[0], arg[2]),
+}
+
+
+def _sides_differ(left, right) -> bool:
+    if left is ZERO_NF or right is ZERO_NF:
+        return left is not right
+    return not _same_quotient(left, right)
+
+
+def _gil_counterexample(t: Term, u: Term):
+    """The first zero set at which t and u differ under the general inverse
+    law, or None when they are equal.
+
+    The zero set is returned as the sorted names of its variables, with the
+    two zero-eliminated sides there, each ZERO_NF or a PolyFrac.
+    """
+    found = _gil_walk(t, u)
+    if found is None:
+        return None
+    zeroed, *sides = found
+    return (sorted(zeroed), *(side if side is ZERO_NF else _polyfrac(side) for side in sides))
+
+
+def _gil_walk(t: Term, u: Term):
+    """None when t and u are equal under the general inverse law, else the
+    names of the first zero set at which they differ, and the sides there.
+    Zero sets are walked breadth first, so no smaller zero set differs."""
+    bits: dict[str, int] = {}
+    algebra = {**_GIL_NODE, Var: lambda v: (
+        {((v.name, 1),): 1}, _UNIT, bits.setdefault(v.name, 1 << len(bits)))}
+    # The sides with nothing zeroed, in post-order (a node after its
+    # children); the same fold gives each variable the next bit.
+    base: dict = {}
+    left, right = fold(t, algebra, base), fold(u, algebra, base)
+    memo: dict = {}  # (node, zero set & mask) -> side
+    queue, seen = [0], {0}
+    for zs in queue:  # grows while it is walked
+        if zs:
+            for node, mask in live:  # in post-order
+                sub = zs & mask
+                if sub and (node, sub) not in memo:
+                    memo[node, sub] = ZERO_NF if type(node) is Var else _GIL_NODE[type(node)](
+                        node, *[memo[kid, s] if (s := zs & masks[kid]) else base[kid]
+                                for kid in node.children])
+            left = memo[t, s] if (s := zs & masks[t]) else base[t]
+            right = memo[u, s] if (s := zs & masks[u]) else base[u]
+        if _sides_differ(left, right):
+            return [name for name, bit in bits.items() if zs & bit], left, right
+        if left is ZERO_NF:
             continue
-        if not _decide_iamd(s, s2, polyfracs):
-            return False
-        for v in sorted(free_vars(s) | free_vars(s2)):
-            child = zeroed | {v}
-            if child not in seen:
-                seen.add(child)
-                algebra, memo = zeroings.setdefault(v, (_zeroing(v), {}))
-                work.append((child, fold(s, algebra, memo), fold(s2, algebra, memo)))
-    return True
+        if not zs:
+            # Equal with nothing zeroed: find the variables under an inverse,
+            # and restrict masks to them, since only they are zeroed.
+            under_inv = 0
+            for node, side in base.items():
+                if type(node) is Inv and side is not ZERO_NF:
+                    under_inv |= side[2]
+            masks = {node: 0 if side is ZERO_NF else side[2] & under_inv
+                     for node, side in base.items()}
+            live = [(node, mask) for node, mask in masks.items() if mask]
+        free = (left[2] | right[2]) & under_inv
+        while free:
+            bit = free & -free
+            free ^= bit
+            if zs | bit not in seen:
+                seen.add(zs | bit)
+                queue.append(zs | bit)
+    return None
 
 
 def decide_divisive(t: Term, u: Term, theory: str) -> bool:

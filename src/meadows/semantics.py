@@ -70,20 +70,25 @@ class MissingAssignment(ValueError):
         super().__init__(f"no value assigned to variable {name!r}")
 
 
+# Fractions are immutable, so one 0 and one 1 serve every evaluation.
+_Q0_ZERO = Fraction(0)
+_Q0_ONE = Fraction(1)
+
+
 def q0_inv(x: Fraction) -> Fraction:
     """Total multiplicative inverse on the rationals: the inverse of 0 is 0."""
-    return Fraction(0) if x == 0 else 1 / x
+    return _Q0_ZERO if x == 0 else 1 / x
 
 
 def q0_div(x: Fraction, y: Fraction) -> Fraction:
     """Total division on the rationals: x / 0 = 0."""
-    return Fraction(0) if y == 0 else x / y
+    return _Q0_ZERO if y == 0 else x / y
 
 
 #: The fold algebra of Q0 on closed terms.
 Q0_ALGEBRA = {
-    Zero: lambda t: Fraction(0),
-    One: lambda t: Fraction(1),
+    Zero: lambda t: _Q0_ZERO,
+    One: lambda t: _Q0_ONE,
     Add: lambda t, x, y: x + y,
     Mul: lambda t, x, y: x * y,
     Sub: lambda t, x, y: x - y,

@@ -84,6 +84,13 @@ def test_decide_json_verdicts(capsys):
         capsys, "decide", "--theory", "damdz-gil", "0/0", "0"
     )
     assert code == 0 and json.loads(out)["verdict"] == "true"
+    # A false -gil verdict names the first zero set at which the sides differ.
+    code, out, _ = invoke(capsys, "decide", "--theory", "iamdz-gil", "x * x^-1", "1")
+    assert code == 1 and json.loads(out)["witness"] == {
+        "zeroed": ["x"], "left": "0", "right": "(1) / (1)"}
+    code, out, _ = invoke(capsys, "decide", "--theory", "iamdz-gil", "(x*x) * (x*x)^-1", "x * x^-1")
+    assert code == 0 and json.loads(out)["witness"] == {
+        "left": "(x^2) / (x^2)", "right": "(x) / (x)"}
 
 
 def test_decide_refuses_open_problem_theory(capsys):

@@ -247,19 +247,50 @@ def test_decide_iamdz_gil_alternative_swap_both_orientations():
 
 def test_decide_iamdz_gil_decides_each_zeroed_set_once(monkeypatch):
     calls = 0
-    decide = normalize._decide_iamd
+    same = normalize._same_quotient
 
-    def counting(t, u, *rest):
+    def counting(p, q):
         nonlocal calls
         calls += 1
         assert calls <= 2 ** 8, "a set of zeroed variables was decided twice"
-        return decide(t, u, *rest)
+        return same(p, q)
 
-    monkeypatch.setattr(normalize, "_decide_iamd", counting)
+    monkeypatch.setattr(normalize, "_same_quotient", counting)
     s = iamdz(" + ".join(f"x{i}" for i in range(1, 9)))
     ss = Mul(s, s)
     assert decide_iamdz_gil(Mul(s, Inv(s)), Mul(ss, Inv(ss)))
-    assert calls <= 2 ** 8
+    assert 1 <= calls <= 2 ** 8
+
+
+def test_decide_iamdz_gil_zeroes_only_variables_under_an_inverse(monkeypatch):
+    # Only y occurs under an inverse, so the zero sets are {} and {y}, not
+    # every subset of the fifteen variables.
+    decided = 0
+    differ = normalize._sides_differ
+
+    def counting(left, right):
+        nonlocal decided
+        decided += 1
+        return differ(left, right)
+
+    monkeypatch.setattr(normalize, "_sides_differ", counting)
+    s = iamdz(" + ".join(f"x{i}" for i in range(14)))
+    unit = iamdz("y * y^-1")
+    assert decide_iamdz_gil(Mul(s, unit), Mul(unit, s))
+    assert 1 <= decided <= 2
+
+
+def test_gil_counterexample_names_the_zero_set():
+    assert normalize._gil_counterexample(
+        iamdz("(x*(x+y)) * (x*(x+y))^-1"), iamdz("x * x^-1")) is None
+    zeroed, left, right = normalize._gil_counterexample(iamdz("x * x^-1"), ONE)
+    assert (zeroed, str(left), str(right)) == (["x"], "0", "(1) / (1)")
+    zeroed, left, right = normalize._gil_counterexample(
+        iamdz("(x + y) * (x + y)^-1"), iamdz("y * y^-1"))
+    assert (zeroed, str(left), str(right)) == (["y"], "(x) / (x)", "0")
+    # Sides that differ with nothing zeroed are the zero-eliminated sides.
+    zeroed, left, right = normalize._gil_counterexample(iamdz("0 * y + x"), iamdz("x + x"))
+    assert (zeroed, str(left), str(right)) == ([], "(x) / (1)", "(2*x) / (1)")
 
 
 def test_decide_iamdz_gil_degenerate_zero():
@@ -448,3 +479,98 @@ def zero_pad(rng: random.Random, t: Term) -> Term:
     if rng.random() < 0.5:
         padded = Add(padded.right, padded.left)
     return padded
+
+
+def term_level_gil(t: Term, u: Term) -> bool:
+    """Equality under the general inverse law by zero-eliminating terms: a
+    worklist of zeroed variable sets, each child pair its parent's with one
+    more variable substituted by 0 and zero-eliminated again.  Every
+    variable is zeroed, under an inverse or not."""
+    seen = {frozenset()}
+    work = [(frozenset(), zero_eliminate(t), zero_eliminate(u))]
+    while work:
+        zeroed, s, s2 = work.pop()
+        if s is ZERO_NF or s2 is ZERO_NF:
+            if s is not s2:
+                return False
+            continue
+        if not decide_iamd(s, s2):
+            return False
+        for v in sorted(free_vars(s) | free_vars(s2)):
+            child = zeroed | {v}
+            if child not in seen:
+                seen.add(child)
+                work.append((child, zero_eliminate(subst(s, v, ZERO)),
+                             zero_eliminate(subst(s2, v, ZERO))))
+    return True
+
+
+iamdz_terms = st.recursive(
+    st.one_of(st.just(ZERO), st.just(ONE), st.sampled_from(VARS).map(Var)),
+    lambda kids: st.one_of(st.builds(Add, kids, kids), st.builds(Mul, kids, kids),
+                           st.builds(Inv, kids)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(iamdz_terms, iamdz_terms, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_gil_walk_matches_term_level_walk_and_brute_force(t, u, padded, seed):
+    rng = random.Random(seed)
+    if padded:
+        u = zero_pad(rng, t)
+    found = normalize._gil_counterexample(t, u)
+    verdict = found is None
+    assert decide_iamdz_gil(t, u) is verdict
+    assert term_level_gil(t, u) is verdict
+    if grid_volume(t, u) <= 1500:
+        assert gil_oracle(t, u) is verdict
+    if found is not None:
+        # The sides differ at a random point that zeroes exactly the reported
+        # variables; the others are positive, where inverse arguments that
+        # zero elimination keeps are nonzero.
+        zeroed, _, _ = found
+        names = free_vars(t) | free_vars(u)
+        assert set(zeroed) <= names
+        a = {v: Fraction(0) if v in zeroed else Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9))
+             for v in names}
+        assert oracle_eval(t, a) != oracle_eval(u, a), (t, u, zeroed)
+
+
+def to_sympy(t: Term, sympy):
+    """An arithmetical term as a sympy expression, built independently of the
+    library's polynomial kernel."""
+    match t:
+        case One():
+            return sympy.Integer(1)
+        case Var(name=name):
+            return sympy.Symbol(name, positive=True)
+        case Add(left=l, right=r):
+            return to_sympy(l, sympy) + to_sympy(r, sympy)
+        case Mul(left=l, right=r):
+            return to_sympy(l, sympy) * to_sympy(r, sympy)
+        case Inv(arg=arg):
+            return 1 / to_sympy(arg, sympy)
+    raise TypeError(f"not an arithmetical term: {t!r}")
+
+
+iamd_terms = st.recursive(
+    st.one_of(st.just(ONE), st.sampled_from(VARS).map(Var)),
+    lambda kids: st.one_of(st.builds(Add, kids, kids), st.builds(Mul, kids, kids),
+                           st.builds(Inv, kids)),
+    max_leaves=10,
+)
+
+
+def test_decide_iamd_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=200, deadline=None)
+    @given(iamd_terms, iamd_terms, st.integers(0, 2 ** 32 - 1))
+    def check(t, u, seed):
+        if seed % 2:
+            u = equivalent_variant(random.Random(seed), t)
+        difference = sympy.cancel(to_sympy(t, sympy) - to_sympy(u, sympy))
+        assert decide_iamd(t, u) is (difference == 0), (t, u)
+
+    check()
