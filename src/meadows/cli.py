@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 # Handlers import the other modules they run, so a command loads only what it uses.
 from .parsing import parse_term, render
-from .terms import Signature, Term, Var
+from .terms import Signature, Var
 
 if TYPE_CHECKING:
     from . import presentations
@@ -131,45 +131,23 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _decide_witness(theory: str, t: Term, u: Term, verdict: bool) -> dict | None:
-    from . import normalize
-    from .projection import Projection, project
-    if theory.startswith("damd"):
-        t = project(t, Projection.DMN_TO_IMN)
-        u = project(u, Projection.DMN_TO_IMN)
-    if theory in ("iamdz-gil", "damdz-gil"):
-        if not verdict:
-            # The first zero set at which the sides differ, and the sides there.
-            zeroed, left, right = normalize._gil_counterexample(t, u)
-            return {"zeroed": zeroed, "left": str(left), "right": str(right)}
-        t = normalize.zero_eliminate(t)
-        u = normalize.zero_eliminate(u)
-    sides = {}
-    for label, side in (("left", t), ("right", u)):
-        if isinstance(side, normalize.ZeroNF):
-            sides[label] = "0"
-        else:
-            sides[label] = str(normalize.to_polyfrac(side))
-    return sides
-
-
 def _cmd_decide(args) -> int:
     from . import normalize
-    theory = args.theory
-    if theory in ("iamd", "iamdz-gil"):
-        sig = Signature.IAMD if theory == "iamd" else Signature.IAMDZ
-    else:
-        sig = Signature.DAMD if theory == "damd" else Signature.DAMDZ
-    t = parse_term(args.left, sig)
-    u = parse_term(args.right, sig)
-    verdict = normalize.decide_by_theory(theory, t, u)
+    theory = normalize._theory(args.theory)  # refuses an undecided theory before parsing
+    t = parse_term(args.left, theory.sig)
+    u = parse_term(args.right, theory.sig)
+    zeroed, left, right = normalize._reason(theory, t, u)
+    witness = {"left": str(left), "right": str(right)}
+    if theory.gil and zeroed is not None:
+        # The first zero set at which the sides differ, and the sides there.
+        witness = {"zeroed": zeroed, **witness}
     payload = {
         "command": "decide",
-        "verdict": "true" if verdict else "false",
-        "witness": _decide_witness(theory, t, u, verdict),
+        "verdict": "true" if zeroed is None else "false",
+        "witness": witness,
     }
     print(json.dumps(payload, sort_keys=False))
-    return 0 if verdict else 1
+    return 0 if zeroed is None else 1
 
 
 def _default_domain() -> str:

@@ -16,17 +16,21 @@ variables under an inverse substituted by 0, computed on the polynomial
 kernel without rebuilding terms.
 
 Divisive counterparts are decided through the projection into the
-inversive notation.
+inversive notation.  One table gives each decided theory (iamd,
+iamdz-gil, damd, damdz-gil) the signature of its terms, whether they are
+projected first, and whether equality is under the general inverse law.
+One quotient fold serves to_polyfrac, expand_poly and the deciders, and
+one walk decides every theory: it returns the verdict with its reason,
+the first zero set at which the sides differ and the two sides there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .projection import Projection, project
-from .semantics import eval_q0
 from .terms import (
     Add, Inv, Mul, One, Term, Var, Zero,
     Signature, SignatureError, check_conforms, conforms, fold, free_vars, rebuild,
@@ -154,14 +158,6 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial._from_kernel(_poly_mul(self._kernel(), other._kernel()))
 
-    def degree_in(self, name: str) -> int:
-        best = 0
-        for m, _ in self.terms:
-            for v, e in m.exponents:
-                if v == name:
-                    best = max(best, e)
-        return best
-
     def __str__(self):
         parts = []
         for m, c in self.terms:
@@ -193,7 +189,7 @@ def to_polyfrac(t: Term) -> PolyFrac:
     swapping its components, and sums and products combine component-wise.
     """
     check_conforms(t, Signature.IAMD)
-    return _polyfrac(fold(t, _POLYFRAC))
+    return _polyfrac(fold(t, _quotients({})))
 
 
 def _polyfrac(quotient: tuple) -> PolyFrac:
@@ -201,14 +197,27 @@ def _polyfrac(quotient: tuple) -> PolyFrac:
     return PolyFrac(Polynomial._from_kernel(quotient[0]), Polynomial._from_kernel(quotient[1]))
 
 
-_POLYFRAC = {
-    One: lambda t: (_UNIT, _UNIT),
-    Var: lambda t: ({((t.name, 1),): 1}, _UNIT),
-    Add: lambda t, l, r: (_poly_add(_poly_mul(l[0], r[1]), _poly_mul(r[0], l[1])),
-                          _poly_mul(l[1], r[1])),
-    Mul: lambda t, l, r: (_poly_mul(l[0], r[0]), _poly_mul(l[1], r[1])),
-    Inv: lambda t, arg: (arg[1], arg[0]),
+# The one quotient fold, of to_polyfrac, expand_poly and the decision walk.
+# A term folds to ZERO_NF, or to the (num, den) kernel dicts of its quotient
+# and the bits of the variables it keeps.  The zero rules of zero_eliminate
+# apply on the way, so a term with 0 folds to the quotient of its
+# zero-eliminated form; the variable case depends on the bits of a call.
+_QUOTIENT = {
+    Zero: lambda t: ZERO_NF,
+    One: lambda t: (_UNIT, _UNIT, 0),
+    Add: lambda t, l, r: r if l is ZERO_NF else l if r is ZERO_NF else (
+        _poly_add(_poly_mul(l[0], r[1]), _poly_mul(r[0], l[1])),
+        _poly_mul(l[1], r[1]), l[2] | r[2]),
+    Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else (
+        _poly_mul(l[0], r[0]), _poly_mul(l[1], r[1]), l[2] | r[2]),
+    Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else (arg[1], arg[0], arg[2]),
 }
+
+
+def _quotients(bits: dict[str, int]) -> dict:
+    """The quotient fold algebra in which each new variable takes the next bit of bits."""
+    return {**_QUOTIENT, Var: lambda v: (
+        {((v.name, 1),): 1}, _UNIT, bits.setdefault(v.name, 1 << len(bits)))}
 
 
 def expand_poly(t: Term) -> Polynomial:
@@ -218,14 +227,12 @@ def expand_poly(t: Term) -> Polynomial:
     # their quotient has the unit denominator.
     if not conforms(t, Signature.DAMD):
         raise SignatureError("^-1", Signature.IAMD)
-    return Polynomial._from_kernel(fold(t, _POLYFRAC)[0])
+    return Polynomial._from_kernel(fold(t, _quotients({}))[0])
 
 
 def decide_iamd(t: Term, u: Term) -> bool:
     """Equality of arithmetical terms: cross-multiplied expansions must match."""
-    check_conforms(t, Signature.IAMD)
-    check_conforms(u, Signature.IAMD)
-    return _same_quotient(fold(t, _POLYFRAC), fold(u, _POLYFRAC))
+    return _decide(_THEORIES["iamd"], t, u)[0] is None
 
 
 def _same_quotient(p: tuple, q: tuple) -> bool:
@@ -272,6 +279,8 @@ def normal_form_closed(t: Term, sig: Signature) -> NormalForm:
     if free_vars(t):
         raise ValueError(f"term is not closed: {sorted(free_vars(t))}")
     check_conforms(t, sig)
+    # Imported here, so that deciding equality does not load the evaluators.
+    from .semantics import eval_q0
     value = eval_q0(t, {})
     if value == 0:
         assert sig is Signature.IAMDZ, "zero is unreachable without 0 in the signature"
@@ -310,15 +319,13 @@ def decide_iamdz_gil(t: Term, u: Term) -> bool:
     most once, so k variables under an inverse cost at most 2^k
     arithmetical decisions.
     """
-    check_conforms(t, Signature.IAMDZ)
-    check_conforms(u, Signature.IAMDZ)
-    return _gil_walk(t, u) is None
+    return _decide(_THEORIES["iamdz-gil"], t, u)[0] is None
 
 
 # The zero-substitution walk computes quotients, never terms.  A zero set is
 # a bit set of variables, and a side is the zero-eliminated form of a
-# subterm with those variables zeroed: ZERO_NF, or the (num, den) kernel
-# dicts of its quotient and the bits of the variables it keeps.  Zero
+# subterm with those variables zeroed, as the quotient fold (_QUOTIENT) gives
+# it: ZERO_NF, or the kernel dicts of a quotient and the bits it keeps.  Zero
 # elimination is confluent and commutes with substituting 0, so a subterm's
 # side depends only on the zero set's bits among its mask, the variables it
 # keeps with nothing zeroed; memo keys (node, zero set & mask) share one
@@ -337,19 +344,6 @@ def decide_iamdz_gil(t: Term, u: Term) -> bool:
 # Zeroing a variable that neither side keeps leaves a pair as it is, so a
 # zero set only grows by a variable its pair keeps.
 
-# The sides of leaves and of nodes from the sides of their children, as a
-# fold algebra; the variable case depends on the bits of a call.
-_GIL_NODE = {
-    Zero: lambda t: ZERO_NF,
-    One: lambda t: (_UNIT, _UNIT, 0),
-    Add: lambda t, l, r: r if l is ZERO_NF else l if r is ZERO_NF else (
-        _poly_add(_poly_mul(l[0], r[1]), _poly_mul(r[0], l[1])),
-        _poly_mul(l[1], r[1]), l[2] | r[2]),
-    Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else (
-        _poly_mul(l[0], r[0]), _poly_mul(l[1], r[1]), l[2] | r[2]),
-    Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else (arg[1], arg[0], arg[2]),
-}
-
 
 def _sides_differ(left, right) -> bool:
     if left is ZERO_NF or right is ZERO_NF:
@@ -357,27 +351,17 @@ def _sides_differ(left, right) -> bool:
     return not _same_quotient(left, right)
 
 
-def _gil_counterexample(t: Term, u: Term):
-    """The first zero set at which t and u differ under the general inverse
-    law, or None when they are equal.
+def _walk(t: Term, u: Term, gil: bool):
+    """Decide t = u on quotients of polynomials, with the reason.
 
-    The zero set is returned as the sorted names of its variables, with the
-    two zero-eliminated sides there, each ZERO_NF or a PolyFrac.
+    Returns None when the sides are equal, else the sorted names of the
+    first zero set at which they differ; and the two sides there, or with
+    nothing zeroed when they are equal.  Without the general inverse law
+    (gil false) the walk stops after the pair with nothing zeroed.  Zero
+    sets are walked breadth first, so no smaller zero set differs.
     """
-    found = _gil_walk(t, u)
-    if found is None:
-        return None
-    zeroed, *sides = found
-    return (sorted(zeroed), *(side if side is ZERO_NF else _polyfrac(side) for side in sides))
-
-
-def _gil_walk(t: Term, u: Term):
-    """None when t and u are equal under the general inverse law, else the
-    names of the first zero set at which they differ, and the sides there.
-    Zero sets are walked breadth first, so no smaller zero set differs."""
     bits: dict[str, int] = {}
-    algebra = {**_GIL_NODE, Var: lambda v: (
-        {((v.name, 1),): 1}, _UNIT, bits.setdefault(v.name, 1 << len(bits)))}
+    algebra = _quotients(bits)
     # The sides with nothing zeroed, in post-order (a node after its
     # children); the same fold gives each variable the next bit.
     base: dict = {}
@@ -389,14 +373,14 @@ def _gil_walk(t: Term, u: Term):
             for node, mask in live:  # in post-order
                 sub = zs & mask
                 if sub and (node, sub) not in memo:
-                    memo[node, sub] = ZERO_NF if type(node) is Var else _GIL_NODE[type(node)](
+                    memo[node, sub] = ZERO_NF if type(node) is Var else _QUOTIENT[type(node)](
                         node, *[memo[kid, s] if (s := zs & masks[kid]) else base[kid]
                                 for kid in node.children])
             left = memo[t, s] if (s := zs & masks[t]) else base[t]
             right = memo[u, s] if (s := zs & masks[u]) else base[u]
         if _sides_differ(left, right):
-            return [name for name, bit in bits.items() if zs & bit], left, right
-        if left is ZERO_NF:
+            return sorted(name for name, bit in bits.items() if zs & bit), left, right
+        if left is ZERO_NF or not gil:
             continue
         if not zs:
             # Equal with nothing zeroed: find the variables under an inverse,
@@ -415,7 +399,7 @@ def _gil_walk(t: Term, u: Term):
             if zs | bit not in seen:
                 seen.add(zs | bit)
                 queue.append(zs | bit)
-    return None
+    return None, base[t], base[u]
 
 
 def decide_divisive(t: Term, u: Term, theory: str) -> bool:
@@ -424,43 +408,73 @@ def decide_divisive(t: Term, u: Term, theory: str) -> bool:
     theory is "damd" or "damdz-gil"; both sides are translated into the
     inversive notation and decided there.
     """
-    if theory == "damd":
-        check_conforms(t, Signature.DAMD)
-        check_conforms(u, Signature.DAMD)
-        return decide_iamd(
-            project(t, Projection.DMN_TO_IMN), project(u, Projection.DMN_TO_IMN)
-        )
-    if theory == "damdz-gil":
-        check_conforms(t, Signature.DAMDZ)
-        check_conforms(u, Signature.DAMDZ)
-        return decide_iamdz_gil(
-            project(t, Projection.DMN_TO_IMN), project(u, Projection.DMN_TO_IMN)
-        )
-    raise ValueError(f"unknown divisive theory {theory!r}")
+    entry = _THEORIES.get(theory)
+    if entry is None or not entry.divisive:
+        raise ValueError(f"unknown divisive theory {theory!r}")
+    return _decide(entry, t, u)[0] is None
 
 
 class UnsupportedTheory(ValueError):
     pass
 
 
+class _Theory(NamedTuple):
+    """How the equations of a decided theory are decided."""
+
+    sig: Signature  # the signature of its terms
+    divisive: bool  # both sides are projected by Projection.DMN_TO_IMN first
+    gil: bool  # equality under the general inverse law
+
+
+# What is known of each decided theory; the CLI parses a theory's terms in
+# its signature.  Plain iamdz and damdz are refused by _theory.
+_THEORIES = {
+    "iamd": _Theory(Signature.IAMD, divisive=False, gil=False),
+    "iamdz-gil": _Theory(Signature.IAMDZ, divisive=False, gil=True),
+    "damd": _Theory(Signature.DAMD, divisive=True, gil=False),
+    "damdz-gil": _Theory(Signature.DAMDZ, divisive=True, gil=True),
+}
+
+
+def _theory(name: str) -> _Theory:
+    """The table entry of a theory by name; theories not decided here are refused."""
+    if name in ("iamdz", "damdz"):
+        raise UnsupportedTheory(
+            f"equality under {name} without the general inverse law is an "
+            "open problem; use iamdz-gil or damdz-gil"
+        )
+    if name not in _THEORIES:
+        raise ValueError(f"unknown theory {name!r}")
+    return _THEORIES[name]
+
+
 def decide_by_theory(theory: str, t: Term, u: Term) -> bool:
     """Dispatch an equality decision by theory name.
 
-    Supported: iamd, iamdz-gil, damd, damdz-gil.  Plain iamdz/damdz
-    (without the general inverse law) are refused: whether equality under
-    those axioms alone is decidable is an open problem.
+    Supported: iamd, iamdz-gil, damd, damdz-gil.  One table gives each
+    its signature, whether its terms are decided through the projection
+    into the inversive notation, and whether equality is under the general
+    inverse law; one walk over quotients of polynomials then decides all
+    four.  Plain iamdz/damdz (without the general inverse law) are
+    refused: whether equality under those axioms alone is decidable is an
+    open problem.
     """
-    if theory == "iamd":
-        check_conforms(t, Signature.IAMD)
-        check_conforms(u, Signature.IAMD)
-        return decide_iamd(t, u)
-    if theory == "iamdz-gil":
-        return decide_iamdz_gil(t, u)
-    if theory in ("damd", "damdz-gil"):
-        return decide_divisive(t, u, theory)
-    if theory in ("iamdz", "damdz"):
-        raise UnsupportedTheory(
-            f"equality under {theory} without the general inverse law is an "
-            "open problem; use iamdz-gil or damdz-gil"
-        )
-    raise ValueError(f"unknown theory {theory!r}")
+    return _decide(_theory(theory), t, u)[0] is None
+
+
+def _decide(theory: _Theory, t: Term, u: Term):
+    """_walk of t and u, checked against the theory's signature and
+    projected into the inversive notation when the theory is divisive."""
+    check_conforms(t, theory.sig)
+    check_conforms(u, theory.sig)
+    if theory.divisive:
+        t, u = project(t, Projection.DMN_TO_IMN), project(u, Projection.DMN_TO_IMN)
+    return _walk(t, u, theory.gil)
+
+
+def _reason(theory: _Theory, t: Term, u: Term):
+    """The result of _decide with each side as ZERO_NF or a PolyFrac: None
+    when t = u, else the names of the first zero set at which the sides
+    differ; and the two sides there, or with nothing zeroed when equal."""
+    zeroed, *sides = _decide(theory, t, u)
+    return (zeroed, *(side if side is ZERO_NF else _polyfrac(side) for side in sides))

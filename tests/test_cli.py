@@ -1,16 +1,30 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meadows
 
+from meadows import normalize
 from meadows.cli import _render_presentation, run
 from meadows.convention import ConventionId
 from meadows.logic3 import Connectives, Equality, Quantifiers
+from meadows.normalize import ZERO_NF, decide_iamdz_gil, to_polyfrac, zero_eliminate
+from meadows.parsing import render
 from meadows.partial import PunchVariant
 from meadows.presentations import builtin
+from meadows.projection import Projection, project
+from meadows.terms import ONE, Mul, Signature
+
+from .helpers import random_term
 
 
 def invoke(capsys, *argv):
@@ -88,6 +102,9 @@ def test_decide_json_verdicts(capsys):
     code, out, _ = invoke(capsys, "decide", "--theory", "iamdz-gil", "x * x^-1", "1")
     assert code == 1 and json.loads(out)["witness"] == {
         "zeroed": ["x"], "left": "0", "right": "(1) / (1)"}
+    code, out, _ = invoke(capsys, "decide", "--theory", "iamdz-gil", "(z + y) * (z + y)^-1", "1")
+    assert code == 1 and json.loads(out)["witness"] == {
+        "zeroed": ["y", "z"], "left": "0", "right": "(1) / (1)"}
     code, out, _ = invoke(capsys, "decide", "--theory", "iamdz-gil", "(x*x) * (x*x)^-1", "x * x^-1")
     assert code == 0 and json.loads(out)["witness"] == {
         "left": "(x^2) / (x^2)", "right": "(x) / (x)"}
@@ -96,6 +113,56 @@ def test_decide_json_verdicts(capsys):
 def test_decide_refuses_open_problem_theory(capsys):
     code, _, err = invoke(capsys, "decide", "--theory", "iamdz", "x", "1")
     assert code == 2 and "open problem" in err
+    # Refused before its terms are parsed in any signature.
+    code, _, err = invoke(capsys, "decide", "--theory", "iamdz", "x^-1", "1")
+    assert code == 2 and "open problem" in err
+
+
+DECIDED = {"iamd": Signature.IAMD, "damd": Signature.DAMD,
+           "iamdz-gil": Signature.IAMDZ, "damdz-gil": Signature.DAMDZ}
+
+
+def quotient_text(side, divisive):
+    """A side as decide printed it when it projected, zero-eliminated and
+    rewrote each side as a quotient once more after deciding."""
+    if divisive:
+        side = project(side, Projection.DMN_TO_IMN)
+    side = zero_eliminate(side)
+    return "0" if side is ZERO_NF else str(to_polyfrac(side))
+
+
+def counted_run(argv):
+    """cli.run's exit code, stdout, and the number of pairs of sides it compared."""
+    out = io.StringIO()
+    with mock.patch.object(normalize, "_sides_differ", wraps=normalize._sides_differ) as spy, \
+            redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue(), spy.call_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(DECIDED)), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_decide_prints_the_quotients_of_the_sides(theory, equal, seed):
+    rng = random.Random(seed)
+    sig, divisive, gil = DECIDED[theory], theory.startswith("damd"), theory.endswith("-gil")
+    t = random_term(rng, sig, 4)
+    u = Mul(ONE, t) if equal else random_term(rng, sig, 4)
+    code, out, compared = counted_run(["decide", "--theory", theory, render(t), render(u)])
+    payload = json.loads(out)
+    assert code == (0 if payload["verdict"] == "true" else 1)
+    if code == 0 or not gil:
+        assert payload["witness"] == {"left": quotient_text(t, divisive),
+                                      "right": quotient_text(u, divisive)}
+    else:
+        # The command walks the zero sets once, as one decision does.
+        assert list(payload["witness"]) == ["zeroed", "left", "right"]
+        assert payload["witness"]["zeroed"] == sorted(payload["witness"]["zeroed"])
+        if divisive:
+            t, u = project(t, Projection.DMN_TO_IMN), project(u, Projection.DMN_TO_IMN)
+        with mock.patch.object(normalize, "_sides_differ",
+                               wraps=normalize._sides_differ) as spy:
+            assert not decide_iamdz_gil(t, u)
+        assert compared == spy.call_count
 
 
 def test_truth_fixtures(capsys):

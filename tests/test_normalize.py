@@ -280,16 +280,18 @@ def test_decide_iamdz_gil_zeroes_only_variables_under_an_inverse(monkeypatch):
     assert 1 <= decided <= 2
 
 
+def gil_reason(t: Term, u: Term):
+    return normalize._reason(normalize._THEORIES["iamdz-gil"], t, u)
+
+
 def test_gil_counterexample_names_the_zero_set():
-    assert normalize._gil_counterexample(
-        iamdz("(x*(x+y)) * (x*(x+y))^-1"), iamdz("x * x^-1")) is None
-    zeroed, left, right = normalize._gil_counterexample(iamdz("x * x^-1"), ONE)
+    assert gil_reason(iamdz("(x*(x+y)) * (x*(x+y))^-1"), iamdz("x * x^-1"))[0] is None
+    zeroed, left, right = gil_reason(iamdz("x * x^-1"), ONE)
     assert (zeroed, str(left), str(right)) == (["x"], "0", "(1) / (1)")
-    zeroed, left, right = normalize._gil_counterexample(
-        iamdz("(x + y) * (x + y)^-1"), iamdz("y * y^-1"))
+    zeroed, left, right = gil_reason(iamdz("(x + y) * (x + y)^-1"), iamdz("y * y^-1"))
     assert (zeroed, str(left), str(right)) == (["y"], "(x) / (x)", "0")
     # Sides that differ with nothing zeroed are the zero-eliminated sides.
-    zeroed, left, right = normalize._gil_counterexample(iamdz("0 * y + x"), iamdz("x + x"))
+    zeroed, left, right = gil_reason(iamdz("0 * y + x"), iamdz("x + x"))
     assert (zeroed, str(left), str(right)) == ([], "(x) / (1)", "(2*x) / (1)")
 
 
@@ -519,17 +521,16 @@ def test_gil_walk_matches_term_level_walk_and_brute_force(t, u, padded, seed):
     rng = random.Random(seed)
     if padded:
         u = zero_pad(rng, t)
-    found = normalize._gil_counterexample(t, u)
-    verdict = found is None
+    zeroed, _, _ = gil_reason(t, u)
+    verdict = zeroed is None
     assert decide_iamdz_gil(t, u) is verdict
     assert term_level_gil(t, u) is verdict
     if grid_volume(t, u) <= 1500:
         assert gil_oracle(t, u) is verdict
-    if found is not None:
+    if zeroed is not None:
         # The sides differ at a random point that zeroes exactly the reported
         # variables; the others are positive, where inverse arguments that
         # zero elimination keeps are nonzero.
-        zeroed, _, _ = found
         names = free_vars(t) | free_vars(u)
         assert set(zeroed) <= names
         a = {v: Fraction(0) if v in zeroed else Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9))

@@ -112,7 +112,7 @@ PRESENTATIONS = {"presentations", "semantics"}
     (["peval", "--variant", "div0", "1/0"], PARTIAL),
     (["project", "--to", "imn", "x/y"], {"projection"}),
     (["normalize", "--sig", "iamd", "1+1"], NORMALIZE),
-    (["decide", "--theory", "damd", "x/x", "1"], NORMALIZE),
+    (["decide", "--theory", "damd", "x/x", "1"], {"normalize", "projection"}),
     (["truth", "0 = 0"], PARTIAL | {"logic3"}),
     (["classify", "x"], PARTIAL | {"convention"}),
     (["comply", "1/0"], PARTIAL | {"convention"}),
