@@ -28,7 +28,7 @@ from typing import Union
 from .partial import PunchVariant, Violation, punched_value
 from .semantics import Q0
 from .terms import (
-    Add, Inv, Mul, One, Term, Var, Zero,
+    NUMERAL, Add, Inv, Mul, One, Term, Var, Zero,
     Signature, check_conforms, fold, free_vars,
 )
 
@@ -94,6 +94,7 @@ def _defnz(t: Term, strict: bool, vars_defined: bool) -> tuple[bool, bool, bool]
         Add: add,
         Mul: mul,
         Inv: lambda node, arg: (arg[0], arg[0], arg[0] and arg[2]),
+        NUMERAL: lambda node, k: (True, True, True),
     })
 
 

@@ -305,6 +305,14 @@ def two_valued_convention_check(
 # tries the term reading first and opens a formula group when that fails.
 # Quantifiers start only a whole formula: the input, a quantifier's body,
 # or a parenthesised formula.
+#
+# A term reading from a '(' inside another reading goes the same way as
+# the outer one until the group around that '(' closes.  So when a reading
+# fails, it fails at the same token from every '(' it opened whose group is
+# still open there; and when it ends without '=' or '!=' after it, the
+# reading from every '(' inside it ends at a ')' or at that same token.  An
+# atom starts at none of those '(', and marking them once makes n nested
+# '(' cost one reading, not n.
 _QUANTIFIER = {"forall": Forall, "exists": Exists}
 # Binding strengths: ~ 5, & 4, | 3, -> 2, quantifiers 1 (they reach as far
 # right as possible), open groups 0.  Pending operators that bind at least
@@ -324,9 +332,23 @@ def _expect(tok: Token, op: str) -> None:
         raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
 
 
+def _open_groups(tokens: list[Token], start: int, pos: int) -> list[int]:
+    """The indices of the '(' tokens from start on still open at position pos."""
+    groups: list[int] = []
+    k = start
+    while tokens[k].pos < pos:
+        if tokens[k].text == "(":
+            groups.append(k)
+        elif tokens[k].text == ")":
+            groups.pop()
+        k += 1
+    return groups
+
+
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula whose terms conform to sig."""
     tokens = tokenize(text, formula_ops=True)
+    no_atom: set[int] = set()  # '(' from which the term reading gives no atom
     i = 0
     # Pending operators: (binding, constructor awaiting its last operand),
     # with the left operand of a connective already applied.
@@ -347,17 +369,20 @@ def parse_formula(text: str, sig: Signature) -> Formula:
             ops.append((5, Not))
             i += 1
             continue
-        try:
-            lhs, j = parse_term_prefix(tokens, i, sig)
-        except ParseError:
-            if not whole:
-                raise
-            j = i
+        j = i
+        if i not in no_atom:
+            try:
+                lhs, j = parse_term_prefix(tokens, i, sig)
+            except ParseError as exc:
+                if not whole:
+                    raise
+                no_atom.update(_open_groups(tokens, i, exc.pos))
         if tokens[j].text in ("=", "!="):
             rhs, i = parse_term_prefix(tokens, j + 1, sig)
             f = Eq(lhs, rhs) if tokens[j].text == "=" else Neq(lhs, rhs)
         elif whole:
             # Not a term, or a term without '=': the '(' opens a formula.
+            no_atom.update(k for k in range(i + 1, j) if tokens[k].text == "(")
             ops.append((0, None))
             i += 1
             continue

@@ -32,8 +32,8 @@ from typing import NamedTuple, Union
 
 from .projection import Projection, project
 from .terms import (
-    Add, Inv, Mul, One, Term, Var, Zero,
-    Signature, SignatureError, check_conforms, conforms, fold, free_vars, rebuild,
+    NUMERAL, Add, Inv, Mul, One, Term, Var, Zero,
+    Signature, SignatureError, _itself, check_conforms, conforms, fold, free_vars, rebuild,
 )
 
 __all__ = [
@@ -211,6 +211,7 @@ _QUOTIENT = {
     Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else (
         _poly_mul(l[0], r[0]), _poly_mul(l[1], r[1]), l[2] | r[2]),
     Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else (arg[1], arg[0], arg[2]),
+    NUMERAL: lambda t, k: ({(): k}, _UNIT, 0),
 }
 
 
@@ -306,6 +307,7 @@ _ZERO_ELIMINATE = {
     Add: lambda t, l, r: r if l is ZERO_NF else l if r is ZERO_NF else rebuild(t, l, r),
     Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else rebuild(t, l, r),
     Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else rebuild(t, arg),
+    NUMERAL: _itself,
 }
 
 

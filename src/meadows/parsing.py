@@ -11,7 +11,8 @@ Grammar (ASCII):
             |   '(' term ')'
 
 Identifiers match [a-z][a-z0-9_]*.  Natural-number literals are sugar
-for the canonical numeral terms, and `p - q` is sugar for `p + (-q)`
+for the canonical numeral terms, each one node whatever its value
+(terms.numeral); `p - q` is sugar for `p + (-q)`
 except under the reduced divisive signature, where '-' is a primitive
 binary constructor.  Infix rendering inserts the minimal parentheses
 needed to reparse to a structurally equal term.
@@ -20,7 +21,7 @@ needed to reparse to a structurally equal term.
 from __future__ import annotations
 
 from .terms import (
-    CONSTRUCTORS, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
+    CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
     Signature, _join, check_conforms, fold, numeral,
 )
 
@@ -192,38 +193,32 @@ def parse_term(text: str, sig: Signature | None) -> Term:
 
 
 def _operand(kid: tuple, min_prec: int):
-    rope, prec, _ = kid
+    rope, prec = kid
     return rope if prec >= min_prec else ("(", rope, ")")
 
 
-def _infix_algebra(numerals: bool) -> dict:
-    # Each node folds to (rope, precedence, n): rope is its text as a string
-    # or a tuple of ropes, joined once at the end, and n is the natural it
-    # denotes when it is exactly a canonical numeral.
-    def binary(t, left, right):
-        prec = _PREC[type(t)]
-        rope = (_operand(left, prec), _SYMBOL[type(t)], _operand(right, prec + 1))
-        return rope, prec, None
-
-    def add(t, left, right):
-        n = left[2] + 1 if left[2] and right[2] == 1 else None
-        if numerals and n:
-            return str(n), _ATOM, n
-        return binary(t, left, right)[0], _SUM, n
-
-    return {
-        Zero: lambda t: ("0", _ATOM, 0),
-        One: lambda t: ("1", _ATOM, 1),
-        Var: lambda t: (t.name, _ATOM, None),
-        Add: add, Sub: binary, Mul: binary, Div: binary,
-        Neg: lambda t, arg: (("-", _operand(arg, _UNARY)), _UNARY, None),
-        Inv: lambda t, arg: ((_operand(arg, _ATOM), "^-1"), _POSTFIX, None),
-    }
+def _binary(t: Term, left: tuple, right: tuple) -> tuple:
+    prec = _PREC[type(t)]
+    return (_operand(left, prec), _SYMBOL[type(t)], _operand(right, prec + 1)), prec
 
 
+# Each node folds to (rope, precedence): rope is its text as a string or a
+# tuple of ropes, joined once at the end.
+_INFIX_EXPANDED = {
+    Zero: lambda t: ("0", _ATOM),
+    One: lambda t: ("1", _ATOM),
+    Var: lambda t: (t.name, _ATOM),
+    Add: _binary, Sub: _binary, Mul: _binary, Div: _binary,
+    Neg: lambda t, arg: (("-", _operand(arg, _UNARY)), _UNARY),
+    Inv: lambda t, arg: ((_operand(arg, _ATOM), "^-1"), _POSTFIX),
+    NUMERAL: lambda t, k: ("1" + " + 1" * (k - 1), _SUM),
+}
+_INFIX = {
+    False: _INFIX_EXPANDED,
+    True: {**_INFIX_EXPANDED, NUMERAL: lambda t, k: (str(k), _ATOM)},
+}
 _PREC = {Add: _SUM, Sub: _SUM, Mul: _PRODUCT, Div: _PRODUCT}
 _SYMBOL = {Add: " + ", Sub: " - ", Mul: " * ", Div: " / "}
-_INFIX = {numerals: _infix_algebra(numerals) for numerals in (False, True)}
 
 _SEXPR_HEAD = {Add: "(+ ", Mul: "(* ", Sub: "(sub ", Div: "(/ ", Neg: "(neg ", Inv: "(inv "}
 
@@ -239,6 +234,8 @@ def _sexpr_node(t: Term, *kids):
 
 
 _SEXPR = dict.fromkeys(CONSTRUCTORS, _sexpr_node)
+# (+ (+ ... (+ 1 1) 1) ... 1): k - 1 heads, the innermost pair, k - 2 tails.
+_SEXPR[NUMERAL] = lambda t, k: "(+ " * (k - 1) + "1 1)" + " 1)" * (k - 2)
 
 
 def render(t: Term, style: str = "infix", numerals: bool = False) -> str:

@@ -16,7 +16,7 @@ from typing import Union
 
 from .projection import Projection, project
 from .semantics import Q0, Assignment, Model, Value, assigned
-from .terms import Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
+from .terms import NUMERAL, Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
 
 __all__ = [
     "PunchVariant", "Defined", "UNDEFINED", "PartialValue",
@@ -134,6 +134,9 @@ def punched_value(t: Term, variant: PunchVariant, m: Model,
 
     algebra = dict.fromkeys(total, strict)
     algebra.update({Var: partial(assigned, a), Inv: inverse, Div: divide})
+    if NUMERAL in total:
+        # A numeral has no inverse or division, so its value is the model's.
+        algebra[NUMERAL] = total[NUMERAL]
     return fold(t, algebra)
 
 

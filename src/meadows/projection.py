@@ -13,8 +13,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .terms import (
-    CONSTRUCTORS, Add, Div, Inv, Mul, Neg, Sub, Term, Zero, ONE,
-    Signature, check_conforms, fold, rebuild,
+    CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Term, Zero, ONE,
+    Signature, _itself, check_conforms, fold, rebuild,
 )
 
 __all__ = ["Projection", "project"]
@@ -40,7 +40,19 @@ _TARGET = {
 
 
 _RD_ZERO = Sub(ONE, ONE)
-_REBUILD = dict.fromkeys(CONSTRUCTORS, rebuild)
+_RD_MINUS_ONE = Sub(_RD_ZERO, ONE)
+# Numerals are closed and free of inverses and divisions, so the projections
+# between the inversive and divisive notations leave them as they are.
+_REBUILD = {**dict.fromkeys(CONSTRUCTORS, rebuild), NUMERAL: _itself}
+
+
+def _rd_numeral(t: Term, k: int) -> Term:
+    # The image of the chain (...(1 + 1) + ...) + 1 under the Add case below.
+    image = ONE
+    for _ in range(k - 1):
+        image = Sub(image, _RD_MINUS_ONE)
+    return image
+
 
 _ALGEBRA = {
     Projection.DMN_TO_IMN: {**_REBUILD, Div: lambda t, num, den: Mul(num, Inv(den))},
@@ -54,6 +66,7 @@ _ALGEBRA = {
         Mul: lambda t, p, q: Div(p, Div(ONE, q)),
         Neg: lambda t, arg: Sub(_RD_ZERO, arg),
         Inv: lambda t, arg: Div(ONE, arg),
+        NUMERAL: _rd_numeral,
     },
 }
 

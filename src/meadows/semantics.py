@@ -47,7 +47,7 @@ from operator import getitem, index, itemgetter, ne
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
+    NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
     fold, free_vars,
 )
 
@@ -95,6 +95,7 @@ Q0_ALGEBRA = {
     Neg: lambda t, x: -x,
     Inv: lambda t, x: q0_inv(x),
     Div: lambda t, x, y: q0_div(x, y),
+    NUMERAL: lambda t, k: Fraction(k),
 }
 
 
@@ -305,6 +306,7 @@ class ModularMeadow(FiniteMeadow):
             Neg: lambda t, x: -x % n,
             Inv: _no_inverse,
             Div: _no_inverse,
+            NUMERAL: lambda t, k: k % n,
         }
         if e is not None:
             algebra[Inv] = lambda t, x: pow(x, e, n)

@@ -14,10 +14,16 @@ called "syntactically equal" -- exactly when they are the same object,
 so == and hash take constant time at any depth.  The intern tables hold
 their terms weakly and shrink as terms are dropped.
 
+A numeral k >= 2, the term (...(1 + 1) + ...) + 1, is one interned Add
+node that carries k: numeral(k) and Add(numeral(k - 1), 1) both return
+it in constant time, and its children (numeral(k - 1), 1) are built only
+when something reads them.
+
 Every walk over a term is a fold: fold(t, algebra) combines child
 results bottom-up with an explicit stack, visiting each distinct
 subterm once, so term depth is bounded by memory, not by Python's
-recursion limit.
+recursion limit.  An algebra with a NUMERAL entry takes each numeral as
+one leaf; any other algebra walks the numeral's chain of additions.
 """
 
 from __future__ import annotations
@@ -28,11 +34,12 @@ import weakref
 from _weakref import _remove_dead_weakref
 from collections import defaultdict
 from enum import Enum
+from operator import index
 from typing import Callable, Mapping, TypeVar
 
 __all__ = [
     "Term", "Zero", "One", "Var", "Add", "Mul", "Neg", "Inv", "Div", "Sub",
-    "ZERO", "ONE", "CONSTRUCTORS", "Signature", "SignatureError",
+    "ZERO", "ONE", "CONSTRUCTORS", "NUMERAL", "Signature", "SignatureError",
     "fold", "rebuild", "constructors",
     "numeral", "power", "conforms", "check_conforms", "subst", "free_vars",
 ]
@@ -95,10 +102,11 @@ class Term:
     children holds the subterms in order (none for 0, 1 and variables),
     and a constructor's _fields name them.  _symbols has the bit of every
     constructor occurring in the term, so signature checks that pass take
-    constant time.
+    constant time.  _numeral is k for the numeral node of k >= 2 and 0
+    for every other term.
     """
 
-    __slots__ = ("children", "_symbols", "__weakref__")
+    __slots__ = ("children", "_symbols", "_numeral", "__weakref__")
     _fields: tuple[str, ...] = ()
     _bit = 0
     _interned: dict = {}
@@ -110,12 +118,17 @@ class Term:
         if node is None:
             if len(children) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes {len(cls._fields)} subterm(s)")
+            if cls is Add and children[1] is ONE:
+                left = children[0]
+                if left is ONE or left._numeral:
+                    return numeral((left._numeral or 1) + 1)
             symbols = cls._bit
             for kid in children:
                 symbols |= kid._symbols
             node = object.__new__(cls)
             _SET_CHILDREN(node, children)
             _SET_SYMBOLS(node, symbols)
+            _SET_NUMERAL(node, 0)
             node = _intern(table, children, node)
         return node
 
@@ -141,6 +154,7 @@ class Term:
 
 _SET_CHILDREN = Term.children.__set__
 _SET_SYMBOLS = Term._symbols.__set__
+_SET_NUMERAL = Term._numeral.__set__
 
 
 class Zero(Term):
@@ -164,6 +178,7 @@ class Var(Term):
             node = object.__new__(cls)
             Var.name.__set__(node, name)
             _SET_SYMBOLS(node, cls._bit)
+            _SET_NUMERAL(node, 0)
             node = _intern(cls._interned, name, node)
         return node
 
@@ -171,6 +186,15 @@ class Var(Term):
 class Add(Term):
     __slots__ = ()
     _fields = ("left", "right")
+
+    def __getattr__(self, name: str):
+        # Called only for an unset slot: a numeral node builds its children
+        # when they are first read.
+        if name == "children" and self._numeral:
+            children = (numeral(self._numeral - 1), ONE)
+            _SET_CHILDREN(self, children)
+            return children
+        raise AttributeError(f"'Add' object has no attribute {name!r}")
 
 
 class Mul(Term):
@@ -207,19 +231,54 @@ for _i, _cls in enumerate(CONSTRUCTORS):
 ZERO = Zero()
 ONE = One()
 
+#: The algebra key of the numeral case of a fold: algebra[NUMERAL](node, k).
+NUMERAL = "numeral"
 
-def fold(t: Term, algebra: Mapping[type, Callable[..., R]],
+_NUMERAL_SYMBOLS = One._bit | Add._bit
+
+
+def numeral(n: int) -> Term:
+    """The canonical term for the natural number n: 0, 1, 1+1, (1+1)+1, ...
+
+    Above 1 it is one Add node that carries n, found or built in constant
+    time; its children (numeral(n - 1), 1) are built when first read.
+    """
+    n = index(n)
+    if n < 0:
+        raise ValueError("numerals are defined for naturals only")
+    if n < 2:
+        return ONE if n else ZERO
+    # Add's intern table keys a numeral node by n, every other by its children.
+    table = Add._interned
+    ref = table.get(n)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(Add)
+        _SET_SYMBOLS(node, _NUMERAL_SYMBOLS)
+        _SET_NUMERAL(node, n)
+        node = _intern(table, n, node)
+    return node
+
+
+def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
          memo: dict[Term, R] | None = None) -> R:
     """Fold t bottom-up: a node's result is algebra[type(node)](node, *child results).
 
     Children are folded left to right before their parent, each distinct
     subterm once (shared subterms are one object, so their result is
-    reused).  memo, when given, holds the results of earlier folds with
-    the same algebra, which are reused, and receives this fold's.  The
-    walk keeps its own stack, so any depth that fits in memory works.
+    reused).  When algebra has a NUMERAL entry, a numeral k >= 2 is a
+    leaf whose result is algebra[NUMERAL](node, k); otherwise its children
+    are folded like any others.  memo, when given, holds the results of
+    earlier folds with the same algebra, which are reused, and receives
+    this fold's.  The walk keeps its own stack, so any depth that fits in
+    memory works.
     """
     done: dict[Term, R] = {} if memo is None else memo
     if t in done:
+        return done[t]
+    numeral_case = algebra.get(NUMERAL)
+    if numeral_case and t._numeral:
+        done[t] = numeral_case(t, t._numeral)
         return done[t]
     result = done.__getitem__
     stack = [t]  # the path from t down to the node being worked on
@@ -227,10 +286,13 @@ def fold(t: Term, algebra: Mapping[type, Callable[..., R]],
         node = stack[-1]
         for kid in node.children:
             if kid not in done:
-                if kid.children:
+                if numeral_case and kid._numeral:
+                    done[kid] = numeral_case(kid, kid._numeral)
+                elif kid.children:
                     stack.append(kid)
                     break
-                done[kid] = algebra[type(kid)](kid)
+                else:
+                    done[kid] = algebra[type(kid)](kid)
         else:
             stack.pop()
             done[node] = algebra[type(node)](node, *map(result, node.children))
@@ -239,14 +301,19 @@ def fold(t: Term, algebra: Mapping[type, Callable[..., R]],
 
 def _flatten(t: Term) -> tuple[tuple, ...]:
     """t's distinct subterms in post-order: (Var, name) for a variable,
-    else the constructor and the positions of its children in the list."""
+    (numeral, k) for a numeral k >= 2, else the constructor and the
+    positions of its children in the list."""
     nodes: list[tuple] = []
 
     def visit(node: Term, *kids: int) -> int:
         nodes.append((Var, node.name) if type(node) is Var else (type(node), *kids))
         return len(nodes) - 1
 
-    fold(t, defaultdict(lambda: visit))
+    def visit_numeral(node: Term, k: int) -> int:
+        nodes.append((numeral, k))
+        return len(nodes) - 1
+
+    fold(t, defaultdict(lambda: visit, {NUMERAL: visit_numeral}))
     return tuple(nodes)
 
 
@@ -255,7 +322,8 @@ def _unflatten(nodes: tuple[tuple, ...]) -> Term:
     out: list[Term] = []
     for cls, *args in nodes:
         # Term.__new__ takes the children, whatever cls's own constructor takes.
-        out.append(Var(*args) if cls is Var else Term.__new__(cls, *map(out.__getitem__, args)))
+        out.append(cls(*args) if cls is Var or cls is numeral
+                   else Term.__new__(cls, *map(out.__getitem__, args)))
     return out[-1]
 
 
@@ -334,18 +402,6 @@ _SYMBOL_NAME: dict[type, str] = {
 }
 
 
-def numeral(n: int) -> Term:
-    """The canonical term for the natural number n: 0, 1, 1+1, (1+1)+1, ..."""
-    if n < 0:
-        raise ValueError("numerals are defined for naturals only")
-    if n == 0:
-        return ZERO
-    t: Term = ONE
-    for _ in range(n - 1):
-        t = Add(t, ONE)
-    return t
-
-
 def power(t: Term, n: int) -> Term:
     """Exponentiation by a natural number: t^0 = 1 and t^(n+1) = t^n * t."""
     if n < 0:
@@ -382,7 +438,13 @@ def subst(t: Term, v: str, replacement: Term) -> Term:
     """Replace every occurrence of the variable v in t by replacement."""
     algebra = dict.fromkeys(CONSTRUCTORS, rebuild)
     algebra[Var] = lambda node: replacement if node.name == v else node
+    algebra[NUMERAL] = _itself
     return fold(t, algebra)
+
+
+def _itself(node: Term, k: int) -> Term:
+    """The numeral case of a fold that rebuilds terms: a closed term stays."""
+    return node
 
 
 def _union(node: Term, *kids: frozenset[str]) -> frozenset[str]:
@@ -396,6 +458,7 @@ def _union(node: Term, *kids: frozenset[str]) -> frozenset[str]:
 _NO_VARS: frozenset[str] = frozenset()
 _FREE_VARS = dict.fromkeys(CONSTRUCTORS, _union)
 _FREE_VARS[Var] = lambda node: frozenset((node.name,))
+_FREE_VARS[NUMERAL] = lambda node, k: _NO_VARS
 
 
 def free_vars(t: Term) -> frozenset[str]:

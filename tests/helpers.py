@@ -183,8 +183,6 @@ def shapes_presentation() -> Presentation:
         "inv": Symbol("^-1", 1), "div": Symbol("/", 2), "sub": Symbol("-", 2),
     }
     axioms = (
-        # Not 1 + 1: a live numeral would break the intern table count of
-        # tests/test_fold.py.
         Equation("closed", Div(ONE, Add(ONE, Mul(ONE, ONE))), Inv(Sub(ZERO, Neg(ONE)))),
         Equation("last_left_only", Add(Mul(x, y), Neg(z)), Mul(y, x)),
         Equation("last_right_only", Inv(x), Sub(Add(y, ONE), x)),

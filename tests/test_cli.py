@@ -4,10 +4,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -320,7 +322,29 @@ def test_deep_numeral_within_default_recursion_limit(capsys):
     assert (code, out) == (0, "60000")
     code, out, _ = invoke(capsys, "comply", "--convention", "div0", "1 / (60000 - 60000)")
     assert code == 1 and out.startswith("Violation at ")
+    # A numeral is one node, so the depth comes from a chain of variables.
+    chain = " + ".join(["x"] * 60_000)
+    code, out, _ = invoke(capsys, "eval", "--assign", "x=1", chain)
+    assert (code, out) == (0, "60000")
+    code, out, _ = invoke(capsys, "comply", "--open", f"inv({chain})")
+    assert (code, out) == (1, "Unknown")
     assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["eval", "10000000"], 0, "10000000"),
+    (["eval", "--model", "zp:1009", "123456789"], 0, "594"),
+    (["decide", "--theory", "iamd", "1000000", "x"], 1,
+     '{"command": "decide", "verdict": "false", '
+     '"witness": {"left": "(1000000) / (1)", "right": "(x) / (1)"}}'),
+    (["eval", "99999999999999999999999999/3"], 0, "33333333333333333333333333"),
+])
+def test_large_literals_cost_constant_time(capsys, argv, code, out):
+    # A literal k used to be a chain of k additions: the first row took
+    # minutes and gigabytes, and the last ran out of memory.
+    start = time.perf_counter()
+    assert invoke(capsys, *argv) == (code, out, "")
+    assert time.perf_counter() - start < 5
 
 
 def test_deep_formula_within_default_recursion_limit(capsys):

@@ -1,7 +1,9 @@
 """Interned terms and the fold: identity, table size, and depth.
 
 Every test here runs under Python's default recursion limit, far below
-the depth of the terms it builds.
+the depth of the terms it builds.  A numeral is one node, so the deep
+terms are chains x + x + ... + x, shaped like the numerals' chains of
+1 + 1 + ... + 1; the numerals are checked alongside, at constant cost.
 """
 
 import copy
@@ -26,12 +28,21 @@ from meadows.terms import (
 )
 
 DEEP = 100_000
+X = Var("x")
+
+
+def chain(n):
+    """(...(x + x) + ...) + x with n occurrences of x, n - 1 levels deep."""
+    t = X
+    for _ in range(n - 1):
+        t = Add(t, X)
+    return t
 
 
 @pytest.fixture(scope="module")
 def deep():
     assert sys.getrecursionlimit() <= 1000
-    return numeral(DEEP)
+    return chain(DEEP)
 
 
 def interned_count():
@@ -60,14 +71,17 @@ def test_fold_visits_each_distinct_subterm_once():
 
 
 def test_intern_table_shrinks_when_terms_are_dropped():
-    # No other test uses this variable, so no node of the chain is alive before.
+    # No other test uses this variable or these numerals, so no node of the
+    # chain and no numeral read below is alive before.
     gc.collect()
     before = interned_count()
     t = Var("intern_probe")
     for _ in range(9_999):
         t = Add(t, ONE)
-    assert interned_count() >= before + 10_000
-    del t
+    n = numeral(10**40 + 7)
+    assert n.left.left.left is numeral(10**40 + 4)
+    assert interned_count() >= before + 10_004
+    del t, n
     gc.collect()
     assert interned_count() == before
 
@@ -94,14 +108,19 @@ def test_concurrent_construction_yields_one_object():
 
 
 def test_deep_numeral_identity_and_evaluation(deep):
-    assert deep == numeral(DEEP) and hash(deep) == hash(numeral(DEEP))
-    assert deep != numeral(DEEP - 1)
-    assert eval_q0(deep) == DEEP
-    assert eval_model(deep, zp_meadow(7)) == DEEP % 7
-    assert free_vars(deep) == frozenset()
+    assert deep == chain(DEEP) and hash(deep) == hash(chain(DEEP))
+    assert deep != chain(DEEP - 1)
+    assert eval_q0(deep, {"x": 1}) == DEEP
+    assert eval_model(deep, zp_meadow(7), {"x": 1}) == DEEP % 7
+    assert free_vars(deep) == frozenset({"x"})
     check_conforms(deep, Signature.IAMDZ)
     with pytest.raises(SignatureError, match=r"\^-1"):
         check_conforms(Add(deep, Inv(ONE)), Signature.CR)
+    n = numeral(DEEP)
+    assert n == numeral(DEEP) and hash(n) == hash(numeral(DEEP)) and n != numeral(DEEP - 1)
+    assert eval_q0(n) == DEEP and eval_model(n, zp_meadow(7)) == DEEP % 7
+    assert free_vars(n) == frozenset()
+    check_conforms(n, Signature.IAMDZ)
 
 
 def test_pickle_and_deepcopy_return_the_interned_term():
@@ -112,7 +131,7 @@ def test_pickle_and_deepcopy_return_the_interned_term():
         assert copy.deepcopy(t) is t
     # Not the deep fixture, and compared as booleans, so that a failure
     # report does not print a term 100,000 levels deep.
-    t = Add(numeral(DEEP), x)
+    t = Add(chain(DEEP), ONE)
     assert [pickle.loads(pickle.dumps(t)) is t, copy.deepcopy(t) is t] == [True, True]
 
 
@@ -124,28 +143,40 @@ def test_repr_text():
 
 def test_repr_is_linear_in_depth():
     depth = 40_000
-    t = numeral(depth)
+    t = chain(depth)
     start = time.perf_counter()
     text = repr(t)
     assert time.perf_counter() - start < 5
-    assert text == "Add(" * (depth - 1) + "One(), One())" + ", One())" * (depth - 2)
+    assert text == "Add(" * (depth - 1) + "Var('x'), Var('x'))" + ", Var('x'))" * (depth - 2)
+    # A numeral's repr spells out its chain.
+    assert repr(numeral(4)) == "Add(Add(Add(One(), One()), One()), One())"
 
 
 def test_deep_numeral_rewrites(deep):
-    assert subst(Add(deep, Var("x")), "x", ONE) is numeral(DEEP + 1)
+    assert subst(Add(deep, Var("y")), "y", ONE) is Add(deep, ONE)
+    assert subst(deep, "x", ONE) is numeral(DEEP)
     assert zero_eliminate(Add(deep, ZERO)) is deep
     assert project(deep, Projection.DMN_TO_IMN) is deep
     assert project(deep, Projection.IMN_TO_DMN) is deep
-    assert eval_q0(project(deep, Projection.IMN_TO_RDMN)) == DEEP
+    assert eval_q0(project(deep, Projection.IMN_TO_RDMN), {"x": 1}) == DEEP
+    n = numeral(DEEP)
+    assert subst(Add(n, X), "x", ONE) is numeral(DEEP + 1)
+    assert zero_eliminate(Add(n, ZERO)) is n
+    assert project(n, Projection.DMN_TO_IMN) is n and project(n, Projection.IMN_TO_DMN) is n
+    assert eval_q0(project(n, Projection.IMN_TO_RDMN)) == DEEP
 
 
 def test_deep_numeral_renders(deep):
-    assert render(deep, numerals=True) == str(DEEP)
     infix = render(deep)
-    assert len(infix) == 4 * DEEP - 3 and infix.startswith("1 + 1 + ")
+    assert render(deep, numerals=True) == infix
+    assert len(infix) == 4 * DEEP - 3 and infix.startswith("x + x + ")
     sexpr = render(deep, "sexpr")
-    assert sexpr.startswith("(+ " * (DEEP - 1) + "1 1)")
+    assert sexpr.startswith("(+ " * (DEEP - 1) + "x x)")
     assert parse_term(infix, None) is deep
+    n = numeral(DEEP)
+    assert render(n, numerals=True) == str(DEEP)
+    assert render(n) == infix.replace("x", "1") and parse_term(render(n), None) is n
+    assert render(n, "sexpr") == sexpr.replace("x", "1")
 
 
 def test_deeply_nested_text_parses():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -448,6 +449,21 @@ DEEP = {
     "quantifiers": ("forall x. " * 5_000 + "x = x", "Forall(Var('x'), " * 5_000, frozenset()),
     "parentheses": ("(" * 1_000 + "y = 0" + ")" * 1_000, "Eq(Var('y'), Zero())", {"y"}),
 }
+
+
+def test_nested_parentheses_parse_in_linear_time():
+    # Each '(' tries the term reading first, and the reading is not redone
+    # from the '(' inside it; each parse here once took time quadratic in depth.
+    depth = 20_000
+    start = time.perf_counter()
+    assert parse_formula("(" * depth + "0 = x" + ")" * depth, Signature.IMD) is Eq(ZERO, Var("x"))
+    with pytest.raises(ParseError) as info:
+        parse_formula("(" * depth + "0 = x" + ")" * (depth - 1), Signature.IMD)
+    assert str(info.value) == f"expected ')', found 'end of input' (at position {2 * depth + 4})"
+    with pytest.raises(ParseError) as info:
+        parse_formula("(" * depth + "x" + ")" * depth + " & 0 = 0", Signature.IMD)
+    assert str(info.value) == f"expected '=' or '!=' after term (at position {depth + 1})"
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("name", DEEP)
