@@ -30,7 +30,7 @@ from enum import Enum
 from functools import partial
 from typing import Sequence
 
-from .parsing import ParseError, Token, parse_term_prefix, tokenize
+from .parsing import _TokenError, parse_term_prefix, tokenize
 from .partial import Defined, PunchVariant, UNDEFINED, punch_eval
 from .semantics import Q0, Assignment, Model, Value
 from .terms import Signature, Term, Var, _FREE_VARS, _union, fold
@@ -327,27 +327,32 @@ def _reduce(ops: list[tuple], f: Formula, binding: int) -> Formula:
     return f
 
 
-def _expect(tok: Token, op: str) -> None:
-    if tok.text != op:
-        raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
+def _expect(tokens: list[str], i: int, op: str) -> None:
+    if tokens[i] != op:
+        raise _TokenError(f"expected {op!r}, found {tokens[i] or 'end of input'!r}", i)
 
 
-def _open_groups(tokens: list[Token], start: int, pos: int) -> list[int]:
-    """The indices of the '(' tokens from start on still open at position pos."""
+def _open_groups(tokens: list[str], start: int, end: int) -> list[int]:
+    """The indices of the '(' tokens from start on still open at token index end."""
     groups: list[int] = []
-    k = start
-    while tokens[k].pos < pos:
-        if tokens[k].text == "(":
+    for k in range(start, end):
+        if tokens[k] == "(":
             groups.append(k)
-        elif tokens[k].text == ")":
+        elif tokens[k] == ")":
             groups.pop()
-        k += 1
     return groups
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse a formula whose terms conform to sig."""
+def parse_formula(text: str, sig: Signature | None) -> Formula:
+    """Parse a formula whose terms conform to sig (None admits all symbols)."""
     tokens = tokenize(text, formula_ops=True)
+    try:
+        return _parse_formula(tokens, sig)
+    except _TokenError as exc:
+        raise exc.at(text, formula_ops=True) from None
+
+
+def _parse_formula(tokens: list[str], sig: Signature | None) -> Formula:
     no_atom: set[int] = set()  # '(' from which the term reading gives no atom
     i = 0
     # Pending operators: (binding, constructor awaiting its last operand),
@@ -356,16 +361,16 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     whole = True  # whether a whole formula starts at token i
     while True:
         tok = tokens[i]
-        if whole and tok.text in _QUANTIFIER:
+        if whole and tok in _QUANTIFIER:
             var = tokens[i + 1]
-            if var.kind != "ident":
-                raise ParseError("expected a variable after quantifier", var.pos)
-            _expect(tokens[i + 2], ".")
-            ops.append((1, partial(_QUANTIFIER[tok.text], var.text)))
+            if not var.isidentifier():
+                raise _TokenError("expected a variable after quantifier", i + 1)
+            _expect(tokens, i + 2, ".")
+            ops.append((1, partial(_QUANTIFIER[tok], var)))
             i += 3
             continue
-        whole = tok.text == "("
-        if tok.text == "~":
+        whole = tok == "("
+        if tok == "~":
             ops.append((5, Not))
             i += 1
             continue
@@ -373,33 +378,33 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         if i not in no_atom:
             try:
                 lhs, j = parse_term_prefix(tokens, i, sig)
-            except ParseError as exc:
+            except _TokenError as exc:
                 if not whole:
                     raise
-                no_atom.update(_open_groups(tokens, i, exc.pos))
-        if tokens[j].text in ("=", "!="):
+                no_atom.update(_open_groups(tokens, i, exc.index))
+        if tokens[j] == "=" or tokens[j] == "!=":
             rhs, i = parse_term_prefix(tokens, j + 1, sig)
-            f = Eq(lhs, rhs) if tokens[j].text == "=" else Neq(lhs, rhs)
+            f = Eq(lhs, rhs) if tokens[j] == "=" else Neq(lhs, rhs)
         elif whole:
             # Not a term, or a term without '=': the '(' opens a formula.
-            no_atom.update(k for k in range(i + 1, j) if tokens[k].text == "(")
+            no_atom.update(k for k in range(i + 1, j) if tokens[k] == "(")
             ops.append((0, None))
             i += 1
             continue
         else:
-            raise ParseError("expected '=' or '!=' after term", tokens[j].pos)
+            raise _TokenError("expected '=' or '!=' after term", j)
         # Close groups until a connective follows.
-        while tokens[i].text not in _CONNECTIVE:
+        while tokens[i] not in _CONNECTIVE:
             tok = tokens[i]
             f = _reduce(ops, f, 1)
             if not ops:
-                if tok.kind != "end":
-                    raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
+                if tok:
+                    raise _TokenError(f"unexpected {tok!r} after formula", i)
                 return f
-            _expect(tok, ")")
+            _expect(tokens, i, ")")
             ops.pop()
             i += 1
-        binding, cls = _CONNECTIVE[tokens[i].text]
+        binding, cls = _CONNECTIVE[tokens[i]]
         ops.append((binding, partial(cls, _reduce(ops, f, binding + (cls is Implies)))))
         i += 1
         whole = False

@@ -16,16 +16,24 @@ for the canonical numeral terms, each one node whatever its value
 except under the reduced divisive signature, where '-' is a primitive
 binary constructor.  Infix rendering inserts the minimal parentheses
 needed to reparse to a structurally equal term.
+
+A token is the string it spells, and "" ends the list: tokenize is one
+findall of a compiled pattern, in time linear in the text.  The parsers
+work on token indices; a syntax error is reported as a ParseError at a
+character position, found by scanning the text again only then.
 """
 
 from __future__ import annotations
+
+import re
+from functools import cache
 
 from .terms import (
     CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
     Signature, _join, check_conforms, fold, numeral,
 )
 
-__all__ = ["ParseError", "Token", "tokenize", "parse_term", "parse_term_prefix", "render"]
+__all__ = ["ParseError", "tokenize", "parse_term", "parse_term_prefix", "render"]
 
 # Multi-character operators first so the scanner prefers them.
 _FORMULA_OPS = ("->", "!=", "=", "~", "&", "|", ".")
@@ -38,52 +46,62 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
 
 
-class Token:
-    __slots__ = ("kind", "text", "pos")
+class _TokenError(Exception):
+    """A parse error at a token index, turned into a ParseError at its
+    character position by the entry point that holds the text."""
 
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind      # "nat" | "ident" | "op" | "end"
-        self.text = text
-        self.pos = pos
+    def __init__(self, message: str, index: int):
+        super().__init__(message, index)
+        self.message = message
+        self.index = index
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.pos})"
+    def at(self, text: str, formula_ops: bool = False) -> ParseError:
+        return ParseError(self.message, _positions(text, formula_ops)[self.index])
 
 
-def tokenize(text: str, formula_ops: bool = False) -> list[Token]:
-    """Scan text into tokens; formula_ops additionally admits the logic symbols."""
+@cache
+def _scanner(formula_ops: bool) -> re.Pattern:
+    """The pattern of one token, after any whitespace, in group 1.
+
+    A character that starts no token matches the last branch, which
+    leaves group 1 unmatched.  Some branch matches whatever character
+    follows the whitespace, so on text that does not end in whitespace
+    no match backtracks, and a scan is linear in the text.
+    """
     ops = (_FORMULA_OPS + _TERM_OPS) if formula_ops else _TERM_OPS
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("nat", text[i:j], i))
-            i = j
-            continue
-        if "a" <= c <= "z":
-            j = i
-            while j < n and ("a" <= text[j] <= "z" or "0" <= text[j] <= "9"
-                             or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        for op in ops:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, i))
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(Token("end", "", n))
+    token = "|".join(["[0-9]+", "[a-z][a-z0-9_]*", *map(re.escape, ops)])
+    return re.compile(rf"\s*(?:({token})|.)", re.DOTALL)
+
+
+def tokenize(text: str, formula_ops: bool = False) -> list[str]:
+    """Scan text into tokens; formula_ops additionally admits the logic symbols.
+
+    A token is the string it spells, and the list ends with "" for the end
+    of input.  A number is a string of digits and an identifier starts
+    with a letter, so a token's first character tells its kind.
+    """
+    # Without trailing whitespace the last match ends the text: a failed
+    # match would be retried at each position after it.
+    tokens = _scanner(formula_ops).findall(text.rstrip())
+    if "" in tokens:  # a character that starts no token
+        _positions(text, formula_ops)
+    tokens.append("")
     return tokens
+
+
+def _positions(text: str, formula_ops: bool) -> list[int]:
+    """The position of each token of text and of its end, as tokenize finds them.
+
+    Raises ParseError at the first character that starts no token.  Only
+    errors need positions, so the scanner does not record them.
+    """
+    positions = []
+    for m in _scanner(formula_ops).finditer(text.rstrip()):
+        if m.lastindex is None:
+            raise ParseError(f"unexpected character {m.group()[-1]!r}", m.end() - 1)
+        positions.append(m.start(1))
+    positions.append(len(text))
+    return positions
 
 
 # Precedence levels, used both for parsing and for minimal-parenthesis
@@ -111,20 +129,21 @@ def _reduce(vals: list[Term], ops: list[str], binding: int, sig: Signature | Non
             vals.append(Add(lhs, Neg(rhs)))
 
 
-def _is_op(tok: Token, text: str) -> bool:
-    return tok.kind == "op" and tok.text == text
+_BINARY = ("+", "-", "*", "/")
 
 
 def parse_term_prefix(
-    tokens: list[Token], start: int, sig: Signature | None
+    tokens: list[str], start: int, sig: Signature | None
 ) -> tuple[Term, int]:
     """Parse a term starting at token index start; return (term, next index).
 
-    Signature conformance is checked on the result; sig=None skips the
-    check and admits every symbol, with '-' still desugaring to + and
-    unary minus.  Used directly by the formula parser, which interleaves
-    terms with logic symbols.  The parser keeps its own operator stack,
-    so nesting depth is not bounded by recursion.
+    tokens is a list that tokenize returned.  Signature conformance is
+    checked on the result; sig=None skips the check and admits every
+    symbol, with '-' still desugaring to + and unary minus.  Used
+    directly by the formula parser, which interleaves terms with logic
+    symbols; a syntax error raises _TokenError at the index of the token
+    where it is found.  The parser keeps its own operator stack, so
+    nesting depth is not bounded by recursion.
     """
     i = start
     vals: list[Term] = []
@@ -133,34 +152,32 @@ def parse_term_prefix(
     while True:
         # An operand is expected: prefix minus, an opening group, or an atom.
         tok = tokens[i]
-        if _is_op(tok, "-"):
+        if tok == "-":
             ops.append("neg")
             i += 1
             continue
-        if _is_op(tok, "(") or (tok.text == "inv" and tok.kind == "ident"
-                                and _is_op(tokens[i + 1], "(")):
-            ops.append(tok.text)
+        if tok == "(" or (tok == "inv" and tokens[i + 1] == "("):
+            ops.append(tok)
             open_groups += 1
-            i += 1 if tok.text == "(" else 2
+            i += 1 if tok == "(" else 2
             continue
-        if tok.kind == "nat":
-            vals.append(numeral(int(tok.text)))
-        elif tok.kind == "ident":
-            vals.append(Var(tok.text))
+        if tok.isdigit():
+            vals.append(numeral(int(tok)))
+        elif tok.isidentifier():
+            vals.append(Var(tok))
         else:
-            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+            raise _TokenError(f"expected a term, found {tok or 'end of input'!r}", i)
         i += 1
         # An operator is expected: postfix inverses and closing parentheses,
         # then a binary operator or the end of the term.
         while True:
             tok = tokens[i]
-            if _is_op(tok, "^"):
-                if not (_is_op(tokens[i + 1], "-") and tokens[i + 2].kind == "nat"
-                        and tokens[i + 2].text == "1"):
-                    raise ParseError("expected '^-1'", tok.pos)
+            if tok == "^":
+                if tokens[i + 1] != "-" or tokens[i + 2] != "1":
+                    raise _TokenError("expected '^-1'", i)
                 vals.append(Inv(vals.pop()))
                 i += 3
-            elif open_groups and _is_op(tok, ")"):
+            elif open_groups and tok == ")":
                 _reduce(vals, ops, _SUM, sig)
                 if ops.pop() == "inv":
                     vals.append(Inv(vals.pop()))
@@ -168,13 +185,13 @@ def parse_term_prefix(
                 i += 1
             else:
                 break
-        if tok.kind == "op" and tok.text in ("+", "-", "*", "/"):
-            _reduce(vals, ops, _BINDING[tok.text], sig)
-            ops.append(tok.text)
+        if tok in _BINARY:
+            _reduce(vals, ops, _BINDING[tok], sig)
+            ops.append(tok)
             i += 1
             continue
         if open_groups:
-            raise ParseError(f"expected ')', found {tok.text or 'end of input'!r}", tok.pos)
+            raise _TokenError(f"expected ')', found {tok or 'end of input'!r}", i)
         _reduce(vals, ops, _SUM, sig)
         (t,) = vals
         if sig is not None:
@@ -185,32 +202,54 @@ def parse_term_prefix(
 def parse_term(text: str, sig: Signature | None) -> Term:
     """Parse text into a term conforming to sig (None admits all symbols)."""
     tokens = tokenize(text)
-    t, i = parse_term_prefix(tokens, 0, sig)
-    tail = tokens[i]
-    if tail.kind != "end":
-        raise ParseError(f"unexpected {tail.text!r} after term", tail.pos)
+    try:
+        t, i = parse_term_prefix(tokens, 0, sig)
+        if tokens[i]:
+            raise _TokenError(f"unexpected {tokens[i]!r} after term", i)
+    except _TokenError as exc:
+        raise exc.at(text) from None
     return t
+
+
+# Pieces of text shorter than this together are joined into one string as
+# they are built; longer text stays a rope.  A node then copies fewer than
+# this many characters, so rendering stays linear in the size of the term.
+_JOIN_BELOW = 64
+
+
+def _cat(left, right):
+    """left followed by right: one string if both are short strings, else a rope."""
+    if type(left) is str and type(right) is str and len(left) + len(right) < _JOIN_BELOW:
+        return left + right
+    return left, right
 
 
 def _operand(kid: tuple, min_prec: int):
     rope, prec = kid
-    return rope if prec >= min_prec else ("(", rope, ")")
+    if prec >= min_prec:
+        return rope
+    if type(rope) is str and len(rope) < _JOIN_BELOW:
+        return f"({rope})"
+    return "(", rope, ")"
 
 
 def _binary(t: Term, left: tuple, right: tuple) -> tuple:
     prec = _PREC[type(t)]
-    return (_operand(left, prec), _SYMBOL[type(t)], _operand(right, prec + 1)), prec
+    lhs, rhs = _operand(left, prec), _operand(right, prec + 1)
+    if type(lhs) is str and type(rhs) is str and len(lhs) + len(rhs) < _JOIN_BELOW:
+        return f"{lhs}{_SYMBOL[type(t)]}{rhs}", prec
+    return (lhs, _SYMBOL[type(t)], rhs), prec
 
 
 # Each node folds to (rope, precedence): rope is its text as a string or a
-# tuple of ropes, joined once at the end.
+# tuple of ropes, joined once at the end (short ones already when built).
 _INFIX_EXPANDED = {
     Zero: lambda t: ("0", _ATOM),
     One: lambda t: ("1", _ATOM),
     Var: lambda t: (t.name, _ATOM),
     Add: _binary, Sub: _binary, Mul: _binary, Div: _binary,
-    Neg: lambda t, arg: (("-", _operand(arg, _UNARY)), _UNARY),
-    Inv: lambda t, arg: ((_operand(arg, _ATOM), "^-1"), _POSTFIX),
+    Neg: lambda t, arg: (_cat("-", _operand(arg, _UNARY)), _UNARY),
+    Inv: lambda t, arg: (_cat(_operand(arg, _ATOM), "^-1"), _POSTFIX),
     NUMERAL: lambda t, k: ("1" + " + 1" * (k - 1), _SUM),
 }
 _INFIX = {

@@ -192,7 +192,10 @@ class FiniteMeadow:
         return a
 
     def algebra(self) -> dict:
-        """The fold algebra of closed terms in this model, one value at a time."""
+        """The fold algebra of closed terms in this model, one value at a time.
+
+        A numeral is one leaf, whose value takes at most size additions.
+        """
         add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
         algebra = {
             Zero: lambda t: self.zero,
@@ -203,11 +206,29 @@ class FiniteMeadow:
             Neg: lambda t, x: neg[x],
             Inv: _no_inverse,
             Div: _no_inverse,
+            NUMERAL: self._numeral,
         }
         if inv is not None:
             algebra[Inv] = lambda t, x: inv[x]
             algebra[Div] = lambda t, x, y: mul[x][inv[y]]
         return algebra
+
+    def _numeral(self, t: Term, k: int) -> int:
+        # numeral(k) is (...((1 + 1) + 1) ...) + 1, the (k - 1)-th iterate of
+        # x -> x + 1 from one, added in that order: a table under test need
+        # not be associative.  The iterates repeat within size steps, and
+        # the steps left after the first repeat go round its cycle.
+        add, one = self.add, self.one
+        seen: dict[int, int] = {}  # iterate -> steps left when first reached
+        x, steps = one, k - 1
+        while steps and x not in seen:
+            seen[x] = steps
+            x = add[x][one]
+            steps -= 1
+        if steps:
+            for _ in range(steps % (seen[x] - steps)):
+                x = add[x][one]
+        return x
 
     def tables(self) -> dict[str, object]:
         """The tabulated operations keyed by symbol; inv only when present."""

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from meadows.logic3 import And, Eq, Exists, Forall, Implies, Not, Or
-from meadows.parsing import render
+from meadows.parsing import ParseError, render
 from meadows.presentations import Equation, Presentation, Symbol
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, ONE, ZERO,
@@ -223,6 +223,41 @@ def formula_text(f) -> str:
 
 def _operand_text(f) -> str:
     return formula_text(f) if isinstance(f, Eq) else f"({formula_text(f)})"
+
+
+_ORACLE_TERM_OPS = ("^", "+", "-", "*", "/", "(", ")")
+_ORACLE_FORMULA_OPS = ("->", "!=", "=", "~", "&", "|", ".")
+
+
+def oracle_tokenize(text: str, formula_ops: bool = False) -> list[tuple[str, int]]:
+    """An independent scanner, one character at a time: (token, position)
+    pairs ending with ("", len(text)); ParseError at the first character
+    that starts no token."""
+    ops = (_ORACLE_FORMULA_OPS + _ORACLE_TERM_OPS) if formula_ops else _ORACLE_TERM_OPS
+    tokens: list[tuple[str, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        j = i
+        if "0" <= c <= "9":
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+        elif "a" <= c <= "z":
+            while j < n and ("a" <= text[j] <= "z" or "0" <= text[j] <= "9"
+                             or text[j] == "_"):
+                j += 1
+        else:
+            op = next((op for op in ops if text.startswith(op, i)), None)
+            if op is None:
+                raise ParseError(f"unexpected character {c!r}", i)
+            j = i + len(op)
+        tokens.append((text[i:j], i))
+        i = j
+    tokens.append(("", n))
+    return tokens
 
 
 def oracle_punched(t: Term, variant: str, modulus: int | None = None, a: dict | None = None):

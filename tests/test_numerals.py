@@ -25,7 +25,9 @@ from meadows.normalize import (
 from meadows.parsing import parse_term, render
 from meadows.partial import PunchVariant, punch_eval, punched_value
 from meadows.projection import Projection, project
-from meadows.semantics import Q0, eval_model, eval_q0, zn_meadow, zn_ring, zp_meadow
+from meadows.semantics import (
+    Q0, eval_model, eval_q0, expand_regular_ring, zn_meadow, zn_ring, zp_meadow,
+)
 from meadows.terms import (
     NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
     free_vars, numeral, subst,
@@ -81,7 +83,9 @@ ALL = (Add, Mul, Neg, Inv, Div, Sub)
 IMD = (Add, Mul, Neg, Inv)
 DMD = (Add, Mul, Neg, Div)
 ARITHMETICAL = (Add, Mul, Inv)
-MODELS = (Q0, zp_meadow(2), zp_meadow(7), zn_meadow(6), zn_meadow(1), zn_ring(4))
+# The table model is Z_6 with every operation looked up, not computed.
+TABLE_MODEL = expand_regular_ring(zn_ring(6))
+MODELS = (Q0, zp_meadow(2), zp_meadow(7), zn_meadow(6), zn_meadow(1), zn_ring(4), TABLE_MODEL)
 VALUES = st.fixed_dictionaries({"x": st.integers(0, 5), "y": st.integers(0, 5)})
 
 
@@ -117,6 +121,22 @@ def test_a_huge_numeral_costs_constant_time():
     assert decide_iamd(n, Add(numeral(10**30 - 1), ONE))
     assert pickle.loads(pickle.dumps(Mul(n, n))) is Mul(n, n)
     assert time.perf_counter() - start < 2
+
+
+def numerals_alive():
+    return sum(type(key) is int for key in Add._interned)
+
+
+def test_a_table_model_evaluates_a_numeral_without_its_chain():
+    n = numeral(10**5)
+    before = numerals_alive()
+    value = eval_model(n, TABLE_MODEL)
+    assert numerals_alive() == before
+    with chains():
+        assert eval_model(n, TABLE_MODEL) == value == 10**5 % 6
+    start = time.perf_counter()
+    assert eval_model(numeral(10**30), TABLE_MODEL) == 10**30 % 6
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

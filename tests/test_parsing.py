@@ -1,16 +1,19 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meadows.parsing import ParseError, parse_term, render
+from meadows import parsing
+from meadows.logic3 import parse_formula
+from meadows.parsing import ParseError, parse_term, render, tokenize
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero,
     Signature, SignatureError, conforms, numeral,
 )
 
-from .helpers import random_term
+from .helpers import oracle_tokenize, random_term
 
 
 def test_parse_precedence():
@@ -64,6 +67,79 @@ def test_parse_errors_carry_positions():
         parse_term("(x", Signature.CR)
     with pytest.raises(ParseError):
         parse_term("x y", Signature.CR)
+
+
+# One input per kind of error parse_term raises, with its message.
+TERM_ERRORS = [
+    ("x + $", "unexpected character '$' (at position 4)"),
+    ("x ^ 2", "expected '^-1' (at position 2)"),
+    ("x^-", "expected '^-1' (at position 1)"),
+    ("x + ", "expected a term, found 'end of input' (at position 4)"),
+    ("x + )", "expected a term, found ')' (at position 4)"),
+    ("(x", "expected ')', found 'end of input' (at position 2)"),
+    ("inv(x y", "expected ')', found 'y' (at position 6)"),
+    ("x y", "unexpected 'y' after term (at position 2)"),
+    ("x ) ", "unexpected ')' after term (at position 2)"),
+]
+
+
+@pytest.mark.parametrize("text,message", TERM_ERRORS)
+def test_parse_term_error_table(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_term(text, Signature.CR)
+    assert str(err.value) == message
+    assert message.endswith(f"(at position {err.value.pos})")
+
+
+def outcome(call):
+    try:
+        return call()
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+# Characters and strings the scanner treats differently: Unicode spaces,
+# digits (one not ASCII), letters (some not lower-case ASCII), '_', '!'
+# and '>' (parts of the tokens '!=' and '->' only), and every operator.
+SCAN_PIECES = st.sampled_from(
+    [" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u3000",
+     "0", "1", "9", "\u0663", "a", "x", "z", "A", "\xe9", "_", "!", ">",
+     "->", "!=", "=", "~", "&", "|", ".", "^", "+", "-", "*", "/", "(", ")",
+     "inv", "^-1", "forall", "x1_"])
+
+
+def scan(text, formula_ops):
+    tokens = tokenize(text, formula_ops)
+    positions = parsing._positions(text, formula_ops)
+    assert len(positions) == len(tokens)
+    return list(zip(tokens, positions))
+
+
+@pytest.mark.parametrize("formula_ops", [False, True])
+@settings(max_examples=400)
+@given(text=st.lists(SCAN_PIECES, max_size=16).map("".join))
+def test_scanner_agrees_with_a_character_loop(formula_ops, text):
+    expected = outcome(lambda: oracle_tokenize(text, formula_ops))
+    assert outcome(lambda: scan(text, formula_ops)) == expected
+    # The parsers report an error at a token the scanner found.  Both admit
+    # every symbol, so no signature error stands in for a parse error.
+    parse = (lambda: parse_formula(text, None)) if formula_ops else (
+        lambda: parse_term(text, None))
+    got = outcome(parse)
+    if type(got) is tuple and type(expected) is list:
+        assert got[1] in {pos for _, pos in expected}
+
+
+@pytest.mark.parametrize("text", ["a" * 10**6 + "!", "9" * 10**6 + "!", "x" + " " * 10**6,
+                                  " " * 10**6 + "!", "(" * 10**6])
+def test_scanning_is_linear(text):
+    for formula_ops in (False, True):
+        start = time.perf_counter()
+        try:
+            tokenize(text, formula_ops)
+        except ParseError as exc:
+            assert exc.pos == len(text) - 1
+        assert time.perf_counter() - start < 2
 
 
 def test_render_examples():
