@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run"]
 
-_SIG_CHOICES = ["mixed", "cr", "imd", "dmd", "iamd", "damd", "iamdz", "damdz", "rd"]
+_SIG_CHOICES = ["mixed", *(s.value for s in Signature)]
 _VARIANT_CHOICES = ("div0", "div0lib", "inv0")
 
 
@@ -110,13 +110,9 @@ def _cmd_peval(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    from .projection import Projection, project
-    which, source = {
-        "imn": (Projection.DMN_TO_IMN, Signature.DMD),
-        "dmn": (Projection.IMN_TO_DMN, Signature.IMD),
-        "rdmn": (Projection.IMN_TO_RDMN, Signature.IMD),
-    }[args.to]
-    t = parse_term(args.term, source)
+    from .projection import _SOURCE, Projection, project
+    which = Projection(args.to)
+    t = parse_term(args.term, _SOURCE[which])
     image = render(project(t, which))
     _emit(args, {"command": "project", "value": image}, image)
     return 0
@@ -185,13 +181,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_comply(args) -> int:
     from . import convention
+    from .partial import _VARIANT_SIG
     if args.open:
         t = parse_term(args.term, Signature.IAMDZ)
         result = convention.open_compliance_sufficient(t, args.mode, args.vars_defined)
         _emit(args, {"command": "comply", "verdict": str(result)}, str(result))
         return 0 if result is convention.Sufficiency.CERTIFIED_COMPLIANT else 1
     conv = convention.ConventionId(args.convention)
-    t = parse_term(args.term, convention._CONVENTION_SIG[conv])
+    t = parse_term(args.term, _VARIANT_SIG[conv])
     result = convention.closed_compliance(t, conv)
     if isinstance(result, convention.Violation):
         payload = {
@@ -210,10 +207,8 @@ def _cmd_check_model(args) -> int:
     from .semantics import check_axioms, zn_meadow, zp_meadow
     if args.zp is not None:
         model, label = zp_meadow(args.zp), f"zp:{args.zp}"
-    elif args.zn is not None:
-        model, label = zn_meadow(args.zn), f"zn:{args.zn}"
     else:
-        raise ValueError("one of --zp or --zn is required")
+        model, label = zn_meadow(args.zn), f"zn:{args.zn}"
     failures = check_axioms(model, args.axioms)
     if not failures:
         count = len(presentations.builtin(args.axioms).axioms)
@@ -339,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("comply", help="division-convention compliance")
-    p.add_argument("--convention", choices=("div0", "div0lib", "inv0"), default="div0")
+    p.add_argument("--convention", choices=_VARIANT_CHOICES, default="div0")
     p.add_argument("--open", action="store_true",
                    help="sound syntactic check for open terms")
     p.add_argument("--mode", default="strict", choices=["strict", "literal"])
@@ -348,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_comply)
 
     p = sub.add_parser("check-model", help="exhaustively check axioms in a finite model")
-    p.add_argument("--zp", type=int, help="zero-totalized prime field Z_p")
-    p.add_argument("--zn", type=int, help="meadow expansion of Z_n (n squarefree)")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--zp", type=int, help="zero-totalized prime field Z_p")
+    group.add_argument("--zn", type=int, help="meadow expansion of Z_n (n squarefree)")
     p.add_argument("--axioms", default="imd")
     p.set_defaults(func=_cmd_check_model)
 

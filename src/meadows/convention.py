@@ -4,8 +4,12 @@ An imperative meadow is a total meadow together with the convention
 that inverses or divisions of zero are simply never written: q^-1 not
 used with q = 0 (relevant inversive convention), p/q not used with
 q = 0 (relevant division convention), or p/q not used with q = 0
-unless p = 0 too (the liberal variant).  For closed terms compliance
-is decided exactly by evaluating every inverse and division argument.
+unless p = 0 too (the liberal variant).  A closed term complies with a
+convention exactly when it is defined in the punched meadow that leaves
+the forbidden applications undefined, so a convention is its punch
+variant: ConventionId is meadows.partial.PunchVariant, whose alias
+members name the conventions, and closed compliance is punched
+evaluation in Q0.
 For open terms it is undecidable in general, but over the non-negative
 arithmetical fragment there is a sound syntactic criterion: the
 inductively defined sets Nz (certainly nonzero) and Def (certainly
@@ -25,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Union
 
-from .partial import PunchVariant, Violation, punched_value
+from .partial import _VARIANT_SIG, PunchVariant, Violation, punched_value
 from .semantics import Q0
 from .terms import (
     NUMERAL, Add, Inv, Mul, One, Term, Var, Zero,
@@ -48,25 +52,8 @@ class DefNzClass(Enum):
         return self.value
 
 
-class ConventionId(Enum):
-    RELEVANT_INVERSIVE = "inv0"
-    RELEVANT_DIVISION = "div0"
-    LIBERAL_RELEVANT_DIVISION = "div0lib"
-
-
-_CONVENTION_SIG = {
-    ConventionId.RELEVANT_INVERSIVE: Signature.IMD,
-    ConventionId.RELEVANT_DIVISION: Signature.DMD,
-    ConventionId.LIBERAL_RELEVANT_DIVISION: Signature.DMD,
-}
-
-# A closed term complies with a convention exactly when it is defined in the
-# punched meadow that leaves the forbidden applications undefined.
-_CONVENTION_VARIANT = {
-    ConventionId.RELEVANT_INVERSIVE: PunchVariant.INV_ZERO,
-    ConventionId.RELEVANT_DIVISION: PunchVariant.DIV_ZERO_ALL,
-    ConventionId.LIBERAL_RELEVANT_DIVISION: PunchVariant.DIV_ZERO_NONZERO_NUM,
-}
+# ConventionId.RELEVANT_INVERSIVE is PunchVariant.INV_ZERO, and so on.
+ConventionId = PunchVariant
 
 
 def _is_strict(mode: str) -> bool:
@@ -136,8 +123,8 @@ def closed_compliance(t: Term, c: ConventionId) -> Union[_Compliant, Violation]:
             "compliance of open terms is undecidable; "
             "use open_compliance_sufficient for the sound syntactic check"
         )
-    check_conforms(t, _CONVENTION_SIG[c])
-    value = punched_value(t, _CONVENTION_VARIANT[c], Q0, {})
+    check_conforms(t, _VARIANT_SIG[c])
+    value = punched_value(t, c, Q0, {})
     return value if isinstance(value, Violation) else COMPLIANT
 
 

@@ -1,13 +1,17 @@
 """Three-valued first-order logic over punched meadows.
 
-Atoms are equations between terms evaluated in a punched model, so a
-side of an equation may fail to denote.  Three equality modes decide
+Atoms are equations between terms folded in the punched algebra of a
+model (meadows.partial.punched_algebra), built once per evaluation, so
+a side of an equation may fail to denote.  Three equality modes decide
 what a non-denoting side means (undefined / equal-iff-both-undefined /
-never equal), four connective suites extend the classical connectives
+never equal).  Four connective suites extend the classical connectives
 (Bochvar's strict ones, McCarthy's left-sequential ones and their
-right-sequential mirror, Kleene's monotone ones), and two quantifier
-suites fold instances over an explicit finite domain (Bochvar: any
-undefined instance poisons the quantifier; Kleene: a witness decides).
+right-sequential mirror, Kleene's monotone ones); each suite is one
+conjunction table, and its disjunction is the De Morgan dual.  Two
+quantifier suites fold instances over an explicit finite domain: each
+iterates the conjunction (forall) or disjunction (exists) of the
+connective suite of the same name, so a Bochvar quantifier is undefined
+when any instance is, and a Kleene quantifier is decided by a witness.
 
 The combination weak equality + McCarthy connectives + Bochvar
 quantifiers is the configuration that tracks everyday mathematical
@@ -27,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 from .parsing import _TokenError, parse_term_prefix, tokenize
-from .partial import Defined, PunchVariant, UNDEFINED, punch_eval
-from .semantics import Q0, Assignment, Model, Value
-from .terms import Signature, Term, Var, _FREE_VARS, _union, fold
+from .partial import _VARIANT_SIG, PunchVariant, Violation, punched_algebra
+from .semantics import Q0, Assignment, Model, Value, assigned
+from .terms import Signature, Term, Var, _FREE_VARS, _union, check_conforms, fold
 
 __all__ = [
     "TruthValue3", "Formula", "Eq", "Neq", "Not", "And", "Or", "Implies",
@@ -150,37 +154,24 @@ def lpmd(domain: Sequence[Value] = (0, 1, 2)) -> LogicConfig:
     )
 
 
+# A suite's conjunction of a and b is its table's entry 3a + b, with T, F
+# and U coded 0, 1 and 2: one row of three per left operand.
+_CODE = {T: 0, F: 1, U: 2}
+_NOT = {T: F, F: T, U: U}
+_AND = {
+    Connectives.BOCHVAR: (T, F, U, F, F, U, U, U, U),
+    Connectives.MCCARTHY: (T, F, U, F, F, F, U, U, U),
+    Connectives.MCCARTHY_REV: (T, F, U, F, F, U, U, F, U),
+    Connectives.KLEENE: (T, F, U, F, F, F, U, F, U),
+}
+
+
 def _not3(v: TruthValue3) -> TruthValue3:
-    if v is T:
-        return F
-    if v is F:
-        return T
-    return U
+    return _NOT[v]
 
 
 def _and3(suite: Connectives, a: TruthValue3, b: TruthValue3) -> TruthValue3:
-    if suite is Connectives.BOCHVAR:
-        if a is U or b is U:
-            return U
-        return T if (a is T and b is T) else F
-    if suite is Connectives.MCCARTHY:
-        if a is F:
-            return F
-        if a is U:
-            return U
-        return b
-    if suite is Connectives.MCCARTHY_REV:
-        if b is F:
-            return F
-        if b is U:
-            return U
-        return a
-    # Kleene: false dominates, truth requires both.
-    if a is F or b is F:
-        return F
-    if a is T and b is T:
-        return T
-    return U
+    return _AND[suite][3 * _CODE[a] + _CODE[b]]
 
 
 def _or3(suite: Connectives, a: TruthValue3, b: TruthValue3) -> TruthValue3:
@@ -189,29 +180,30 @@ def _or3(suite: Connectives, a: TruthValue3, b: TruthValue3) -> TruthValue3:
 
 
 def _fold_forall(suite: Quantifiers, values: Sequence[TruthValue3]) -> TruthValue3:
-    # Bochvar: an undefined instance decides.  Kleene: a false one decides first.
-    if U in values and (suite is Quantifiers.BOCHVAR or F not in values):
-        return U
-    return F if F in values else T
+    return reduce(partial(_and3, Connectives[suite.name]), values, T)
 
 
 def _fold_exists(suite: Quantifiers, values: Sequence[TruthValue3]) -> TruthValue3:
-    # Each suite's exists is the De Morgan dual of its forall.
-    return _not3(_fold_forall(suite, [_not3(v) for v in values]))
+    return reduce(partial(_or3, Connectives[suite.name]), values, F)
 
 
 def _atom(
-    lhs: Term, rhs: Term, cfg: LogicConfig, variant: PunchVariant,
-    model: Model | None, a: Assignment,
+    lhs: Term, rhs: Term, cfg: LogicConfig, sig: Signature, model: Model,
+    algebra: dict, env: Assignment,
 ) -> TruthValue3:
-    left = punch_eval(lhs, variant, model, a)
-    right = punch_eval(rhs, variant, model, a)
-    if isinstance(left, Defined) and isinstance(right, Defined):
-        return T if left.value == right.value else F
+    # Punched evaluation of lhs, then of rhs: each checks its signature
+    # first.  The environment is checked once, before the first fold.
+    check_conforms(lhs, sig)
+    algebra[Var] = partial(assigned, model.check_assignment(env))
+    left = fold(lhs, algebra)
+    check_conforms(rhs, sig)
+    right = fold(rhs, algebra)
+    if type(left) is not Violation and type(right) is not Violation:
+        return T if left == right else F
     if cfg.equality is Equality.WEAK:
         return U
     if cfg.equality is Equality.STRONG:
-        return T if (left is UNDEFINED and right is UNDEFINED) else F
+        return T if type(left) is Violation and type(right) is Violation else F
     return F
 
 
@@ -225,12 +217,14 @@ def eval_formula(
     """Evaluate a formula to T, F, or U.
 
     Terms evaluate through the punched version of model, by default Q0
-    (None is accepted as Q0, as in punch_eval); quantifiers range over
-    cfg.domain, with bound variables shadowing the assignment.  The
+    (None is accepted as Q0); quantifiers range over cfg.domain, with
+    bound variables shadowing the assignment.  The
     implication a -> b is ~a | b in the active connective suite.  Every
     part is evaluated, left to right and each quantifier instance in
     domain order, before a connective or quantifier combines the values.
     """
+    model = Q0 if model is None else model
+    sig, algebra = _VARIANT_SIG[variant], punched_algebra(variant, model)
     values: list[TruthValue3] = []
     # Frames (formula, environment) still to evaluate.  A formula comes back
     # with environment None once its parts are evaluated, to combine their
@@ -239,7 +233,7 @@ def eval_formula(
     while stack:
         g, env = stack.pop()
         if type(g) is Eq:
-            values.append(_atom(*g.children, cfg, variant, model, env))
+            values.append(_atom(*g.children, cfg, sig, model, algebra, env))
         elif env is not None:
             stack.append((g, None))
             if isinstance(g, _Quantifier):

@@ -38,6 +38,10 @@ __all__ = ["ParseError", "tokenize", "parse_term", "parse_term_prefix", "render"
 # Multi-character operators first so the scanner prefers them.
 _FORMULA_OPS = ("->", "!=", "=", "~", "&", "|", ".")
 _TERM_OPS = ("^", "+", "-", "*", "/", "(", ")")
+# The most digits a literal may have: Python 3.11's default limit on int
+# string conversion, applied on every interpreter so that all refuse the
+# same texts, each with a ParseError at the literal.
+_MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -162,6 +166,8 @@ def parse_term_prefix(
             i += 1 if tok == "(" else 2
             continue
         if tok.isdigit():
+            if len(tok) > _MAX_DIGITS:
+                raise _TokenError(f"literal has more than {_MAX_DIGITS} digits", i)
             vals.append(numeral(int(tok)))
         elif tok.isidentifier():
             vals.append(Var(tok))

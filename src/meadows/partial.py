@@ -5,6 +5,11 @@ inversive meadow loses 0^-1; a divisive meadow loses q/0 either for
 every q or only for q != 0, the liberal reading that keeps 0/0 = 0.
 Evaluation is strict: an undefined subterm makes the whole term
 undefined.
+
+punched_algebra is the one punched algebra: punch_eval, formula atoms
+(meadows.logic3) and closed compliance (meadows.convention) fold it.  A
+closed term complies with a usage convention exactly when it is defined
+in the matching punched meadow, so a convention is its punch variant.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Union
 
 from .projection import Projection, project
 from .semantics import Q0, Assignment, Model, Value, assigned
-from .terms import NUMERAL, Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
+from .terms import NUMERAL, ZERO, Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
 
 __all__ = [
     "PunchVariant", "Defined", "UNDEFINED", "PartialValue",
@@ -28,6 +33,11 @@ class PunchVariant(Enum):
     INV_ZERO = "inv0"                # 0^-1 undefined (inversive notation)
     DIV_ZERO_ALL = "div0"            # q/0 undefined for every q (divisive)
     DIV_ZERO_NONZERO_NUM = "div0lib" # q/0 undefined only for q != 0; 0/0 = 0
+    # The usage conventions (meadows.convention.ConventionId), as aliases,
+    # which iteration skips.
+    RELEVANT_INVERSIVE = "inv0"
+    RELEVANT_DIVISION = "div0"
+    LIBERAL_RELEVANT_DIVISION = "div0lib"
 
 
 _VARIANT_SIG = {
@@ -99,12 +109,24 @@ def punched_value(t: Term, variant: PunchVariant, m: Model,
                   a: Assignment) -> Value | Violation:
     """t's value in the punched model, or the Violation that leaves it undefined.
 
-    Undefinedness is strict, so the application reported is the first in
-    leftmost-innermost order.  The signature is the caller's to check, and
-    a is what m.check_assignment returned.
+    The signature is the caller's to check, and a is what
+    m.check_assignment returned.
+    """
+    algebra = punched_algebra(variant, m)
+    algebra[Var] = partial(assigned, a)
+    return fold(t, algebra)
+
+
+def punched_algebra(variant: PunchVariant, m: Model) -> dict:
+    """The fold algebra of closed terms in m punched by variant, as a new dict.
+
+    A node's result is its value in m, or the Violation that leaves it
+    undefined.  Undefinedness is strict, so the application reported is
+    the first in leftmost-innermost order.  A caller that folds open
+    terms adds the Var case.
     """
     total = m.algebra()
-    zero = total[Zero](t)
+    zero = total[Zero](ZERO)
 
     def strict(node, *xs):
         for x in xs:
@@ -133,11 +155,11 @@ def punched_value(t: Term, variant: PunchVariant, m: Model,
         return zero
 
     algebra = dict.fromkeys(total, strict)
-    algebra.update({Var: partial(assigned, a), Inv: inverse, Div: divide})
+    algebra.update({Inv: inverse, Div: divide})
     if NUMERAL in total:
         # A numeral has no inverse or division, so its value is the model's.
         algebra[NUMERAL] = total[NUMERAL]
-    return fold(t, algebra)
+    return algebra
 
 
 @dataclass(frozen=True)

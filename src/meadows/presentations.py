@@ -38,15 +38,10 @@ __all__ = [
 ]
 
 
+# The display name of each operator key; its arity is semantics.OP_ARITY's.
 DEFAULT_SYMBOLS = {
-    "zero": ("0", 0),
-    "one": ("1", 0),
-    "add": ("+", 2),
-    "mul": ("*", 2),
-    "neg": ("-", 1),
-    "inv": ("^-1", 1),
-    "div": ("/", 2),
-    "sub": ("-", 2),
+    "zero": "0", "one": "1", "add": "+", "mul": "*",
+    "neg": "-", "inv": "^-1", "div": "/", "sub": "-",
 }
 
 
@@ -133,7 +128,7 @@ def _make(name: str, keys: dict[str, Symbol], hidden: set[str],
 
 
 def _default_syms(*keys: str) -> dict[str, Symbol]:
-    return {k: Symbol(*DEFAULT_SYMBOLS[k]) for k in keys}
+    return {k: Symbol(DEFAULT_SYMBOLS[k], OP_ARITY[k]) for k in keys}
 
 
 def _eqs(sig: Signature | None, pairs: list[tuple[str, str]]) -> list[Equation]:

@@ -32,12 +32,6 @@ _SOURCE = {
     Projection.IMN_TO_RDMN: Signature.IMD,
 }
 
-_TARGET = {
-    Projection.DMN_TO_IMN: Signature.IMD,
-    Projection.IMN_TO_DMN: Signature.DMD,
-    Projection.IMN_TO_RDMN: Signature.RD,
-}
-
 
 _RD_ZERO = Sub(ONE, ONE)
 _RD_MINUS_ONE = Sub(_RD_ZERO, ONE)

@@ -415,10 +415,7 @@ OP_KEY = {
     Neg: "neg", Inv: "inv", Div: "div", Sub: "sub",
 }
 #: The number of operands of each operator key.
-OP_ARITY = {
-    "zero": 0, "one": 0, "add": 2, "mul": 2,
-    "neg": 1, "inv": 1, "div": 2, "sub": 2,
-}
+OP_ARITY = {key: len(constructor._fields) for constructor, key in OP_KEY.items()}
 # Symbols a FiniteMeadow does not tabulate, read per entry instead:
 # x - y = add[x][neg[y]] and x / y = mul[x][inv[y]].  Only total tables
 # lack them: the expansion search always passes sub and div when used.

@@ -349,14 +349,20 @@ def oracle_truth(f, eq: str, conn: str, quant: str, domain, variant: str,
                 premise = _NEGATION[truth(left, a)]
                 return _OR[conn]["TFU".index(premise)]["TFU".index(truth(right, a))]
         instances = {truth(f.body, {**a, f.var: d}) for d in domain}
-        # Bochvar: an undefined instance makes the quantifier undefined.
-        # Kleene: one F instance decides forall, one T instance decides exists.
-        if isinstance(f, Forall):
-            if quant == "bochvar":
-                return "U" if "U" in instances else ("T" if instances == {"T"} else "F")
-            return "F" if "F" in instances else ("U" if "U" in instances else "T")
-        if quant == "bochvar":
-            return "U" if "U" in instances else ("T" if "T" in instances else "F")
-        return "T" if "T" in instances else ("U" if "U" in instances else "F")
+        return oracle_quantifier(isinstance(f, Forall), quant, instances)
 
     return truth(f, a)
+
+
+def oracle_quantifier(forall: bool, quant: str, instances: set[str]) -> str:
+    """Reference value of a quantifier over a nonempty domain whose instances
+    take the truth values in instances."""
+    # Bochvar: an undefined instance makes the quantifier undefined.
+    # Kleene: one F instance decides forall, one T instance decides exists.
+    if forall:
+        if quant == "bochvar":
+            return "U" if "U" in instances else ("T" if instances == {"T"} else "F")
+        return "F" if "F" in instances else ("U" if "U" in instances else "T")
+    if quant == "bochvar":
+        return "U" if "U" in instances else ("T" if "T" in instances else "F")
+    return "T" if "T" in instances else ("U" if "U" in instances else "F")

@@ -249,6 +249,18 @@ def test_check_model(capsys):
     assert code == 2 and "not regular" in err.lower() or "regular" in err
 
 
+def test_check_model_refuses_two_models(capsys):
+    code, out, err = invoke(capsys, "check-model", "--zp", "5", "--zn", "6")
+    assert (code, out) == (2, "")
+    assert "argument --zn: not allowed with argument --zp" in err
+
+
+def test_eval_of_a_too_long_literal_exits_2(capsys):
+    code, out, err = invoke(capsys, "eval", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith("(at position 0)")
+
+
 def test_check_model_over_the_assignment_cap_exits_2(capsys):
     # About 3 * 10^9 assignments: refused before any table is built.
     code, out, err = invoke(capsys, "check-model", "--zp", "1009", "--axioms", "imd")

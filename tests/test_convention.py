@@ -131,6 +131,17 @@ def test_closed_compliance_matches_punched_evaluation():
             assert compliant == defined, (conv, t)
 
 
+def test_each_convention_is_its_punch_variant():
+    assert list(ConventionId) == list(PunchVariant)
+    for conv, variant in ((INV, PunchVariant.INV_ZERO), (DIV, PunchVariant.DIV_ZERO_ALL),
+                          (LIB, PunchVariant.DIV_ZERO_NONZERO_NUM)):
+        assert conv is variant and ConventionId(variant.value) is conv
+    # closed_compliance takes a convention under either name.
+    t = parse_term("0 / 0", Signature.DMD)
+    assert closed_compliance(t, PunchVariant.DIV_ZERO_NONZERO_NUM) is COMPLIANT
+    assert closed_compliance(t, PunchVariant.DIV_ZERO_ALL) == closed_compliance(t, DIV)
+
+
 def test_open_compliance_examples():
     t = iamdz("inv(1 + x * x)")
     assert open_compliance_sufficient(t) is Sufficiency.UNKNOWN

@@ -18,12 +18,12 @@ from meadows.logic3 import (
 )
 from meadows.parsing import ParseError
 from meadows.partial import PunchVariant, punch_eval, recovery_check
-from meadows.semantics import Q0, zp_meadow
+from meadows.semantics import Q0, MissingAssignment, zn_ring, zp_meadow
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, Signature, SignatureError,
 )
 
-from .helpers import formula_text, oracle_truth
+from .helpers import formula_text, oracle_quantifier, oracle_truth
 
 T, F, U = TruthValue3.T, TruthValue3.F, TruthValue3.U
 DIV0 = PunchVariant.DIV_ZERO_ALL
@@ -135,6 +135,20 @@ def test_quantifier_connective_coherence_two_element_domain():
         assert _fold_exists(Quantifiers.BOCHVAR, [a, b]) is _or3(
             Connectives.BOCHVAR, a, b
         )
+
+
+@pytest.mark.parametrize("suite", list(Quantifiers))
+def test_quantifier_folds_agree_with_the_reference_rules(suite):
+    for n in range(1, 5):
+        for values in product(VALUES, repeat=n):
+            instances = {str(v) for v in values}
+            assert str(_fold_forall(suite, values)) == oracle_quantifier(
+                True, suite.value, instances), values
+            assert str(_fold_exists(suite, values)) == oracle_quantifier(
+                False, suite.value, instances), values
+    # No instance: the units of conjunction and disjunction.  A domain is
+    # never empty, so no formula reaches this case.
+    assert _fold_forall(suite, []) is T and _fold_exists(suite, []) is F
 
 
 def test_implies_is_not_or():
@@ -311,6 +325,35 @@ def test_domain_values_are_checked_only_when_a_quantifier_is_evaluated():
     assert eval_formula(dmd("0 = 0"), cfg, DIV0, Z5) is T
     with pytest.raises(ValueError, match="value 7 of x is outside the carrier 0..4"):
         eval_formula(dmd("0 = 0 | (forall x. x = x)"), cfg, DIV0, Z5)
+
+
+# Which error eval_formula raises when a formula holds several, in Z5 with
+# div0 unless stated: an atom checks its lhs's signature, then the
+# environment, folds the lhs, checks its rhs's signature and folds the rhs;
+# atoms and quantifier instances are evaluated left to right.
+PRECEDENCE = [
+    ("x^-1 = 1", {"x": 9}, (0, 1, 2), SignatureError, "not in signature dmd"),
+    ("x = 1^-1", {"x": 9}, (0, 1, 2), ValueError, "value 9 of x is outside the carrier"),
+    ("z = 1^-1", {}, (0, 1, 2), MissingAssignment, "'z'"),
+    ("1/1 = z & 1^-1 = 1", {}, (0, 1, 2), MissingAssignment, "'z'"),
+    ("forall y. y = z", {}, (0, 9), MissingAssignment, "'z'"),
+    ("forall y. y = 1", {}, (0, 9), ValueError, "value 9 of y is outside the carrier"),
+]
+
+
+@pytest.mark.parametrize("text, a, domain, error, match", PRECEDENCE)
+def test_error_precedence_in_eval_formula(text, a, domain, error, match):
+    with pytest.raises(ValueError, match=match) as err:
+        eval_formula(parse_formula(text, None), cfg(domain=domain), DIV0, Z5, a)
+    assert type(err.value) is error
+
+
+def test_ring_without_inverse_in_formulas():
+    # Only a defined division reads the model's inverse.
+    z6 = zn_ring(6)
+    with pytest.raises(ValueError, match="model provides no interpretation for 'inv'"):
+        eval_formula(dmd("exists y. y/y = 1"), cfg(), DIV0, z6)
+    assert eval_formula(dmd("exists y. y/0 = 0"), cfg(), DIV0, z6) is U
 
 
 # ---------------------------------------------------------------------------

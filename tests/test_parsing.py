@@ -142,6 +142,20 @@ def test_scanning_is_linear(text):
         assert time.perf_counter() - start < 2
 
 
+def test_long_literals_fail_at_their_position():
+    # More digits than Python 3.11's default limit on int string conversion
+    # is a parse error at the literal, on every interpreter.
+    for parse, pos in (
+        (lambda: parse_term("9" * 4301, None), 0),
+        (lambda: parse_term("1 + " + "9" * 5000, None), 4),
+        (lambda: parse_formula("x = " + "9" * 4301, None), 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse()
+        assert err.value.pos == pos
+    assert parse_term("9" * 4300, None) is numeral(10**4300 - 1)
+
+
 def test_render_examples():
     assert render(Mul(Var("x"), Inv(Var("y")))) == "x * y^-1"
     assert render(Div(One(), Zero())) == "1 / 0"
