@@ -18,7 +18,9 @@ would denote two different operators.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iter_product
 
 from .parsing import parse_term
@@ -176,7 +178,9 @@ _RD_AXIOMS = [
 ]
 
 
+@cache
 def _builtins() -> dict[str, Presentation]:
+    """Every builtin presentation by name; built once, never mutated."""
     cr_eqs = _eqs(Signature.CR, _CR_AXIOMS)
     inv_eqs = _eqs(Signature.IMD, _INV_AXIOMS)
     div_eqs = _eqs(Signature.DMD, _DIV_AXIOMS)
@@ -216,29 +220,24 @@ def _builtins() -> dict[str, Presentation]:
         "divdef": _make("divdef", _default_syms("mul", "inv", "div"), set(), divdef),
         "subdef": _make("subdef", _default_syms("add", "neg", "sub"), set(), subdef),
     }
+    # The hiding chains of the paper: divisive meadows hide the inverse,
+    # reduced divisive meadows hide further down to 1, - and /.
+    table["md_d"] = hide("inv", combine(table["imd"], table["divdef"]))
+    rd = hide("-/1", combine(hide("mul", table["md_d"]), table["subdef"]))
+    table["md_rd"] = hide("zero", hide("add", rd))
     return table
-
-
-_BUILTINS: dict[str, Presentation] | None = None
 
 
 def builtin(name: str) -> Presentation:
     """Look up a builtin presentation by name (see builtin_names)."""
-    global _BUILTINS
-    if _BUILTINS is None:
-        _BUILTINS = _builtins()
-        _BUILTINS["md_d"] = _md_d(_BUILTINS)
-        _BUILTINS["md_rd"] = _md_rd(_BUILTINS)
     try:
-        return _BUILTINS[name]
+        return _builtins()[name]
     except KeyError:
         raise ValueError(f"unknown presentation {name!r}") from None
 
 
 def builtin_names() -> list[str]:
-    builtin("cr")
-    assert _BUILTINS is not None
-    return sorted(_BUILTINS)
+    return sorted(_builtins())
 
 
 def combine(p: Presentation, q: Presentation) -> Presentation:
@@ -345,17 +344,6 @@ def md_rd() -> Presentation:
     return builtin("md_rd")
 
 
-def _md_d(table: dict[str, Presentation]) -> Presentation:
-    return hide("inv", combine(table["imd"], table["divdef"]))
-
-
-def _md_rd(table: dict[str, Presentation]) -> Presentation:
-    rd1 = hide("mul", _md_d(table))
-    rd2 = hide("-/1", combine(rd1, table["subdef"]))
-    rd3 = hide("add", rd2)
-    return hide("zero", rd3)
-
-
 @dataclass
 class ExpansionReport:
     """Outcome of searching hidden-symbol tables that satisfy all axioms."""
@@ -424,16 +412,18 @@ def visible_models_check(
     trials = size * sum(size ** OP_ARITY[k] for k in hidden)
     equations = capped_equations("searching expansions of", p, size, trials)
     # Each axiom is compiled once; the tables come per call.  The reduct
-    # is encoded once, and each trial adds its hidden tables to it.
+    # is encoded once, and each trial adds its hidden tables to it.  An
+    # axiom that reads no hidden table has the same outcome in every trial
+    # and candidate as on the reduct, so it is decided here, once; the
+    # search runs the lines of the other axioms.
     keys = reduct.keys() | p.hidden
-    lines = {eq: equation_lines(eq.lhs, eq.rhs, names, keys) for eq, names in equations}
     visible = encode_tables(reduct, size)
-    visible_only = [
-        eq for eq in p.axioms
-        if not _equation_ops(eq) & set(hidden)
-    ]
-    for eq in visible_only:
-        if not _axiom_holds_everywhere(lines[eq], visible):
+    searched = []
+    for eq, names in equations:
+        lines = equation_lines(eq.lhs, eq.rhs, names, keys)
+        if _equation_ops(eq) & p.hidden:
+            searched.append(lines)
+        elif not _axiom_holds_everywhere(lines, visible):
             return ExpansionReport(False, [], failure=f"axiom {eq.name} fails on visible reduct")
 
     # Candidate values per hidden table slot, pruned by the axioms that can
@@ -448,8 +438,7 @@ def visible_models_check(
             for value in range(size):
                 trial = undecided.with_tables(
                     {key: _table(arity, size, {slot: value})}, partial=True)
-                ok = all(_axiom_holds_everywhere(lines[eq], trial) for eq in p.axioms)
-                if ok:
+                if all(_axiom_holds_everywhere(lines, trial) for lines in searched):
                     survivors.append(value)
             if not survivors:
                 return ExpansionReport(
@@ -473,7 +462,7 @@ def visible_models_check(
             entries[key][slot] = value
         expansion = {key: _table(OP_ARITY[key], size, entries[key]) for key in hidden}
         candidate = visible.with_tables(expansion)
-        if all(_axiom_holds_everywhere(lines[eq], candidate) for eq in p.axioms):
+        if all(_axiom_holds_everywhere(lines, candidate) for lines in searched):
             expansions.append(expansion)
     if not expansions:
         return ExpansionReport(False, [], failure="no expansion satisfies all axioms")
@@ -482,84 +471,75 @@ def visible_models_check(
 
 # A tiny expression language over presentations:
 #   combine(A,B)  hide(sym,A)  export({sym,...},A)  rename(old:=new,A)
-# with builtin presentation names as atoms.
+# with builtin presentation names as atoms.  A token is punctuation or a
+# run of other non-space characters; a ':' not starting ':=' matches the
+# second group, which is an error.
+_MODULE_TOKEN = re.compile(r"\s*(?:(:=|[(){},]|[^\s(){},:]+)|(\S))")
+_PUNCTUATION = frozenset(("(", ")", "{", "}", ",", ":="))
+
+# What an operator reads after its name: a string is a token to expect,
+# _SYMBOL one symbol, _SYMBOLS symbols up to a '}' (the commas between
+# them optional) and _OPERAND a module expression.
+_SYMBOL, _SYMBOLS, _OPERAND = range(3)
+_MODULE_OPERATORS = {
+    "combine": (combine, ("(", _OPERAND, ",", _OPERAND, ")")),
+    "hide": (hide, ("(", _SYMBOL, ",", _OPERAND, ")")),
+    "export": (export, ("(", "{", _SYMBOLS, "}", ",", _OPERAND, ")")),
+    "rename": (rename, ("(", _SYMBOL, ":=", _SYMBOL, ",", _OPERAND, ")")),
+}
+
 
 def parse_module_expression(text: str) -> Presentation:
-    tokens = _lex_module_expr(text)
+    found = _MODULE_TOKEN.findall(text.rstrip())
+    for _, bad in found:
+        if bad:
+            raise ValueError(f"bad character {bad!r} in module expression")
+    tokens = [token for token, _ in found]
     i = 0
-    # Operations waiting for their last operand: (operation, earlier operands).
-    # A combine waits for its left operand as (None, ()).
-    pending: list[tuple] = []
+    # Operators reading their arguments, innermost last, each as
+    # [operation, shape, position in shape, arguments read].  The bottom
+    # frame reads the whole expression as its one operand.
+    stack: list[list] = [[None, (_OPERAND,), 0, []]]
     while True:
-        head = _token(tokens, i)
-        if head in ("combine", "hide", "export", "rename"):
-            _expect(tokens, i + 1, "(")
-        if head == "combine":
-            pending.append((None, ()))
-            i += 2
-        elif head == "hide":
-            pending.append((hide, (_token(tokens, i + 2),)))
-            _expect(tokens, i + 3, ",")
-            i += 4
-        elif head == "export":
-            _expect(tokens, i + 2, "{")
-            syms = []
-            i += 3
+        frame = stack[-1]
+        operation, shape, at, args = frame
+        if at == len(shape):
+            stack.pop()
+            if not stack:
+                if i != len(tokens):
+                    raise ValueError(f"unexpected {tokens[i]!r} in module expression")
+                return args[0]
+            stack[-1][3].append(operation(*args))
+            continue
+        frame[2] += 1
+        item = shape[at]
+        if item == _OPERAND:
+            head = _word(_token(tokens, i), "a module expression")
+            i += 1
+            if head in _MODULE_OPERATORS:
+                stack.append([*_MODULE_OPERATORS[head], 0, []])
+            else:
+                args.append(builtin(head))
+        elif item == _SYMBOL:
+            args.append(_word(_token(tokens, i), "a symbol"))
+            i += 1
+        elif item == _SYMBOLS:
+            args.append([])
             while _token(tokens, i) != "}":
-                syms.append(tokens[i])
+                args[-1].append(_word(tokens[i], "a symbol"))
                 i += 1
                 if _token(tokens, i) == ",":
                     i += 1
-            _expect(tokens, i + 1, ",")
-            pending.append((export, (syms,)))
-            i += 2
-        elif head == "rename":
-            old = _token(tokens, i + 2)
-            _expect(tokens, i + 3, ":=")
-            pending.append((rename, (old, _token(tokens, i + 4))))
-            _expect(tokens, i + 5, ",")
-            i += 6
         else:
-            expr = builtin(head)
-            i += 1
-            # Apply the operations this operand completes, up to a combine
-            # that now waits for its right operand.
-            while pending and pending[-1][0] is not None:
-                operation, operands = pending.pop()
-                _expect(tokens, i, ")")
-                expr = operation(*operands, expr)
-                i += 1
-            if not pending:
-                if i != len(tokens):
-                    raise ValueError(f"unexpected {tokens[i]!r} in module expression")
-                return expr
-            _expect(tokens, i, ",")
-            pending[-1] = (combine, (expr,))
+            _expect(tokens, i, item)
             i += 1
 
 
-def _lex_module_expr(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "(){},":
-            tokens.append(c)
-            i += 1
-        elif text.startswith(":=", i):
-            tokens.append(":=")
-            i += 2
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "(){},:":
-                j += 1
-            if j == i:
-                raise ValueError(f"bad character {c!r} in module expression")
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+def _word(token: str, want: str) -> str:
+    """token, unless it is punctuation where want is expected."""
+    if token in _PUNCTUATION:
+        raise ValueError(f"expected {want}, found {token!r} in module expression")
+    return token
 
 
 def _expect(tokens: list[str], i: int, want: str) -> None:

@@ -772,12 +772,8 @@ def two_squares(p: int, u: int) -> tuple[int, int]:
 def corollary_witness(p: int) -> tuple[int, int, int]:
     """Find naturals (u, v, w) with u, v < p and u^2 + v^2 + 1 = w * p.
 
-    Exists for every prime p because -1 is a sum of two squares mod p.
+    Exists for every prime p because -1 is a sum of two squares mod p;
+    (u, v) is two_squares(p, p - 1), so the smallest u comes first.
     """
-    roots = _sqrt_table(p)
-    for u in range(p):
-        v = roots.get((-1 - u * u) % p)
-        if v is not None:
-            total = u * u + v * v + 1
-            return u, v, total // p
-    raise AssertionError(f"no witness for prime {p}")
+    u, v = two_squares(p, p - 1)
+    return u, v, (u * u + v * v + 1) // p

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from meadows.logic3 import And, Eq, Exists, Forall, Implies, Not, Or
 from meadows.parsing import ParseError, render
-from meadows.presentations import Equation, Presentation, Symbol
+from meadows.presentations import (
+    Equation, Presentation, Symbol, builtin, combine, export, hide, rename,
+)
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, ONE, ZERO,
     Signature,
@@ -366,3 +368,99 @@ def oracle_quantifier(forall: bool, quant: str, instances: set[str]) -> str:
     if quant == "bochvar":
         return "U" if "U" in instances else ("T" if "T" in instances else "F")
     return "T" if "T" in instances else ("U" if "U" in instances else "F")
+
+
+# ---------------------------------------------------------------------------
+# Module expressions: a reference reader with a character-loop lexer and
+# one hand-written branch per operator.  It takes a punctuation token where
+# a name or symbol is expected, so it reads some texts the library refuses.
+
+
+def oracle_parse_module_expression(text: str) -> Presentation:
+    tokens = _oracle_lex_module_expr(text)
+    i = 0
+    # Operations waiting for their last operand: (operation, earlier operands).
+    # A combine waits for its left operand as (None, ()).
+    pending: list[tuple] = []
+    while True:
+        head = _oracle_token(tokens, i)
+        if head in ("combine", "hide", "export", "rename"):
+            _oracle_expect(tokens, i + 1, "(")
+        if head == "combine":
+            pending.append((None, ()))
+            i += 2
+        elif head == "hide":
+            pending.append((hide, (_oracle_token(tokens, i + 2),)))
+            _oracle_expect(tokens, i + 3, ",")
+            i += 4
+        elif head == "export":
+            _oracle_expect(tokens, i + 2, "{")
+            syms = []
+            i += 3
+            while _oracle_token(tokens, i) != "}":
+                syms.append(tokens[i])
+                i += 1
+                if _oracle_token(tokens, i) == ",":
+                    i += 1
+            _oracle_expect(tokens, i + 1, ",")
+            pending.append((export, (syms,)))
+            i += 2
+        elif head == "rename":
+            old = _oracle_token(tokens, i + 2)
+            _oracle_expect(tokens, i + 3, ":=")
+            pending.append((rename, (old, _oracle_token(tokens, i + 4))))
+            _oracle_expect(tokens, i + 5, ",")
+            i += 6
+        else:
+            expr = builtin(head)
+            i += 1
+            # Apply the operations this operand completes, up to a combine
+            # that now waits for its right operand.
+            while pending and pending[-1][0] is not None:
+                operation, operands = pending.pop()
+                _oracle_expect(tokens, i, ")")
+                expr = operation(*operands, expr)
+                i += 1
+            if not pending:
+                if i != len(tokens):
+                    raise ValueError(f"unexpected {tokens[i]!r} in module expression")
+                return expr
+            _oracle_expect(tokens, i, ",")
+            pending[-1] = (combine, (expr,))
+            i += 1
+
+
+def _oracle_lex_module_expr(text: str) -> list[str]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "(){},":
+            tokens.append(c)
+            i += 1
+        elif text.startswith(":=", i):
+            tokens.append(":=")
+            i += 2
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "(){},:":
+                j += 1
+            if j == i:
+                raise ValueError(f"bad character {c!r} in module expression")
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def _oracle_expect(tokens: list[str], i: int, want: str) -> None:
+    if i >= len(tokens) or tokens[i] != want:
+        found = tokens[i] if i < len(tokens) else "end of input"
+        raise ValueError(f"expected {want!r}, found {found!r} in module expression")
+
+
+def _oracle_token(tokens: list[str], i: int) -> str:
+    if i >= len(tokens):
+        raise ValueError("unexpected end of module expression")
+    return tokens[i]

@@ -299,6 +299,13 @@ def test_spec_flatten_truncated_expression_exits_2(capsys):
         assert err == "error: unexpected end of module expression", expr
 
 
+def test_spec_flatten_refuses_punctuation_as_a_symbol(capsys):
+    # The comma after := used to become the symbol ",/2", exit 0.
+    code, out, err = invoke(capsys, "spec", "--flatten", "rename(+:=,,imd)")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a symbol, found ',' in module expression"
+
+
 def test_combine_clash_message_does_not_depend_on_hash_seed():
     # The clashing keys are add, inv and mul; the first in sorted order is named.
     src = str(Path(meadows.__file__).resolve().parent.parent)

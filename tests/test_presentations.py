@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import gcd
 
@@ -11,12 +12,16 @@ from meadows.presentations import (
     _axiom_holds_everywhere, builtin, builtin_names, combine, export, hide, md_d, md_rd,
     parse_module_expression, rename, visible_models_check,
 )
-from meadows import semantics
-from meadows.semantics import check_axioms, encode_tables, equation_lines, zp_meadow
-from meadows.terms import Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, Signature, free_vars
+from meadows import presentations, semantics
+from meadows.semantics import (
+    check_axioms, encode_tables, equation_lines, equation_names, zp_meadow,
+)
+from meadows.terms import (
+    Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, Signature, constructors, free_vars,
+)
 from meadows.parsing import parse_term
 
-from .helpers import shapes_presentation
+from .helpers import oracle_parse_module_expression, shapes_presentation
 
 
 EXPECTED_COUNTS = {
@@ -265,6 +270,142 @@ def test_module_expression_errors(text, message):
     with pytest.raises(ValueError) as info:
         parse_module_expression(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # Each of these used to read a punctuation token as a symbol or a name.
+    ("rename(+:=,,imd)", "expected a symbol, found ',' in module expression"),
+    ("rename(*:=(,imd)", "expected a symbol, found '(' in module expression"),
+    ("combine(imd,)", "expected a module expression, found ')' in module expression"),
+    ("hide(,,imd)", "expected a symbol, found ',' in module expression"),
+    ("export({,},imd)", "expected a symbol, found ',' in module expression"),
+    ("export({+ :=},imd)", "expected a symbol, found ':=' in module expression"),
+    ("(imd)", "expected a module expression, found '(' in module expression"),
+    ("hide(+,{)", "expected a module expression, found '{' in module expression"),
+])
+def test_punctuation_is_never_a_name_or_a_symbol(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_module_expression(text)
+    assert str(info.value) == message
+
+
+def test_export_symbol_lists():
+    # The commas between exported symbols are optional, and a list may be
+    # empty or end in a comma.
+    plus, times = Symbol("+", 2), Symbol("*", 2)
+    for text, visible in (("export({},imd)", set()), ("export({+,},imd)", {plus}),
+                          ("export({+ *},imd)", {plus, times}),
+                          ("export({+,*,},imd)", {plus, times})):
+        p = parse_module_expression(text)
+        assert p.visible == visible and p == oracle_parse_module_expression(text), text
+
+
+_PUNCTUATION = ["(", ")", "{", "}", ",", ":="]
+_NEW_MESSAGES = {
+    f"expected {want}, found {token!r} in module expression"
+    for want in ("a module expression", "a symbol") for token in _PUNCTUATION
+}
+_MODULE_PIECES = (
+    ["combine", "hide", "export", "rename", "imd", "cr", "divdef", "subdef", "md_d",
+     "nope", "+", "*", "-", "-/1", "^-1", "/", "0", "1", "inv", "recip", ":", "="]
+    + _PUNCTUATION
+)
+
+
+def _module_outcome(parse, text):
+    try:
+        p = parse(text)
+    except ValueError as error:
+        return str(error)
+    return p.name, p.symbols, p.hidden, p.axioms
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MODULE_PIECES),
+                          st.sampled_from(["", "", " ", "\t", "\n"])), max_size=16))
+def test_module_expressions_match_the_oracle(pieces):
+    # Same presentation or same message as the character-loop reader,
+    # except where punctuation stands for a name or a symbol.
+    text = "".join(piece + space for piece, space in pieces)
+    got = _module_outcome(parse_module_expression, text)
+    if got not in _NEW_MESSAGES:
+        assert got == _module_outcome(oracle_parse_module_expression, text), text
+
+
+def test_module_expression_whitespace_is_read_in_linear_time():
+    for text in ("imd" + " " * 10**6, " " * 10**6 + "imd"):
+        start = time.perf_counter()
+        assert parse_module_expression(text) is builtin("imd")
+        assert time.perf_counter() - start < 2
+
+
+def test_md_rd_is_hidden_from_md_d():
+    # The builtin table builds md_rd from its own md_d, once.
+    assert md_d() is builtin("md_d") is parse_module_expression("md_d")
+    assert md_rd() is builtin("md_rd")
+    assert md_rd().equivalent(parse_module_expression(
+        "hide(0, hide(+, hide(-/1, combine(hide(*, md_d), subdef))))"))
+
+
+def _count_axiom_runs(monkeypatch, p):
+    """Run each visible_models_check through a counter of the axioms run,
+    keyed by name; returns the counts of the last search."""
+    keys = frozenset(k for k, _ in p.symbols)
+    names = {equation_lines(eq.lhs, eq.rhs, equation_names(eq.lhs, eq.rhs), keys): eq.name
+             for eq in p.axioms}
+    counts: dict[str, int] = {}
+    holds = presentations._axiom_holds_everywhere
+
+    def counted(lines, tables):
+        counts[names[lines]] = counts.get(names[lines], 0) + 1
+        return holds(lines, tables)
+
+    monkeypatch.setattr(presentations, "_axiom_holds_everywhere", counted)
+    return counts
+
+
+@pytest.mark.parametrize("prime, calls", [(2, 22), (3, 34), (5, 70), (7, 122)])
+def test_search_decides_each_visible_axiom_once(monkeypatch, prime, calls):
+    # The eight ring axioms read no inverse: each runs once, on the reduct,
+    # and trials and candidates run only the three that read inv.
+    p = md_d()
+    counts = _count_axiom_runs(monkeypatch, p)
+    report = visible_models_check(p, zp_meadow(prime))
+    assert report.expansions == [{"inv": zp_meadow(prime).inv}]
+    reads_inv = {eq.name for eq in p.axioms if Inv in constructors(eq.lhs) | constructors(eq.rhs)}
+    assert reads_inv == {"inv_inv", "restricted_inv", "div_as_inv"}
+    for eq in p.axioms:
+        if eq.name not in reads_inv:
+            assert counts.pop(eq.name) == 1, eq.name
+    assert counts.keys() <= reads_inv
+    assert sum(counts.values()) + 8 == calls
+
+
+_Z2 = zp_meadow(2).ops()
+_Z3 = zp_meadow(3).ops()
+
+
+@pytest.mark.parametrize("p, model, size, expansions, failure", [
+    (md_d(), zp_meadow(2), None, [{"inv": (0, 1)}], None),
+    (md_d(), zp_meadow(3), None, [{"inv": (0, 1, 2)}], None),
+    (md_d(), zp_meadow(5), None, [{"inv": (0, 1, 3, 2, 4)}], None),
+    (md_d(), zp_meadow(7), None, [{"inv": (0, 1, 4, 5, 2, 3, 6)}], None),
+    (md_rd(), {"one": 1, "sub": _Z2["sub"], "div": _Z2["div"]}, 2,
+     [{"add": ((0, 1), (1, 0)), "inv": (0, 1), "mul": ((0, 0), (0, 1)), "neg": (0, 1),
+       "zero": 0}], None),
+    (md_rd(), {"one": 1, "sub": ((0, 1), (1, 0)), "div": ((0, 0), (0, 0))}, 2,
+     [], "no expansion satisfies all axioms"),
+    (md_d(), {**_Z3, "add": ((0, 1, 2), (1, 2, 0), (2, 0, 0))}, 3,
+     [], "axiom add_assoc fails on visible reduct"),
+    (md_d(), {**_Z3, "div": ((0, 0, 0), (0, 1, 1), (0, 2, 2))}, 3,
+     [], "no value for inv(2,) satisfies the axioms"),
+])
+def test_search_reports(p, model, size, expansions, failure):
+    # Every expansion and failure as the search found them when it ran
+    # every axiom in every trial and candidate.
+    report = visible_models_check(p, model, size)
+    assert (report.satisfiable, report.expansions, report.failure) == (
+        bool(expansions), expansions, failure)
 
 
 _KEY = {Zero: "zero", One: "one", Add: "add", Mul: "mul",

@@ -150,6 +150,15 @@ def test_corollary_witness_examples():
     assert corollary_witness(3) == (1, 1, 1)
 
 
+def test_corollary_witness_is_the_smallest_pair():
+    # Brute force over (u, v) in row-major order: the smallest u first,
+    # then the smallest v.
+    for p in filter(is_prime, range(500)):
+        u, v = next((u, v) for u in range(p) for v in range(p)
+                    if (u * u + v * v + 1) % p == 0)
+        assert corollary_witness(p) == (u, v, (u * u + v * v + 1) // p), p
+
+
 def test_komori_dichotomy():
     # x * x^-1 is 1 for nonzero x and 0 * 0^-1 = 0, exactly.
     t = Mul(Var("x"), Inv(Var("x")))
