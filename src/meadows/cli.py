@@ -4,10 +4,10 @@ One subcommand per capability: eval, peval, project, normalize,
 decide, truth, classify, comply, check-model, witness, spec.  Exit
 status is 0 for successful/positive verdicts (true, Compliant,
 defined, T), 1 for negative ones (false, Violation, undefined), and
-2 for usage, parse, or signature errors and for assigned values outside
-a finite model's carrier.  --json emits one JSON
-object per result with absent fields omitted; rationals print as
-n/m in lowest terms, never as decimals.
+2 for usage, parse, or signature errors, for assigned values outside
+a finite model's carrier, for a closed standard output and when memory
+runs out.  --json emits one JSON object per result with absent fields
+omitted; rationals print as n/m in lowest terms, never as decimals.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ __all__ = ["main", "run"]
 
 _SIG_CHOICES = ["mixed", *(s.value for s in Signature)]
 _VARIANT_CHOICES = ("div0", "div0lib", "inv0")
-
-
-def _signature(name: str) -> Signature | None:
-    return None if name == "mixed" else Signature(name)
 
 
 def _parse_value(text: str, model: Model) -> int | Fraction:
@@ -77,57 +73,46 @@ def _load_model(choice: str) -> Model:
     raise ValueError(f"unknown model {choice!r}; use q0, zp:<p>, or zn:<n>")
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=False))
-    else:
-        print(text)
+# What a handler returns: the exit code, the JSON payload without its
+# "command" key, and the text form (None for a command that prints only JSON).
+_Outcome = tuple[int, dict, str | None]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> _Outcome:
     from .semantics import eval_model
     model = _load_model(args.model)
-    t = parse_term(args.term, _signature(args.sig))
-    a = _parse_assignment(args.assign, model)
-    value = eval_model(t, model, a)
-    _emit(args, {"command": "eval", "value": str(value)}, str(value))
-    return 0
+    t = parse_term(args.term, None if args.sig == "mixed" else Signature(args.sig))
+    value = str(eval_model(t, model, _parse_assignment(args.assign, model)))
+    return 0, {"value": value}, value
 
 
-def _cmd_peval(args) -> int:
+def _cmd_peval(args) -> _Outcome:
     from .partial import _VARIANT_SIG, Defined, PunchVariant, punch_eval
     model = _load_model(args.model)
     variant = PunchVariant(args.variant)
     t = parse_term(args.term, _VARIANT_SIG[variant])
-    a = _parse_assignment(args.assign, model)
-    result = punch_eval(t, variant, model, a)
+    result = punch_eval(t, variant, model, _parse_assignment(args.assign, model))
     if isinstance(result, Defined):
         value = str(result.value)
-        _emit(args, {"command": "peval", "status": "defined", "value": value}, value)
-        return 0
-    _emit(args, {"command": "peval", "status": "undefined"}, "undefined")
-    return 1
+        return 0, {"status": "defined", "value": value}, value
+    return 1, {"status": "undefined"}, "undefined"
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> _Outcome:
     from .projection import _SOURCE, Projection, project
     which = Projection(args.to)
-    t = parse_term(args.term, _SOURCE[which])
-    image = render(project(t, which))
-    _emit(args, {"command": "project", "value": image}, image)
-    return 0
+    image = render(project(parse_term(args.term, _SOURCE[which]), which))
+    return 0, {"value": image}, image
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> _Outcome:
     from . import normalize
     sig = Signature(args.sig)
-    t = parse_term(args.term, sig)
-    nf = normalize.normal_form_closed(t, sig)
-    _emit(args, {"command": "normalize", "value": str(nf)}, str(nf))
-    return 0
+    nf = str(normalize.normal_form_closed(parse_term(args.term, sig), sig))
+    return 0, {"value": nf}, nf
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> _Outcome:
     from . import normalize
     theory = normalize._theory(args.theory)  # refuses an undecided theory before parsing
     t = parse_term(args.left, theory.sig)
@@ -137,25 +122,18 @@ def _cmd_decide(args) -> int:
     if theory.gil and zeroed is not None:
         # The first zero set at which the sides differ, and the sides there.
         witness = {"zeroed": zeroed, **witness}
-    payload = {
-        "command": "decide",
-        "verdict": "true" if zeroed is None else "false",
-        "witness": witness,
-    }
-    print(json.dumps(payload, sort_keys=False))
-    return 0 if zeroed is None else 1
+    verdict = "true" if zeroed is None else "false"
+    return 0 if zeroed is None else 1, {"verdict": verdict, "witness": witness}, None
 
 
-def _default_domain() -> str:
-    return os.environ.get("MEADOW_DEFAULT_DOMAIN", "0,1,2")
-
-
-def _cmd_truth(args) -> int:
+def _cmd_truth(args) -> _Outcome:
     from . import logic3
     from .partial import _VARIANT_SIG, PunchVariant
     model = _load_model(args.model)
     variant = PunchVariant(args.variant)
-    domain_text = args.domain if args.domain is not None else _default_domain()
+    domain_text = args.domain
+    if domain_text is None:
+        domain_text = os.environ.get("MEADOW_DEFAULT_DOMAIN", "0,1,2")
     domain = tuple(_parse_value(v, model) for v in domain_text.split(","))
     if args.logic == "lpmd":
         cfg = logic3.lpmd(domain)
@@ -167,76 +145,55 @@ def _cmd_truth(args) -> int:
     f = logic3.parse_formula(args.formula, _VARIANT_SIG[variant])
     a = _parse_assignment(args.assign, model)
     value = logic3.eval_formula(f, cfg, variant, model, a)
-    _emit(args, {"command": "truth", "value": str(value)}, str(value))
-    return 0 if value is logic3.TruthValue3.T else 1
+    return 0 if value is logic3.TruthValue3.T else 1, {"value": str(value)}, str(value)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> _Outcome:
     from . import convention
     t = parse_term(args.term, Signature.IAMDZ)
     result = convention.classify(t, args.mode, args.vars_defined)
-    _emit(args, {"command": "classify", "verdict": str(result)}, str(result))
-    return 0 if result is not convention.DefNzClass.NEITHER else 1
+    code = 0 if result is not convention.DefNzClass.NEITHER else 1
+    return code, {"verdict": str(result)}, str(result)
 
 
-def _cmd_comply(args) -> int:
+def _cmd_comply(args) -> _Outcome:
     from . import convention
     from .partial import _VARIANT_SIG
     if args.open:
         t = parse_term(args.term, Signature.IAMDZ)
         result = convention.open_compliance_sufficient(t, args.mode, args.vars_defined)
-        _emit(args, {"command": "comply", "verdict": str(result)}, str(result))
-        return 0 if result is convention.Sufficiency.CERTIFIED_COMPLIANT else 1
+        code = 0 if result is convention.Sufficiency.CERTIFIED_COMPLIANT else 1
+        return code, {"verdict": str(result)}, str(result)
     conv = convention.ConventionId(args.convention)
     t = parse_term(args.term, _VARIANT_SIG[conv])
     result = convention.closed_compliance(t, conv)
     if isinstance(result, convention.Violation):
-        payload = {
-            "command": "comply",
-            "verdict": "Violation",
-            "witness": {"subterm": render(result.subterm), "detail": result.detail},
-        }
-        _emit(args, payload, str(result))
-        return 1
-    _emit(args, {"command": "comply", "verdict": "Compliant"}, "Compliant")
-    return 0
+        witness = {"subterm": render(result.subterm), "detail": result.detail}
+        return 1, {"verdict": "Violation", "witness": witness}, str(result)
+    return 0, {"verdict": "Compliant"}, "Compliant"
 
 
-def _cmd_check_model(args) -> int:
+def _cmd_check_model(args) -> _Outcome:
     from . import presentations
-    from .semantics import check_axioms, zn_meadow, zp_meadow
-    if args.zp is not None:
-        model, label = zp_meadow(args.zp), f"zp:{args.zp}"
-    else:
-        model, label = zn_meadow(args.zn), f"zn:{args.zn}"
-    failures = check_axioms(model, args.axioms)
-    if not failures:
-        count = len(presentations.builtin(args.axioms).axioms)
-        text = f"ok: all {count} {args.axioms} axioms hold in {label}"
-        _emit(args, {"command": "check-model", "verdict": "ok"}, text)
-        return 0
-    payload = {
-        "command": "check-model",
-        "verdict": "fail",
-        "witness": [str(f) for f in failures],
-    }
-    _emit(args, payload, "\n".join(str(f) for f in failures))
-    return 1
+    from .semantics import check_axioms
+    label = f"zp:{args.zp}" if args.zp is not None else f"zn:{args.zn}"
+    failures = [str(f) for f in check_axioms(_load_model(label), args.axioms)]
+    if failures:
+        return 1, {"verdict": "fail", "witness": failures}, "\n".join(failures)
+    count = len(presentations.builtin(args.axioms).axioms)
+    return 0, {"verdict": "ok"}, f"ok: all {count} {args.axioms} axioms hold in {label}"
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> _Outcome:
     from .semantics import corollary_witness, two_squares
     p = args.prime
     if args.residue is not None:
         v, w = two_squares(p, args.residue)
         value = {"prime": p, "residue": args.residue, "v": v, "w": w}
-        text = f"{args.residue} = {v}^2 + {w}^2 (mod {p})"
-    else:
-        u, v, w = corollary_witness(p)
-        value = {"prime": p, "u": u, "v": v, "w": w}
-        text = f"{u}^2 + {v}^2 + 1 = {w} * {p}"
-    _emit(args, {"command": "witness", "value": value}, text)
-    return 0
+        return 0, {"value": value}, f"{args.residue} = {v}^2 + {w}^2 (mod {p})"
+    u, v, w = corollary_witness(p)
+    value = {"prime": p, "u": u, "v": v, "w": w}
+    return 0, {"value": value}, f"{u}^2 + {v}^2 + 1 = {w} * {p}"
 
 
 def _render_presentation(p: presentations.Presentation) -> str:
@@ -251,133 +208,138 @@ def _render_presentation(p: presentations.Presentation) -> str:
     return "\n".join(lines)
 
 
-def _cmd_spec(args) -> int:
+def _cmd_spec(args) -> _Outcome:
     from . import presentations
     if args.show:
         p = presentations.builtin(args.show)
     else:
         p = presentations.parse_module_expression(args.flatten)
-    payload = {
-        "command": "spec",
-        "value": {
-            "name": p.name,
-            "visible": sorted(str(s) for s in p.visible),
-            "hidden": sorted(str(s) for s in p.hidden_symbols),
-            "axioms": [
-                {"name": eq.name, "lhs": render(eq.lhs), "rhs": render(eq.rhs)}
-                for eq in p.axioms
-            ],
-        },
+    value = {
+        "name": p.name,
+        "visible": sorted(str(s) for s in p.visible),
+        "hidden": sorted(str(s) for s in p.hidden_symbols),
+        "axioms": [
+            {"name": eq.name, "lhs": render(eq.lhs), "rhs": render(eq.rhs)}
+            for eq in p.axioms
+        ],
     }
-    _emit(args, payload, _render_presentation(p))
-    return 0
+    return 0, {"value": value}, _render_presentation(p)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _opt(*names: str, **keywords) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one argparse add_argument call."""
+    return names, keywords
+
+
+# Options that several subcommands share.
+_TERM = _opt("term")
+_MODEL = _opt("--model", default="q0", help="q0 (default), zp:<p>, or zn:<n>")
+_ASSIGN = _opt("--assign", help="comma-separated name=value bindings")
+_MODE = _opt("--mode", default="strict", choices=["strict", "literal"])
+_VARS_DEFINED = _opt("--vars-defined", action="store_true")
+
+# Each subcommand's help, handler and options in usage order; a list of
+# options is a group of which exactly one must be given.
+_COMMANDS = {
+    "eval": ("evaluate a term in a total model", _cmd_eval, [
+        _MODEL, _opt("--sig", default="mixed", choices=_SIG_CHOICES), _ASSIGN, _TERM,
+    ]),
+    "peval": ("evaluate a term in a punched model", _cmd_peval, [
+        _opt("--variant", required=True, choices=_VARIANT_CHOICES),
+        _MODEL, _ASSIGN, _TERM,
+    ]),
+    "project": ("translate a term between notations", _cmd_project, [
+        _opt("--to", required=True, choices=["imn", "dmn", "rdmn"]), _TERM,
+    ]),
+    "normalize": ("normal form of a closed arithmetical term", _cmd_normalize, [
+        _opt("--sig", required=True, choices=["iamd", "iamdz"]), _TERM,
+    ]),
+    "decide": ("decide equality of two terms", _cmd_decide, [
+        _opt("--theory", required=True,
+             choices=["iamd", "iamdz-gil", "damd", "damdz-gil", "iamdz", "damdz"]),
+        _opt("left"), _opt("right"),
+    ]),
+    "truth": ("three-valued truth value of a formula", _cmd_truth, [
+        _opt("--eq", default="weak", choices=("exist", "strong", "weak")),
+        _opt("--conn", default="mccarthy",
+             choices=("bochvar", "kleene", "mccarthy", "mccarthy-rev")),
+        _opt("--quant", default="bochvar", choices=("bochvar", "kleene")),
+        _opt("--variant", default="div0", choices=_VARIANT_CHOICES),
+        _opt("--domain", help="comma-separated carrier values (default 0,1,2)"),
+        _opt("--logic", choices=["lpmd"], help="preset overriding eq/conn/quant"),
+        _MODEL, _ASSIGN, _opt("formula"),
+    ]),
+    "classify": ("Def/Nz class of an arithmetical term", _cmd_classify, [
+        _MODE, _VARS_DEFINED, _TERM,
+    ]),
+    "comply": ("division-convention compliance", _cmd_comply, [
+        _opt("--convention", choices=_VARIANT_CHOICES, default="div0"),
+        _opt("--open", action="store_true", help="sound syntactic check for open terms"),
+        _MODE, _VARS_DEFINED, _TERM,
+    ]),
+    "check-model": ("exhaustively check axioms in a finite model", _cmd_check_model, [
+        [_opt("--zp", type=int, help="zero-totalized prime field Z_p"),
+         _opt("--zn", type=int, help="meadow expansion of Z_n (n squarefree)")],
+        _opt("--axioms", default="imd"),
+    ]),
+    "witness": ("number-theoretic witnesses for a prime", _cmd_witness, [
+        _opt("--prime", type=int, required=True),
+        _opt("--residue", type=int, help="two-squares decomposition of a residue"),
+    ]),
+    "spec": ("show or flatten presentations", _cmd_spec, [[
+        _opt("--show", metavar="NAME"),
+        _opt("--flatten", metavar="EXPR",
+             help="combine(A,B), hide(sym,A), export({syms},A), rename(a:=b,A)"),
+    ]]),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """A parser that names every subcommand but gives options only to the
+    one argv runs: its first token that is not an option."""
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="meadow",
         description="Zero-totalized field arithmetic and meadow term tools.",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a term in a total model")
-    p.add_argument("--model", default="q0", help="q0 (default), zp:<p>, or zn:<n>")
-    p.add_argument("--sig", default="mixed", choices=_SIG_CHOICES)
-    p.add_argument("--assign", help="comma-separated name=value bindings")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("peval", help="evaluate a term in a punched model")
-    p.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
-    p.add_argument("--model", default="q0")
-    p.add_argument("--assign")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_peval)
-
-    p = sub.add_parser("project", help="translate a term between notations")
-    p.add_argument("--to", required=True, choices=["imn", "dmn", "rdmn"])
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("normalize", help="normal form of a closed arithmetical term")
-    p.add_argument("--sig", required=True, choices=["iamd", "iamdz"])
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("decide", help="decide equality of two terms")
-    p.add_argument(
-        "--theory", required=True,
-        choices=["iamd", "iamdz-gil", "damd", "damdz-gil", "iamdz", "damdz"],
-    )
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_decide)
-
-    p = sub.add_parser("truth", help="three-valued truth value of a formula")
-    p.add_argument("--eq", default="weak", choices=("exist", "strong", "weak"))
-    p.add_argument("--conn", default="mccarthy",
-                   choices=("bochvar", "kleene", "mccarthy", "mccarthy-rev"))
-    p.add_argument("--quant", default="bochvar", choices=("bochvar", "kleene"))
-    p.add_argument("--variant", default="div0", choices=_VARIANT_CHOICES)
-    p.add_argument("--domain", help="comma-separated carrier values (default 0,1,2)")
-    p.add_argument("--logic", choices=["lpmd"], help="preset overriding eq/conn/quant")
-    p.add_argument("--model", default="q0")
-    p.add_argument("--assign")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_truth)
-
-    p = sub.add_parser("classify", help="Def/Nz class of an arithmetical term")
-    p.add_argument("--mode", default="strict", choices=["strict", "literal"])
-    p.add_argument("--vars-defined", action="store_true", dest="vars_defined")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("comply", help="division-convention compliance")
-    p.add_argument("--convention", choices=_VARIANT_CHOICES, default="div0")
-    p.add_argument("--open", action="store_true",
-                   help="sound syntactic check for open terms")
-    p.add_argument("--mode", default="strict", choices=["strict", "literal"])
-    p.add_argument("--vars-defined", action="store_true", dest="vars_defined")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_comply)
-
-    p = sub.add_parser("check-model", help="exhaustively check axioms in a finite model")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--zp", type=int, help="zero-totalized prime field Z_p")
-    group.add_argument("--zn", type=int, help="meadow expansion of Z_n (n squarefree)")
-    p.add_argument("--axioms", default="imd")
-    p.set_defaults(func=_cmd_check_model)
-
-    p = sub.add_parser("witness", help="number-theoretic witnesses for a prime")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--residue", type=int, help="two-squares decomposition of a residue")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("spec", help="show or flatten presentations")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--show", metavar="NAME")
-    group.add_argument(
-        "--flatten", metavar="EXPR",
-        help="combine(A,B), hide(sym,A), export({syms},A), rename(a:=b,A)",
-    )
-    p.set_defaults(func=_cmd_spec)
-
+    for name, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options if name == chosen else ():
+            if isinstance(option, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for names, keywords in option:
+                    group.add_argument(*names, **keywords)
+            else:
+                p.add_argument(*option[0], **option[1])
     return parser
 
 
 def run(argv: list[str]) -> int:
     """Parse argv and execute; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code, payload, text = _COMMANDS[args.command][1](args)
+        if args.json or text is None:
+            text = json.dumps({"command": args.command, **payload})
+        # Flushed here, so that a closed stdout fails inside the try.
+        print(text, flush=True)
+        return code
     except ValueError as exc:  # ParseError, SignatureError, UnsupportedTheory, NotRegular too
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error = str(exc)
+    except MemoryError:
+        error = "out of memory"
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered, flushed at exit, nowhere.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        error = "standard output is closed"
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:

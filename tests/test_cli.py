@@ -1,7 +1,10 @@
+import argparse
 import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import meadows
 
 from meadows import normalize
-from meadows.cli import _render_presentation, run
+from meadows.cli import _build_parser, _render_presentation, run
 from meadows.convention import ConventionId
 from meadows.logic3 import Connectives, Equality, Quantifiers
 from meadows.normalize import ZERO_NF, decide_iamdz_gil, to_polyfrac, zero_eliminate
@@ -27,6 +30,11 @@ from meadows.projection import Projection, project
 from meadows.terms import ONE, Mul, Signature
 
 from .helpers import random_term
+
+SRC = str(Path(meadows.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parent.parent / "README.md"
+COMMANDS = ("eval", "peval", "project", "normalize", "decide", "truth", "classify",
+            "comply", "check-model", "witness", "spec")
 
 
 def invoke(capsys, *argv):
@@ -308,13 +316,12 @@ def test_spec_flatten_refuses_punctuation_as_a_symbol(capsys):
 
 def test_combine_clash_message_does_not_depend_on_hash_seed():
     # The clashing keys are add, inv and mul; the first in sorted order is named.
-    src = str(Path(meadows.__file__).resolve().parent.parent)
     errors = set()
     for seed in ("3", "4"):
         p = subprocess.run(
             [sys.executable, "-m", "meadows.cli", "spec", "--flatten", "combine(iamd,md_rd)"],
             capture_output=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
         )
         assert p.returncode == 2
         errors.add(p.stderr)
@@ -382,19 +389,116 @@ def test_deep_module_expression_within_default_recursion_limit(capsys):
     assert sys.getrecursionlimit() == limit
 
 
-def test_enum_option_choices_are_the_enum_values(capsys):
+def subparsers(parser):
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def option_choices(command, option):
+    (action,) = [a for a in subparsers(_build_parser([command]))[command]._actions
+                 if option in a.option_strings]
+    return set(action.choices)
+
+
+def test_enum_option_choices_are_the_enum_values():
     # The parser spells the values out so that it imports no enum's module.
-    for command, option, enum in (
-        ("peval", "--variant", PunchVariant),
-        ("truth", "--variant", PunchVariant),
-        ("truth", "--eq", Equality),
-        ("truth", "--conn", Connectives),
-        ("truth", "--quant", Quantifiers),
-        ("comply", "--convention", ConventionId),
+    # decide also names the two theories it refuses, as an open problem.
+    for command, option, values in (
+        ("peval", "--variant", {e.value for e in PunchVariant}),
+        ("truth", "--variant", {e.value for e in PunchVariant}),
+        ("truth", "--eq", {e.value for e in Equality}),
+        ("truth", "--conn", {e.value for e in Connectives}),
+        ("truth", "--quant", {e.value for e in Quantifiers}),
+        ("comply", "--convention", {e.value for e in ConventionId}),
+        ("project", "--to", {e.value for e in Projection}),
+        ("decide", "--theory", {*normalize._THEORIES, "iamdz", "damdz"}),
     ):
-        code, out, _ = invoke(capsys, command, "--help")
-        values = ",".join(sorted(e.value for e in enum))
-        assert code == 0 and f"{option} {{{values}}}" in out, (command, option)
+        assert option_choices(command, option) == values, (command, option)
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("eval", "[-h] [--model MODEL] [--sig {mixed,cr,imd,dmd,iamd,damd,iamdz,damdz,rd}] "
+             "[--assign ASSIGN] term"),
+    ("peval", "[-h] --variant {div0,div0lib,inv0} [--model MODEL] [--assign ASSIGN] term"),
+    ("project", "[-h] --to {imn,dmn,rdmn} term"),
+    ("normalize", "[-h] --sig {iamd,iamdz} term"),
+    ("decide", "[-h] --theory {iamd,iamdz-gil,damd,damdz-gil,iamdz,damdz} left right"),
+    ("truth", "[-h] [--eq {exist,strong,weak}] [--conn {bochvar,kleene,mccarthy,mccarthy-rev}] "
+              "[--quant {bochvar,kleene}] [--variant {div0,div0lib,inv0}] [--domain DOMAIN] "
+              "[--logic {lpmd}] [--model MODEL] [--assign ASSIGN] formula"),
+    ("classify", "[-h] [--mode {strict,literal}] [--vars-defined] term"),
+    ("comply", "[-h] [--convention {div0,div0lib,inv0}] [--open] [--mode {strict,literal}] "
+               "[--vars-defined] term"),
+    ("check-model", "[-h] (--zp ZP | --zn ZN) [--axioms AXIOMS]"),
+    ("witness", "[-h] --prime PRIME [--residue RESIDUE]"),
+    ("spec", "[-h] (--show NAME | --flatten EXPR)"),
+])
+def test_usage_line(capsys, command, usage):
+    code, out, _ = invoke(capsys, command, "--help")
+    # The usage paragraph with its line breaks, which depend on the terminal, undone.
+    paragraph = " ".join(out.split("\n\n")[0].split())
+    assert code == 0 and paragraph == f"usage: meadow {command} {usage}"
+
+
+@pytest.mark.parametrize("argv, chosen", [
+    *(([command, "--help"], command) for command in COMMANDS),
+    (["--json", "decide", "--theory", "iamd", "x", "x"], "decide"),
+    (["--help"], None),
+    ([], None),
+    (["no-such-command"], None),
+])
+def test_parser_holds_only_the_options_of_the_command_it_runs(argv, chosen):
+    for name, parser in subparsers(_build_parser(argv)).items():
+        options = [action.dest for action in parser._actions]
+        assert (options != ["help"]) == (name == chosen), (argv, name, options)
+
+
+def readme_examples():
+    """The `meadow` lines of the README's CLI block."""
+    block = README.read_text().split("\n## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    return [line for line in block.splitlines() if line.startswith("meadow ")]
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_cli_example(capsys, monkeypatch, line):
+    # Each comment is the first line printed, "..." standing for any text,
+    # then the exit code where it is not 0.
+    monkeypatch.delenv("MEADOW_DEFAULT_DOMAIN", raising=False)
+    first, code = re.fullmatch(r".*?\s# (.*?)(?: \(exit (\d)\))?", line).groups()
+    pattern = ".*".join(re.escape(piece) for piece in first.split("..."))
+    got, out, _ = invoke(capsys, *shlex.split(line, comments=True)[1:])
+    assert got == int(code or 0)
+    assert re.fullmatch(pattern, out.splitlines()[0])
+
+
+def test_closed_stdout_exits_2():
+    # About 80 KB, more than a pipe holds, so a write fails once the reader has gone.
+    with subprocess.Popen(
+        [sys.executable, "-m", "meadows.cli", "project", "--to", "dmn", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env={**os.environ, "PYTHONPATH": SRC},
+    ) as p:
+        p.stdout.read(10)
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=60) == 2
+    assert err == b"error: standard output is closed\n"
+
+
+def test_out_of_memory_exits_2():
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    # The table of square roots mod a prime near 10^7 does not fit in 400 MB.
+    p = subprocess.run(
+        [sys.executable, "-m", "meadows.cli", "witness", "--prime", "10000019"],
+        capture_output=True, timeout=120, preexec_fn=limit_address_space,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (p.returncode, p.stdout, p.stderr) == (2, b"", b"error: out of memory\n")
 
 
 def test_json_determinism(capsys):
