@@ -30,7 +30,7 @@ from functools import cache
 
 from .terms import (
     CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, _join, check_conforms, fold, numeral,
+    Signature, _join, _spellable, check_conforms, fold, numeral,
 )
 
 __all__ = ["ParseError", "tokenize", "parse_term", "parse_term_prefix", "render"]
@@ -256,7 +256,7 @@ _INFIX_EXPANDED = {
     Add: _binary, Sub: _binary, Mul: _binary, Div: _binary,
     Neg: lambda t, arg: (_cat("-", _operand(arg, _UNARY)), _UNARY),
     Inv: lambda t, arg: (_cat(_operand(arg, _ATOM), "^-1"), _POSTFIX),
-    NUMERAL: lambda t, k: ("1" + " + 1" * (k - 1), _SUM),
+    NUMERAL: lambda t, k: ("1" + " + 1" * (_spellable(k) - 1), _SUM),
 }
 _INFIX = {
     False: _INFIX_EXPANDED,
@@ -280,7 +280,7 @@ def _sexpr_node(t: Term, *kids):
 
 _SEXPR = dict.fromkeys(CONSTRUCTORS, _sexpr_node)
 # (+ (+ ... (+ 1 1) 1) ... 1): k - 1 heads, the innermost pair, k - 2 tails.
-_SEXPR[NUMERAL] = lambda t, k: "(+ " * (k - 1) + "1 1)" + " 1)" * (k - 2)
+_SEXPR[NUMERAL] = lambda t, k: "(+ " * (_spellable(k) - 1) + "1 1)" + " 1)" * (k - 2)
 
 
 def render(t: Term, style: str = "infix", numerals: bool = False) -> str:

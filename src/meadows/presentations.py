@@ -397,13 +397,13 @@ def visible_models_check(
     assignments.
     """
     if isinstance(model, FiniteMeadow):
-        size = model.size
-        available = model.ops()
+        size, encoded = model.size, model.line_tables
+        available = encoded.tables
+    elif size is None:
+        raise ValueError("size is required for table-dict models")
     else:
-        if size is None:
-            raise ValueError("size is required for table-dict models")
-        available = dict(model)
-    missing = [k for k in p.visible_keys if k not in available]
+        encoded, available = None, model
+    missing = sorted(k for k in p.visible_keys if k not in available)
     if missing:
         raise ValueError(f"model does not interpret visible symbols {missing}")
     reduct = {k: available[k] for k in p.visible_keys}
@@ -412,12 +412,13 @@ def visible_models_check(
     trials = size * sum(size ** OP_ARITY[k] for k in hidden)
     equations = capped_equations("searching expansions of", p, size, trials)
     # Each axiom is compiled once; the tables come per call.  The reduct
-    # is encoded once, and each trial adds its hidden tables to it.  An
-    # axiom that reads no hidden table has the same outcome in every trial
-    # and candidate as on the reduct, so it is decided here, once; the
-    # search runs the lines of the other axioms.
+    # is encoded once (a FiniteMeadow's once per model), and each trial
+    # adds its hidden tables to it.  An axiom that reads no hidden table
+    # has the same outcome in every trial and candidate as on the reduct,
+    # so it is decided here, once; the search runs the lines of the other
+    # axioms.
     keys = reduct.keys() | p.hidden
-    visible = encode_tables(reduct, size)
+    visible = encode_tables(reduct, size) if encoded is None else encoded._replace(tables=reduct)
     searched = []
     for eq, names in equations:
         lines = equation_lines(eq.lhs, eq.rhs, names, keys)

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .terms import (
     CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Term, Zero, ONE,
-    Signature, _itself, check_conforms, fold, rebuild,
+    Signature, _itself, _spellable, check_conforms, fold, rebuild,
 )
 
 __all__ = ["Projection", "project"]
@@ -43,7 +43,7 @@ _REBUILD = {**dict.fromkeys(CONSTRUCTORS, rebuild), NUMERAL: _itself}
 def _rd_numeral(t: Term, k: int) -> Term:
     # The image of the chain (...(1 + 1) + ...) + 1 under the Add case below.
     image = ONE
-    for _ in range(k - 1):
+    for _ in range(_spellable(k) - 1):
         image = Sub(image, _RD_MINUS_ONE)
     return image
 

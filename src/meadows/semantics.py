@@ -28,8 +28,9 @@ loop where its operands are known, a table row or unary table taken as
 it is where an operation is applied to the bare last variable, and the
 code yields only the lines whose two sides differ.  On a carrier of at
 most 255 elements a line is a bytes object and each table read along
-it is one bytes.translate, in C; a model's tables are encoded for this
-once (FiniteMeadow.line_tables).  Larger carriers run the same code on
+it is one bytes.translate, in C; a model's tables, sub and div derived
+from them included, are checked and encoded for this once
+(FiniteMeadow.line_tables).  Larger carriers run the same code on
 tuples.  An undecided table entry, in the expansion search, is the
 value size, which every table maps to itself, so it propagates through
 the reads with no test of its own.  check_axioms refuses more than
@@ -164,7 +165,8 @@ class FiniteMeadow:
 
     The inverse table may be None, in which case the structure is a bare
     commutative ring awaiting expansion.  Division and subtraction are
-    derived: x / y = x * inv(y) and x - y = x + neg(y).
+    derived: x / y = x * inv(y) and x - y = x + neg(y), tabulated once per
+    model by line_tables, which ops() reads back.
     """
 
     size: int
@@ -230,34 +232,31 @@ class FiniteMeadow:
                 x = add[x][one]
         return x
 
-    def tables(self) -> dict[str, object]:
-        """The tabulated operations keyed by symbol; inv only when present."""
-        table: dict[str, object] = {
-            "zero": self.zero,
-            "one": self.one,
-            "add": self.add,
-            "mul": self.mul,
-            "neg": self.neg,
-        }
-        if self.inv is not None:
-            table["inv"] = self.inv
-        return table
-
     def ops(self) -> dict[str, object]:
-        """tables() plus the derived n x n subtraction and division tables."""
-        table = self.tables()
-        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
-        table["sub"] = tuple([tuple([add[x][neg[y]] for y in self.carrier])
-                              for x in self.carrier])
-        if inv is not None:
-            table["div"] = tuple([tuple([mul[x][inv[y]] for y in self.carrier])
-                                  for x in self.carrier])
-        return table
+        """line_tables read back as tuples: every operation, sub and div included."""
+        ops: dict[str, object] = {}
+        for key, code in self.line_tables.tables.items():
+            if OP_ARITY[key] == 2:
+                code = tuple(map(tuple, code[0][:self.size]))
+            elif OP_ARITY[key] == 1:
+                code = tuple(code[0])
+            ops[key] = code
+        return ops
 
     @cached_property
     def line_tables(self) -> LineTables:
-        """tables(), encoded once for exhaustive checks."""
-        return encode_tables(self.tables(), self.size)
+        """The model's tables, checked and encoded once for exhaustive checks,
+        with sub, and div when there is an inverse, tabulated from them."""
+        tables = {"zero": self.zero, "one": self.one,
+                  "add": self.add, "mul": self.mul, "neg": self.neg}
+        if self.inv is not None:
+            tables["inv"] = self.inv
+        encoded = encode_tables(tables, self.size)
+        codes, read = encoded.tables, encoded.read
+        return encoded.with_tables({
+            key: [read(codes[inner][0], row) for row in codes[outer][1][:self.size]]
+            for key, outer, inner in (("sub", "add", "neg"), ("div", "mul", "inv"))
+            if inner in codes})
 
 
 def _no_inverse(t: Term, *args: int) -> int:
@@ -270,12 +269,12 @@ class ModularMeadow(FiniteMeadow):
     Build it with zn_ring, zp_meadow or zn_meadow.  inv(x) is
     pow(x, exponent, n), and exponent is None for the bare ring.
     algebra() computes each operation with %, so evaluating a term at one
-    assignment builds no table.  The tables add, mul, neg and inv hold
-    the same values for exhaustive evaluation, which looks them up faster
-    than it computes them; each is built on first read and cached.  Every
-    table is built from lists: tuple(<generator>) grows a 10-tuple to
-    size, which would leave the tuples of each small size in the
-    interpreter's free list for that size when the model dies.
+    assignment builds no table.  Exhaustive evaluation looks values up
+    faster than it computes them, so it reads line_tables, encoded from
+    the tables add, mul, neg and inv, each built on first read and
+    cached.  Every table is built from lists: tuple(<generator>) grows a
+    10-tuple to size, which would leave the tuples of each small size in
+    the interpreter's free list for that size when the model dies.
     """
 
     def __init__(self, n: int, exponent: int | None = None):
@@ -416,10 +415,6 @@ OP_KEY = {
 }
 #: The number of operands of each operator key.
 OP_ARITY = {key: len(constructor._fields) for constructor, key in OP_KEY.items()}
-# Symbols a FiniteMeadow does not tabulate, read per entry instead:
-# x - y = add[x][neg[y]] and x / y = mul[x][inv[y]].  Only total tables
-# lack them: the expansion search always passes sub and div when used.
-_DERIVED = {"sub": ("add", "neg"), "div": ("mul", "inv")}
 
 # The shapes of a subterm's values along a line: one value for the whole
 # line, the bare last variable (ident, 0..n-1), or a computed line.
@@ -513,12 +508,6 @@ def encode_tables(tables: Mapping[str, object], size: int, partial: bool = False
     return LineTables(size, ident, bytes.translate if small else _read_tuple, seq, codes)
 
 
-def _require(keys: Collection[str], key: str) -> str:
-    if key not in keys:
-        raise ValueError(f"model provides no interpretation for {key!r}")
-    return key
-
-
 @lru_cache(maxsize=512)
 def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str]) -> Callable:
     """Compile lhs = rhs into the generator lines(E) equation_lines returns.
@@ -542,7 +531,11 @@ def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str]
         return bound[expr]
 
     def table(key: str) -> str:
-        read.add(_require(keys, key))
+        if key not in keys:
+            # div is tabulated exactly when inv is: name the pair inv, as evaluation does.
+            missing = "inv" if key == "div" and "inv" not in keys else key
+            raise ValueError(f"model provides no interpretation for {missing!r}")
+        read.add(key)
         return key
 
     def apply(key: str, *args: tuple) -> tuple:
@@ -580,13 +573,8 @@ def _generate(lhs: Term, rhs: Term, names: tuple[str, ...], keys: frozenset[str]
         return _SCALAR, f"o{j}", j + 1
 
     def operation(node: Term, *args: tuple) -> tuple:
-        key = OP_KEY[type(node)]
-        if not args:
-            return _SCALAR, table(key), 0
-        if key in keys or key not in _DERIVED:
-            return apply(table(key), *args)
-        outer, inner = _DERIVED[key]
-        return apply(table(outer), args[0], apply(table(inner), args[1]))
+        key = table(OP_KEY[type(node)])
+        return apply(key, *args) if args else (_SCALAR, key, 0)
 
     def side(t: Term) -> str:
         shape, name, depth = fold(t, algebra, memo)
@@ -629,8 +617,8 @@ def equation_lines(
     """Compile lhs = rhs for evaluation one line of assignments at a time.
 
     names are the variables, sorted, and keys the operator keys (zero,
-    one, add, mul, neg, inv, div, sub) the tables will hold; sub and div
-    fall back to _DERIVED when absent, and a missing key raises
+    one, add, mul, neg, inv, div, sub) the tables will hold; each
+    operation reads its own table, and one whose key is missing raises
     ValueError.  The result maps tables encoded by encode_tables to an
     iterator over the lines of assignments of 0..size-1 to names, in
     row-major order, one line per value of all names but the last, on

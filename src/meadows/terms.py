@@ -29,6 +29,7 @@ one leaf; any other algebra walks the numeral's chain of additions.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
@@ -258,6 +259,14 @@ def numeral(n: int) -> Term:
         _SET_NUMERAL(node, n)
         node = _intern(table, n, node)
     return node
+
+
+def _spellable(k: int) -> int:
+    """k, or ValueError above sys.maxsize // 8, where numeral k spelled out
+    (four bytes of text or one node per unit) could not exist."""
+    if k > sys.maxsize // 8:
+        raise ValueError(f"numeral {k} is too large to spell out")
+    return k
 
 
 def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],

@@ -176,8 +176,8 @@ def shapes_presentation() -> Presentation:
     """Equations over every operator whose sides take each shape the line
     evaluator distinguishes: closed, the last variable (z, or y when z is
     absent) on one side only, an operand before it (z * x), it squared, and
-    sub and div, which a model without those tables reads as x + -y and
-    x * y^-1."""
+    sub and div, which a finite model tabulates from its own tables as
+    x + -y and x * y^-1."""
     x, y, z = Var("x"), Var("y"), Var("z")
     symbols = {
         "zero": Symbol("0", 0), "one": Symbol("1", 0),

@@ -373,6 +373,24 @@ def test_large_literals_cost_constant_time(capsys, argv, code, out):
     assert time.perf_counter() - start < 5
 
 
+_HUGE = "9" * 40
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--to", "imn", _HUGE],
+    ["project", "--to", "dmn", _HUGE],
+    ["project", "--to", "rdmn", _HUGE],
+    ["comply", "--convention", "div0", f"{_HUGE}/0"],
+])
+def test_numerals_too_large_to_spell_out_exit_2(capsys, argv):
+    # Their text or chain of additions could not exist: the first two and
+    # the violation's subterm used to end in an OverflowError traceback
+    # (exit 1), and the chain of rdmn was built until memory ran out.
+    start = time.perf_counter()
+    assert invoke(capsys, *argv) == (2, "", f"error: numeral {_HUGE} is too large to spell out")
+    assert time.perf_counter() - start < 5
+
+
 def test_deep_formula_within_default_recursion_limit(capsys):
     limit = sys.getrecursionlimit()
     code, out, _ = invoke(capsys, "truth", "~" * 5000 + "0 = 0")

@@ -190,6 +190,13 @@ def test_visible_models_check_rejects_values_outside_the_carrier(bad):
             visible_models_check(md_rd(), {**ops, "div": div}, size=2)
 
 
+def test_visible_models_check_names_missing_symbols_in_sorted_order():
+    # They came in the iteration order of a set of strings, which the hash
+    # seed changes from run to run.
+    with pytest.raises(ValueError, match=r"visible symbols \['div', 'inv'\]$"):
+        visible_models_check(builtin("divdef"), semantics.zn_ring(2))
+
+
 def test_visible_models_check_refuses_more_than_max_assignments(monkeypatch):
     ops = zp_meadow(23).ops()
     reduct = {"one": 1, "sub": ops["sub"], "div": ops["div"]}

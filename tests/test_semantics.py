@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from meadows.parsing import parse_term
 from meadows.partial import Defined, PunchVariant, punch_eval
-from meadows.presentations import Equation, Presentation, Symbol, builtin
+from meadows.presentations import (
+    Equation, Presentation, Symbol, builtin, md_d, md_rd, visible_models_check,
+)
 from meadows import semantics
 from meadows.semantics import (
     Q0, AxiomFailure, FiniteMeadow, MAX_ASSIGNMENTS, MissingAssignment, NotRegular, NotUnique,
@@ -373,7 +375,8 @@ def test_check_axioms_matches_naive_reference(m):
     # With n up to 13, a 3-variable axiom has up to 169 lines of 13
     # assignments, so witnesses and failure counts must survive many lines.
     # A corrupted add or mul table is not commutative, which the shapes'
-    # operand-first equations need; m has no sub or div table.
+    # operand-first equations need; m's sub and div tables are derived
+    # from its corrupted add, neg, mul and inv.
     for axioms in ("cr", "imd", "dmd", SHAPES):
         assert check_axioms(m, axioms) == _naive_check_axioms(m, axioms)
 
@@ -427,6 +430,43 @@ def test_check_axioms_edge_cases_match_naive_reference():
             assert check_axioms(m, axioms) == _naive_check_axioms(m, axioms), (m, axioms)
     failing = {f.axiom: f for f in check_axioms(crooked, edge)}
     assert failing["column"].witness == (("x", 2),) and "row" not in failing
+
+
+@pytest.mark.parametrize("key, slot", [("add", (2, 3)), ("mul", (4, 1)), ("neg", (3,)),
+                                       ("inv", (2,))])
+def test_an_entry_outside_the_carrier_is_one_value_error_everywhere(key, slot):
+    # The entry is the size, which the search reads as undecided.  ops()
+    # and the search used to index past a table with a bad neg or inv
+    # entry, and to name the derived sub or div for a bad add or mul.
+    m = _tweak(zp_meadow(5), **{key: (slot, 5)})
+    for call in (lambda: check_axioms(m, "dmd"), lambda: visible_models_check(md_d(), m),
+                 lambda: visible_models_check(md_rd(), m), m.ops):
+        with pytest.raises(ValueError, match=f"^table '{key}' holds a value outside the carrier"):
+            call()
+
+
+@pytest.mark.parametrize("m", [zn_meadow(255), zp_meadow(257), zn_ring(256)], ids=repr)
+def test_derived_tables_on_both_encodings(m):
+    # Lines are bytes up to 255 elements and tuples from 256; sub and div
+    # are tabulated from the encoded add, mul, neg and inv.
+    ops, carrier = m.ops(), m.carrier
+    assert ops["sub"] == tuple(tuple(m.add[x][m.neg[y]] for y in carrier) for x in carrier)
+    if m.inv is None:
+        assert "div" not in ops
+    else:
+        assert ops["div"] == tuple(tuple(m.mul[x][m.inv[y]] for y in carrier) for x in carrier)
+
+
+def test_check_axioms_reads_derived_tables_past_the_encoding_switch():
+    x, y = Var("x"), Var("y")
+    symbols = {"one": Symbol("1", 0), "add": Symbol("+", 2), "mul": Symbol("*", 2),
+               "neg": Symbol("-", 1), "div": Symbol("/", 2), "sub": Symbol("-", 2)}
+    derived = Presentation("derived", tuple(sorted(symbols.items())), frozenset(), (
+        Equation("sub_div", Sub(x, Div(y, x)), Add(Div(x, Add(y, ONE)), Neg(y))),
+    ))
+    m = zp_meadow(257)
+    (failure,) = check_axioms(m, derived)
+    assert [failure] == _naive_check_axioms(m, derived)
 
 
 def test_modular_tables_leave_allocated_blocks_flat():
