@@ -21,8 +21,8 @@ _EXPORTS = {
     "parsing": "ParseError parse_term render",
     "projection": "Projection project",
     "semantics": """Q0 FiniteMeadow MissingAssignment NotRegular NotUnique eval_q0 q0_div q0_inv
-        zp_meadow zn_ring zn_meadow eval_model check_axioms AxiomFailure expand_regular_ring
-        two_squares corollary_witness""",
+        zp_meadow zn_ring zn_meadow eval_model check_axioms AxiomFailure expand_regular_ring""",
+    "numbers": "two_squares corollary_witness",
     "partial": """PunchVariant Defined UNDEFINED PartialValue punch_eval RecoveryReport
         recovery_check""",
     "normalize": """Monomial Polynomial PolyFrac ZeroNF Frac ZERO_NF NormalForm to_polyfrac

@@ -5,9 +5,10 @@ decide, truth, classify, comply, check-model, witness, spec.  Exit
 status is 0 for successful/positive verdicts (true, Compliant,
 defined, T), 1 for negative ones (false, Violation, undefined), and
 2 for usage, parse, or signature errors, for assigned values outside
-a finite model's carrier, for a closed standard output and when memory
-runs out.  --json emits one JSON object per result with absent fields
-omitted; rationals print as n/m in lowest terms, never as decimals.
+a finite model's carrier, for numbers of more than 4300 digits, for a
+closed standard output and when memory runs out.  --json emits one
+JSON object per result with absent fields omitted; rationals print as
+n/m in lowest terms, never as decimals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Handlers import the other modules they run, so a command loads only what it uses.
-from .parsing import parse_term, render
+from .parsing import _MAX_DIGITS, parse_term, render
 from .terms import Signature, Var
 
 if TYPE_CHECKING:
@@ -33,9 +34,37 @@ _SIG_CHOICES = ["mixed", *(s.value for s in Signature)]
 _VARIANT_CHOICES = ("div0", "div0lib", "inv0")
 
 
+# A number read or printed has at most _MAX_DIGITS digits, the parser's bound on a
+# literal, whatever the interpreter's own limit on converting between int and str.
+_TOO_LONG = f"value has more than {_MAX_DIGITS} digits"
+_BOUND = 10 ** _MAX_DIGITS
+
+
+def _check_digits(text: str) -> None:
+    """ValueError when text holds more than _MAX_DIGITS digits."""
+    if sum(map(str.isdigit, text)) > _MAX_DIGITS:
+        raise ValueError(_TOO_LONG)
+
+
+def _spell(value) -> str:
+    """str(value) of a number, or of a record (a tuple) holding numbers;
+    ValueError when an integer in it has more than _MAX_DIGITS digits."""
+    parts = [value]
+    while parts:
+        part = parts.pop()
+        if isinstance(part, tuple):
+            parts += part
+        elif isinstance(part, Fraction):
+            parts += part.numerator, part.denominator
+        elif isinstance(part, int) and abs(part) >= _BOUND:
+            raise ValueError(_TOO_LONG)
+    return str(value)
+
+
 def _parse_value(text: str, model: Model) -> int | Fraction:
     """A value literal: an integer in a finite model, else a rational."""
     from .semantics import FiniteMeadow
+    _check_digits(text)
     try:
         return int(text) if isinstance(model, FiniteMeadow) else Fraction(text)
     except ZeroDivisionError:
@@ -51,6 +80,7 @@ def _parse_assignment(text: str | None, model: Model) -> dict:
         if not value:
             raise ValueError(f"bad assignment entry {item!r}; use name=value")
         name = name.strip()
+        _check_digits(value)  # before the entry is quoted in an error
         try:
             Var(name)  # ValueError unless name is a variable's
             if name in a:
@@ -66,6 +96,7 @@ def _load_model(choice: str) -> Model:
     if choice == "q0":
         return Q0
     kind, _, arg = choice.partition(":")
+    _check_digits(arg)
     if kind == "zp" and arg:
         return zp_meadow(int(arg))
     if kind == "zn" and arg:
@@ -82,7 +113,7 @@ def _cmd_eval(args) -> _Outcome:
     from .semantics import eval_model
     model = _load_model(args.model)
     t = parse_term(args.term, None if args.sig == "mixed" else Signature(args.sig))
-    value = str(eval_model(t, model, _parse_assignment(args.assign, model)))
+    value = _spell(eval_model(t, model, _parse_assignment(args.assign, model)))
     return 0, {"value": value}, value
 
 
@@ -93,7 +124,7 @@ def _cmd_peval(args) -> _Outcome:
     t = parse_term(args.term, _VARIANT_SIG[variant])
     result = punch_eval(t, variant, model, _parse_assignment(args.assign, model))
     if isinstance(result, Defined):
-        value = str(result.value)
+        value = _spell(result.value)
         return 0, {"status": "defined", "value": value}, value
     return 1, {"status": "undefined"}, "undefined"
 
@@ -108,7 +139,7 @@ def _cmd_project(args) -> _Outcome:
 def _cmd_normalize(args) -> _Outcome:
     from . import normalize
     sig = Signature(args.sig)
-    nf = str(normalize.normal_form_closed(parse_term(args.term, sig), sig))
+    nf = _spell(normalize.normal_form_closed(parse_term(args.term, sig), sig))
     return 0, {"value": nf}, nf
 
 
@@ -118,7 +149,7 @@ def _cmd_decide(args) -> _Outcome:
     t = parse_term(args.left, theory.sig)
     u = parse_term(args.right, theory.sig)
     zeroed, left, right = normalize._reason(theory, t, u)
-    witness = {"left": str(left), "right": str(right)}
+    witness = {"left": _spell(left), "right": _spell(right)}
     if theory.gil and zeroed is not None:
         # The first zero set at which the sides differ, and the sides there.
         witness = {"zeroed": zeroed, **witness}
@@ -185,7 +216,7 @@ def _cmd_check_model(args) -> _Outcome:
 
 
 def _cmd_witness(args) -> _Outcome:
-    from .semantics import corollary_witness, two_squares
+    from .numbers import corollary_witness, two_squares
     p = args.prime
     if args.residue is not None:
         v, w = two_squares(p, args.residue)

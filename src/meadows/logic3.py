@@ -29,10 +29,10 @@ memory, not by Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import partial, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .parsing import _TokenError, parse_term_prefix, tokenize
 from .partial import _VARIANT_SIG, PunchVariant, Violation, punched_algebra
@@ -135,16 +135,14 @@ class Quantifiers(Enum):
     KLEENE = "kleene"
 
 
-@dataclass(frozen=True)
-class LogicConfig:
-    equality: Equality
-    connectives: Connectives
-    quantifiers: Quantifiers
-    domain: tuple[Value, ...]
+class LogicConfig(namedtuple("LogicConfig", "equality connectives quantifiers domain")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.domain:
+    def __new__(cls, equality: Equality, connectives: Connectives, quantifiers: Quantifiers,
+                domain: tuple[Value, ...]):
+        if not domain:
             raise ValueError("quantifier domain must be nonempty")
+        return super().__new__(cls, equality, connectives, quantifiers, domain)
 
 
 def lpmd(domain: Sequence[Value] = (0, 1, 2)) -> LogicConfig:
@@ -269,8 +267,7 @@ def formula_free_vars(f: Formula) -> frozenset[str]:
     return fold(f, _FORMULA_FREE_VARS)
 
 
-@dataclass(frozen=True)
-class ConventionReport:
+class ConventionReport(NamedTuple):
     """Whether a sentence's truth value is usable under two-valued logic."""
 
     compliant: bool

@@ -26,7 +26,7 @@ the first zero set at which the sides differ and the two sides there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -84,18 +84,18 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "exponents")):
     """A product of variables with positive exponents; () is the unit."""
 
-    exponents: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [v for v, _ in self.exponents]
+    def __new__(cls, exponents: tuple[tuple[str, int], ...] = ()):
+        names = [v for v, _ in exponents]
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("monomial variables must be sorted and distinct")
-        if any(e < 1 for _, e in self.exponents):
+        if any(e < 1 for _, e in exponents):
             raise ValueError("monomial exponents must be positive")
+        return super().__new__(cls, exponents)
 
     @staticmethod
     def variable(name: str) -> "Monomial":
@@ -121,20 +121,20 @@ class Monomial:
 UNIT_MONOMIAL = Monomial()
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(namedtuple("Polynomial", "terms")):
     """Sum of monomials with positive integer coefficients, canonically ordered."""
 
-    terms: tuple[tuple[Monomial, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms: tuple[tuple[Monomial, int], ...]):
+        if not terms:
             raise ValueError("polynomials here have at least one term")
-        if any(c < 1 for _, c in self.terms):
+        if any(c < 1 for _, c in terms):
             raise ValueError("coefficients must be positive integers")
-        keys = [m.sort_key() for m, _ in self.terms]
+        keys = [m.sort_key() for m, _ in terms]
         if keys != sorted(keys, reverse=True):
             raise ValueError("polynomial terms must be in canonical order")
+        return super().__new__(cls, terms)
 
     @staticmethod
     def constant(k: int) -> "Polynomial":
@@ -170,8 +170,7 @@ class Polynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class PolyFrac:
+class PolyFrac(NamedTuple):
     """A term presented as numerator * denominator^-1, both inverse-free."""
 
     num: Polynomial
@@ -241,24 +240,29 @@ def _same_quotient(p: tuple, q: tuple) -> bool:
     return _poly_mul(p[0], q[1]) == _poly_mul(q[0], p[1])
 
 
-@dataclass(frozen=True)
 class ZeroNF:
+    """The normal form 0; ZERO_NF is its one instance."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "ZERO_NF"
+
     def __str__(self):
         return "0"
 
 
-@dataclass(frozen=True)
-class Frac:
+class Frac(namedtuple("Frac", "num den")):
     """A positive rational in lowest terms, the normal form n * m^-1."""
 
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num < 1 or self.den < 1:
+    def __new__(cls, num: int, den: int):
+        if num < 1 or den < 1:
             raise ValueError("normal-form components are positive")
-        if gcd(self.num, self.den) != 1:
+        if gcd(num, den) != 1:
             raise ValueError("normal-form components are coprime")
+        return super().__new__(cls, num, den)
 
     def __str__(self):
         return f"{self.num}/{self.den}" if self.den != 1 else str(self.num)

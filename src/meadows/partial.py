@@ -14,10 +14,9 @@ in the matching punched meadow, so a convention is its punch variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Union
+from typing import NamedTuple, Union
 
 from .projection import Projection, project
 from .semantics import Q0, Assignment, Model, Value, assigned
@@ -47,8 +46,7 @@ _VARIANT_SIG = {
 }
 
 
-@dataclass(frozen=True)
-class Defined:
+class Defined(NamedTuple):
     value: Value
 
     def __repr__(self):
@@ -88,8 +86,7 @@ def punch_eval(
     return UNDEFINED if isinstance(value, Violation) else Defined(value)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A punched application, the subterm that leaves a term undefined.
 
     It is also exactly a violation of the usage convention that forbids
@@ -162,8 +159,7 @@ def punched_algebra(variant: PunchVariant, m: Model) -> dict:
     return algebra
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     """Comparison of a punched evaluation with its projected counterpart."""
 
     agrees: bool

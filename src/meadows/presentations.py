@@ -19,18 +19,20 @@ would denote two different operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .parsing import parse_term
 from .terms import (
     Add, Neg, Sub, Term, Var,
     Signature, constructors,
 )
-from .semantics import (
-    OP_ARITY, OP_KEY, FiniteMeadow, LineTables, capped_equations, encode_tables, equation_lines,
+from .exhaustive import (
+    OP_ARITY, OP_KEY, LineTables, capped_equations, encode_tables, equation_lines,
 )
+from .semantics import FiniteMeadow
 
 __all__ = [
     "Symbol", "Equation", "Presentation",
@@ -40,15 +42,14 @@ __all__ = [
 ]
 
 
-# The display name of each operator key; its arity is semantics.OP_ARITY's.
+# The display name of each operator key; its arity is exhaustive.OP_ARITY's.
 DEFAULT_SYMBOLS = {
     "zero": "0", "one": "1", "add": "+", "mul": "*",
     "neg": "-", "inv": "^-1", "div": "/", "sub": "-",
 }
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
     arity: int
 
@@ -56,8 +57,7 @@ class Symbol:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     name: str
     lhs: Term
     rhs: Term
@@ -69,27 +69,28 @@ def _equation_ops(eq: Equation) -> frozenset[str]:
     return frozenset(OP_KEY[c] for c in used if c in OP_KEY)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    name: str
-    symbols: tuple[tuple[str, Symbol], ...]   # (op key, display symbol), key-sorted
-    hidden: frozenset[str]                    # op keys currently hidden
-    axioms: tuple[Equation, ...]
+class Presentation(namedtuple("Presentation", "name symbols hidden axioms")):
+    """A name, the symbols as (op key, display symbol) pairs sorted by key,
+    the frozenset of op keys currently hidden, and the tuple of axioms."""
 
-    def __post_init__(self):
-        keys = {k for k, _ in self.symbols}
-        for key, sym in self.symbols:
+    __slots__ = ()
+
+    def __new__(cls, name: str, symbols: tuple[tuple[str, Symbol], ...],
+                hidden: frozenset[str], axioms: tuple[Equation, ...]):
+        keys = {k for k, _ in symbols}
+        for key, sym in symbols:
             if OP_ARITY[key] != sym.arity:
                 raise ValueError(f"symbol {sym} has wrong arity for {key}")
-        if not self.hidden <= keys:
+        if not hidden <= keys:
             raise ValueError("hidden symbols not in signature")
-        for eq in self.axioms:
+        for eq in axioms:
             used = _equation_ops(eq)
             if not used <= keys:
                 raise ValueError(
                     f"axiom {eq.name} uses symbols outside the signature: "
                     f"{sorted(used - keys)}"
                 )
+        return super().__new__(cls, name, symbols, hidden, axioms)
 
     @property
     def symbol_map(self) -> dict[str, Symbol]:
@@ -297,12 +298,7 @@ def hide(symbol, p: Presentation) -> Presentation:
     key = _resolve(p, symbol)
     if key in p.hidden:
         raise ValueError(f"symbol {symbol!r} is not visible in {p.name}")
-    return Presentation(
-        name=f"hide({p.symbol_map[key]},{p.name})",
-        symbols=p.symbols,
-        hidden=p.hidden | {key},
-        axioms=p.axioms,
-    )
+    return p._replace(name=f"hide({p.symbol_map[key]},{p.name})", hidden=p.hidden | {key})
 
 
 def export(symbols, p: Presentation) -> Presentation:
@@ -312,12 +308,7 @@ def export(symbols, p: Presentation) -> Presentation:
     if missing:
         raise ValueError(f"cannot export non-visible symbols: {sorted(missing)}")
     all_keys = {k for k, _ in p.symbols}
-    return Presentation(
-        name=f"export({p.name})",
-        symbols=p.symbols,
-        hidden=frozenset(all_keys - keep),
-        axioms=p.axioms,
-    )
+    return p._replace(name=f"export({p.name})", hidden=frozenset(all_keys - keep))
 
 
 def rename(old, new_name: str, p: Presentation) -> Presentation:
@@ -344,8 +335,7 @@ def md_rd() -> Presentation:
     return builtin("md_rd")
 
 
-@dataclass
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Outcome of searching hidden-symbol tables that satisfy all axioms."""
 
     satisfiable: bool
@@ -378,11 +368,14 @@ def _axiom_holds_everywhere(lines, tables: LineTables) -> bool:
     return True
 
 
+#: The most candidate expansions visible_models_check enumerates after pruning.
+MAX_CANDIDATES = 1_000_000
+
+
 def visible_models_check(
     p: Presentation,
     model: FiniteMeadow | dict[str, object],
     size: int | None = None,
-    max_candidates: int = 1_000_000,
 ) -> ExpansionReport:
     """Search for hidden-symbol tables making every axiom of p hold in model.
 
@@ -393,8 +386,8 @@ def visible_models_check(
     this a plain exhaustive axiom check.  Raises ValueError when a table
     entry is not a carrier element, and, before any axiom is evaluated,
     when the visible check and the pruning trials (one per value of each
-    hidden table slot) together need more than semantics.MAX_ASSIGNMENTS
-    assignments.
+    hidden table slot) together need more than exhaustive.MAX_ASSIGNMENTS
+    assignments, and when more than MAX_CANDIDATES candidates are left.
     """
     if isinstance(model, FiniteMeadow):
         size, encoded = model.size, model.line_tables
@@ -451,9 +444,9 @@ def visible_models_check(
     total = 1
     for _, _, survivors in slot_candidates:
         total *= len(survivors)
-        if total > max_candidates:
+        if total > MAX_CANDIDATES:
             raise ValueError(
-                f"expansion search space exceeds {max_candidates} candidates"
+                f"expansion search space exceeds {MAX_CANDIDATES} candidates"
             )
 
     expansions = []

@@ -139,7 +139,7 @@ class Term:
         for i, field in enumerate(cls._fields):
             setattr(cls, field, property(lambda t, i=i: t.children[i]))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} terms are immutable")
 
     __delattr__ = __setattr__

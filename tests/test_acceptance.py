@@ -19,10 +19,8 @@ from meadows.normalize import (
 from meadows.partial import Defined, PunchVariant, UNDEFINED, punch_eval, recovery_check
 from meadows.presentations import builtin, md_d, md_rd, visible_models_check
 from meadows.projection import Projection, project
-from meadows.semantics import (
-    NotRegular, check_axioms, corollary_witness, eval_q0, is_prime,
-    two_squares, zn_meadow, zp_meadow,
-)
+from meadows.numbers import corollary_witness, is_prime, two_squares
+from meadows.semantics import NotRegular, check_axioms, eval_q0, zn_meadow, zp_meadow
 from meadows.terms import (
     Div, Inv, Var, ZERO, Signature, free_vars,
 )

@@ -269,6 +269,37 @@ def test_eval_of_a_too_long_literal_exits_2(capsys):
     assert len(err.splitlines()) == 1 and err.endswith("(at position 0)")
 
 
+_A = "7" * 3000  # a literal the parser takes, whose square has 5,999 digits
+_LONG = "1" * 4301
+_TOO_LONG = [
+    ["eval", f"{_A}*{_A}"],
+    ["eval", "--assign", f"x={_LONG}", "x"],
+    ["eval", "--model", "zn:6", "--assign", f"x={_LONG}", "x"],
+    ["eval", "--model", f"zp:{_LONG}", "1"],
+    ["peval", "--variant", "div0", f"{_A}*{_A}"],
+    ["normalize", "--sig", "iamd", f"inv({_A}*{_A})"],
+    ["decide", "--theory", "iamd", f"{_A}*{_A}", "1"],
+    ["decide", "--theory", "iamdz-gil", "x", f"x*{_A}*{_A}"],
+    ["truth", "--domain", f"0,{_LONG}", "0 = 0"],
+]
+
+
+@pytest.mark.parametrize("argv", _TOO_LONG)
+def test_numbers_of_more_than_4300_digits_exit_2(capsys, argv):
+    # The interpreter's own limit used to give its own text ("Exceeds the
+    # limit (4300 digits) ...") or, when lifted, print the number.
+    assert invoke(capsys, *argv) == (2, "", "error: value has more than 4300 digits")
+
+
+def test_digit_bound_holds_with_the_interpreter_limit_lifted():
+    for argv in _TOO_LONG[:2]:
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
+                           timeout=60, env={**os.environ, "PYTHONPATH": SRC,
+                                            "PYTHONINTMAXSTRDIGITS": "0"})
+        assert (p.returncode, p.stdout, p.stderr) == (
+            2, b"", b"error: value has more than 4300 digits\n"), argv
+
+
 def test_check_model_over_the_assignment_cap_exits_2(capsys):
     # About 3 * 10^9 assignments: refused before any table is built.
     code, out, err = invoke(capsys, "check-model", "--zp", "1009", "--axioms", "imd")

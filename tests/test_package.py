@@ -1,4 +1,5 @@
-"""The package's public names, and the modules each CLI subcommand imports."""
+"""The package's public names, the modules each module and CLI subcommand
+imports, and the immutability of its values."""
 
 import os
 import subprocess
@@ -9,6 +10,10 @@ from pathlib import Path
 import pytest
 
 import meadows
+from meadows.convention import ConventionId, closed_compliance
+from meadows.parsing import parse_term
+from meadows.presentations import builtin, md_d, visible_models_check
+from meadows.semantics import AxiomFailure, FiniteMeadow, zp_meadow
 
 # The public names of the package, grouped by the submodule that defines them.
 EXPORTS = {
@@ -23,8 +28,8 @@ EXPORTS = {
         "Q0", "FiniteMeadow", "MissingAssignment", "NotRegular", "NotUnique",
         "eval_q0", "q0_div", "q0_inv", "zp_meadow", "zn_ring", "zn_meadow", "eval_model",
         "check_axioms", "AxiomFailure", "expand_regular_ring",
-        "two_squares", "corollary_witness",
     ],
+    "numbers": ["two_squares", "corollary_witness"],
     "partial": [
         "PunchVariant", "Defined", "UNDEFINED", "PartialValue",
         "punch_eval", "RecoveryReport", "recovery_check",
@@ -80,9 +85,11 @@ def test_unknown_name_raises_attribute_error():
 
 
 def loaded_modules(code, *args):
-    """The meadows submodules loaded once code has run in a fresh interpreter."""
+    """The meadows submodules loaded once code has run in a fresh interpreter,
+    and dataclasses if it was loaded too."""
     src = str(Path(meadows.__file__).resolve().parent.parent)
-    code += '\nprint(*sorted(m for m in sys.modules if m.startswith("meadows.")))'
+    code += ('\nprint(*sorted(m for m in sys.modules'
+             ' if m.startswith("meadows.") or m == "dataclasses"))')
     p = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     return set(p.stdout.split())
@@ -94,15 +101,43 @@ def test_bare_import_loads_no_submodule_until_a_name_is_used():
     code = f"import sys, meadows\nassert set(dir(meadows)) >= set({names!r})"
     assert loaded_modules(code) == set()
     code += "\nassert meadows.semantics is sys.modules['meadows.semantics']"
-    assert loaded_modules(code) == {"meadows.semantics", "meadows.terms"}
+    assert loaded_modules(code) == {"meadows.semantics", "meadows.numbers", "meadows.terms"}
     assert loaded_modules("import sys\nfrom meadows import Var") == {"meadows.terms"}
 
 
+# Each module and the other package modules that importing it loads; none of
+# them loads dataclasses.
+LAYERS = {
+    "terms": set(),
+    "parsing": {"terms"},
+    "projection": {"terms"},
+    "numbers": set(),
+    "semantics": {"numbers", "terms"},
+    "exhaustive": {"numbers", "semantics", "terms"},
+    "partial": {"numbers", "projection", "semantics", "terms"},
+    "normalize": {"projection", "terms"},
+    "logic3": {"numbers", "parsing", "partial", "projection", "semantics", "terms"},
+    "convention": {"numbers", "partial", "projection", "semantics", "terms"},
+    "presentations": {"exhaustive", "numbers", "parsing", "semantics", "terms"},
+    "cli": {"parsing", "terms"},
+}
+
+
+def test_every_module_has_its_layers_listed():
+    assert {p.stem for p in Path(meadows.__file__).parent.glob("*.py")} == {"__init__", *LAYERS}
+
+
+@pytest.mark.parametrize("module, modules", LAYERS.items())
+def test_each_module_imports_only_its_layers(module, modules):
+    want = {f"meadows.{m}" for m in {module} | modules}
+    assert loaded_modules(f"import sys, meadows.{module}") == want
+
+
 ALWAYS = {"cli", "parsing", "terms"}
-SEMANTICS = {"semantics"}
-PARTIAL = {"partial", "projection", "semantics"}
-NORMALIZE = {"normalize", "projection", "semantics"}
-PRESENTATIONS = {"presentations", "semantics"}
+SEMANTICS = {"numbers", "semantics"}
+PARTIAL = {"partial", "projection"} | SEMANTICS
+NORMALIZE = {"normalize", "projection"} | SEMANTICS
+PRESENTATIONS = {"exhaustive", "presentations"} | SEMANTICS
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -117,7 +152,7 @@ PRESENTATIONS = {"presentations", "semantics"}
     (["classify", "x"], PARTIAL | {"convention"}),
     (["comply", "1/0"], PARTIAL | {"convention"}),
     (["check-model", "--zp", "3"], PRESENTATIONS),
-    (["witness", "--prime", "5"], SEMANTICS),
+    (["witness", "--prime", "5"], {"numbers"}),
     (["spec", "--show", "imd"], PRESENTATIONS),
     (["no-such-command"], set()),
 ])
@@ -126,3 +161,23 @@ def test_each_subcommand_imports_only_its_modules(argv, modules):
             "with redirect_stdout(io.StringIO()):\n    run(sys.argv[1:])")
     want = {f"meadows.{m}" for m in ALWAYS | modules}
     assert loaded_modules(code, *argv) == want
+
+
+# ExpansionReport was the one mutable value, and deleting an attribute of a
+# term raised TypeError.
+@pytest.mark.parametrize("make, field", [
+    (lambda: parse_term("x + 1", None), "left"),
+    (lambda: zp_meadow(5), "size"),
+    (lambda: FiniteMeadow(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), (0, 1), (0, 1)), "add"),
+    (lambda: builtin("imd"), "axioms"),
+    (lambda: AxiomFailure("a", (("x", 0),), 0, 1, 1), "axiom"),
+    (lambda: closed_compliance(parse_term("1/0", None), ConventionId("div0")), "subterm"),
+    (lambda: visible_models_check(md_d(), zp_meadow(3)), "expansions"),
+])
+def test_values_are_immutable(make, field):
+    value = make()
+    for name in (field, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)

@@ -12,10 +12,9 @@ from meadows.presentations import (
     _axiom_holds_everywhere, builtin, builtin_names, combine, export, hide, md_d, md_rd,
     parse_module_expression, rename, visible_models_check,
 )
-from meadows import presentations, semantics
-from meadows.semantics import (
-    check_axioms, encode_tables, equation_lines, equation_names, zp_meadow,
-)
+from meadows import exhaustive, presentations, semantics
+from meadows.exhaustive import encode_tables, equation_lines, equation_names
+from meadows.semantics import check_axioms, zp_meadow
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, Signature, constructors, free_vars,
 )
@@ -205,9 +204,9 @@ def test_visible_models_check_refuses_more_than_max_assignments(monkeypatch):
     # md_d over Z_3: the visible check, then 3 values of each of 3 inv slots.
     work = (1 + 3 * 3) * sum(3 ** len(free_vars(eq.lhs) | free_vars(eq.rhs))
                              for eq in md_d().axioms)
-    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", work)
+    monkeypatch.setattr(exhaustive, "MAX_ASSIGNMENTS", work)
     assert visible_models_check(md_d(), zp_meadow(3)).satisfiable
-    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", work - 1)
+    monkeypatch.setattr(exhaustive, "MAX_ASSIGNMENTS", work - 1)
     with pytest.raises(ValueError, match=f"needs {work} assignments"):
         visible_models_check(md_d(), zp_meadow(3))
 

@@ -17,11 +17,13 @@ from meadows.partial import Defined, PunchVariant, punch_eval
 from meadows.presentations import (
     Equation, Presentation, Symbol, builtin, md_d, md_rd, visible_models_check,
 )
-from meadows import semantics
+from meadows import exhaustive
+from meadows.exhaustive import MAX_ASSIGNMENTS
+from meadows.numbers import corollary_witness, is_prime, two_squares
 from meadows.semantics import (
-    Q0, AxiomFailure, FiniteMeadow, MAX_ASSIGNMENTS, MissingAssignment, NotRegular, NotUnique,
-    check_axioms, corollary_witness, eval_model, eval_q0,
-    expand_regular_ring, is_prime, two_squares, zn_meadow, zn_ring, zp_meadow,
+    Q0, AxiomFailure, FiniteMeadow, MissingAssignment, NotRegular, NotUnique,
+    check_axioms, eval_model, eval_q0,
+    expand_regular_ring, zn_meadow, zn_ring, zp_meadow,
 )
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, ONE, ZERO,
@@ -388,9 +390,9 @@ def test_check_axioms_refuses_more_than_max_assignments(monkeypatch):
         check_axioms(m, "imd")
     assert not {"add", "mul", "neg", "inv"} & vars(m).keys()
     small = zp_meadow(5)
-    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5)
+    monkeypatch.setattr(exhaustive, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5)
     assert check_axioms(small, "imd") == []
-    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5 - 1)
+    monkeypatch.setattr(exhaustive, "MAX_ASSIGNMENTS", 3 * 5**3 + 2 * 5**2 + 5 * 5 - 1)
     with pytest.raises(ValueError, match="cap"):
         check_axioms(small, "imd")
 
@@ -487,17 +489,17 @@ def test_modular_tables_leave_allocated_blocks_flat():
 
 def test_check_axioms_compiles_each_equation_once():
     imd = builtin("imd")
-    semantics._generate.cache_clear()
+    exhaustive._generate.cache_clear()
     assert check_axioms(zp_meadow(5), imd) == []
     assert check_axioms(_tweak(zp_meadow(7), add=((3, 4), 1)), imd) != []
-    info = semantics._generate.cache_info()
+    info = exhaustive._generate.cache_info()
     assert (info.misses, info.hits) == (len(imd.axioms), len(imd.axioms))
     # A compile error is raised again on every call, not cached: the eight
     # ring axioms compile on the first call, inv_inv fails on both.
     for _ in range(2):
         with pytest.raises(ValueError, match="model provides no interpretation for 'inv'"):
             check_axioms(zn_ring(6), "imd")
-    after = semantics._generate.cache_info()
+    after = exhaustive._generate.cache_info()
     assert (after.misses - info.misses, after.hits - info.hits) == (10, 8)
     assert after.currsize == info.currsize + 8
 
