@@ -60,9 +60,10 @@ class LineTables(NamedTuple):
     seq: Callable
     tables: dict[str, object]
 
-    def with_tables(self, tables: Mapping[str, object], partial: bool = False) -> LineTables:
+    def with_tables(self, tables: Mapping[str, object], partial: bool = False,
+                    checked: bool = False) -> LineTables:
         """These tables with those of tables encoded and added or replaced."""
-        more = encode_tables(tables, self.size, partial).tables
+        more = encode_tables(tables, self.size, partial, checked).tables
         return self._replace(tables={**self.tables, **more})
 
 
@@ -70,14 +71,17 @@ def _read_tuple(line: tuple, table: Sequence) -> tuple:
     return itemgetter(*line)(table)
 
 
-def encode_tables(tables: Mapping[str, object], size: int, partial: bool = False) -> LineTables:
+def encode_tables(tables: Mapping[str, object], size: int, partial: bool = False,
+                  checked: bool = False) -> LineTables:
     """Encode operation tables on the carrier 0..size-1 for equation_lines.
 
     tables maps operator keys to a constant, a unary table or a binary
     table (a sequence of rows).  In partial mode an entry may be None,
     not yet decided, and is encoded as size.  Raises ValueError for a
     table of the wrong shape and for any other entry that is not an
-    integer in 0..size-1.
+    integer in 0..size-1.  The entries of checked tables, such as tables
+    derived from encoded ones, are known to lie in 0..size-1 and are not
+    checked again.
     """
     small = size < 256
     seq = bytes if small else tuple
@@ -105,8 +109,9 @@ def encode_tables(tables: Mapping[str, object], size: int, partial: bool = False
         except (TypeError, ValueError):  # not an integer, or not a byte
             flat = None
         # Entries other than 0..size-1 are the undecided ones, or wrong.
-        if flat is None or undecided != len(
-            flat.translate(None, ident) if small else [v for v in flat if not 0 <= v < size]
+        if flat is None or not checked and (
+            undecided != len(flat.translate(None, ident)) if small
+            else not 0 <= min(flat) <= max(flat) <= size or flat.count(size) != undecided
         ):
             raise ValueError(f"table {key!r} holds a value outside the carrier 0..{size - 1}")
         return flat

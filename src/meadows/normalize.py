@@ -11,9 +11,10 @@ With zero in the signature, zero elimination rewrites every term to 0
 or to a zero-free term, closed terms normalize to 0 or to a coprime
 fraction of numerals, and equality under the general inverse law
 (x != 0 implies x * x^-1 = 1) is decided by a walk over
-zero-substitutions: one comparison of quotients for each set of
-variables under an inverse substituted by 0, computed on the polynomial
-kernel without rebuilding terms.
+zero-substitutions: one comparison of quotients for the minimal zero set
+of each vanishing pattern of the variables under an inverse, found from
+bit-parallel truth tables and refused above 20 such variables, computed
+on the polynomial kernel without rebuilding terms.
 
 Divisive counterparts are decided through the projection into the
 inversive notation.  One table gives each decided theory (iamd,
@@ -41,7 +42,7 @@ __all__ = [
     "ZeroNF", "Frac", "ZERO_NF", "NormalForm",
     "to_polyfrac", "expand_poly", "decide_iamd",
     "normal_form_closed", "zero_eliminate", "decide_iamdz_gil",
-    "decide_divisive", "UnsupportedTheory", "decide_by_theory",
+    "decide_divisive", "UnsupportedTheory", "TooManyInverseVariables", "decide_by_theory",
 ]
 
 
@@ -321,9 +322,10 @@ def decide_iamdz_gil(t: Term, u: Term) -> bool:
     A walk over zero-substitutions: both sides are zero-eliminated, a lone
     zero decides, and zero-free sides must agree both as quotients of
     polynomials and after substituting 0 for any further set of the
-    variables that occur under an inverse.  Each such set is decided at
-    most once, so k variables under an inverse cost at most 2^k
-    arithmetical decisions.
+    variables that occur under an inverse.  The cost is one decision per
+    minimal zero set of each vanishing pattern; more than
+    MAX_INVERSE_VARIABLES (20) variables under an inverse are refused with
+    TooManyInverseVariables.
     """
     return _decide(_THEORIES["iamdz-gil"], t, u)[0] is None
 
@@ -347,8 +349,16 @@ def decide_iamdz_gil(t: Term, u: Term) -> bool:
 # positive, so P[W:=0] is zero exactly when P'[W:=0] is: one side
 # zero-eliminates to 0 exactly when the other does, and otherwise the
 # quotients stay equal.  A pair that is ZERO_NF on both sides stays so.
-# Zeroing a variable that neither side keeps leaves a pair as it is, so a
-# zero set only grows by a variable its pair keeps.
+# Zeroing a variable that neither side keeps leaves a pair as it is.
+#
+# Nor is each zero set of V_inv decided.  An inverse argument vanishes at Z
+# when it zero-eliminates to 0 there; the pattern of Z is the set of those
+# that do.  If Z' within Z has Z's pattern, no inverse argument starts to
+# vanish from Z' to Z, and as for W above, equality at Z' survives zeroing
+# Z - Z'.  So the cost is one decision per minimal zero set of each
+# vanishing pattern (dropping any one of its variables changes the pattern).
+# A differing set with the fewest variables is minimal; decided fewest first,
+# then in lexicographic order of bits, as a breadth-first walk meets them.
 
 
 def _sides_differ(left, right) -> bool:
@@ -357,14 +367,62 @@ def _sides_differ(left, right) -> bool:
     return not _same_quotient(left, right)
 
 
+#: The most variables under an inverse for which the zero sets are tabulated.
+MAX_INVERSE_VARIABLES = 20
+
+
+class TooManyInverseVariables(ValueError):
+    pass
+
+
+# Vanishing at all 2^k zero sets of k variables, as truth tables in bit
+# vectors (Knuth, TAOCP 4A, 7.1.1 and 7.1.3): bit z of a node's table is set
+# when the node vanishes once the variables of the bits of z are zeroed.  A
+# node keeping none of them vanishes everywhere (-1) if ZERO_NF, else nowhere.
+_VANISHING = {Add: lambda l, r: l & r, Mul: lambda l, r: l | r, Inv: lambda a: a}
+
+
+def _zero_sets(base: dict, live: list, zeroed: list[int]) -> list[int]:
+    """The minimal zero sets over the bits zeroed (rising), fewest variables
+    first and then in lexicographic order of bits.  base holds each node's
+    side with nothing zeroed, and live, in post-order, each node that keeps
+    any of zeroed with the bits of zeroed it keeps."""
+    k = len(zeroed)
+    if k > MAX_INVERSE_VARIABLES:
+        raise TooManyInverseVariables(f"{k} variables occur under an inverse; the general "
+                                      f"inverse law is decided for at most {MAX_INVERSE_VARIABLES}")
+    minimal = (1 << (1 << k)) - 1
+    if k > 1:  # one variable's zero set costs less to decide than to tabulate
+        columns = []  # a variable's table, doubled in width with each new one
+        for i in range(k):
+            columns = [c | c << (1 << i) for c in columns] + [((1 << (1 << i)) - 1) << (1 << i)]
+        column, tables = dict(zip(zeroed, columns)), {}
+        for node, mask in live:
+            tables[node] = column[mask] if type(node) is Var else _VANISHING[type(node)](*[
+                tables[kid] if kid in tables else -1 if base[kid] is ZERO_NF else 0
+                for kid in node.children])
+        args = {tables[node] for node, _ in live if type(node) is Inv}
+        for i, column in enumerate(columns):
+            changed = 0  # where dropping variable i changes the pattern
+            for table in args:
+                changed |= table ^ table << (1 << i)
+            minimal &= ~column | changed
+    found = []
+    while minimal:
+        z = (minimal & -minimal).bit_length() - 1
+        minimal ^= 1 << z
+        found.append([bit for i, bit in enumerate(zeroed) if z >> i & 1])
+    return [sum(bits) for bits in sorted(found, key=lambda bits: (len(bits), bits))]
+
+
 def _walk(t: Term, u: Term, gil: bool):
     """Decide t = u on quotients of polynomials, with the reason.
 
     Returns None when the sides are equal, else the sorted names of the
     first zero set at which they differ; and the two sides there, or with
     nothing zeroed when they are equal.  Without the general inverse law
-    (gil false) the walk stops after the pair with nothing zeroed.  Zero
-    sets are walked breadth first, so no smaller zero set differs.
+    (gil false) only the pair with nothing zeroed is decided.  Zero sets
+    are decided fewest variables first, so no smaller zero set differs.
     """
     bits: dict[str, int] = {}
     algebra = _quotients(bits)
@@ -372,40 +430,33 @@ def _walk(t: Term, u: Term, gil: bool):
     # children); the same fold gives each variable the next bit.
     base: dict = {}
     left, right = fold(t, algebra, base), fold(u, algebra, base)
+    if _sides_differ(left, right):
+        return [], left, right
+    under_inv = 0
+    if gil and left is not ZERO_NF:
+        # Only the variables under an inverse that the sides keep are zeroed.
+        for node, side in base.items():
+            if type(node) is Inv and side is not ZERO_NF:
+                under_inv |= side[2]
+        under_inv &= left[2] | right[2]
+    if not under_inv:
+        return None, left, right
+    masks = {node: 0 if side is ZERO_NF else side[2] & under_inv for node, side in base.items()}
+    live = [(node, mask) for node, mask in masks.items() if mask]
     memo: dict = {}  # (node, zero set & mask) -> side
-    queue, seen = [0], {0}
-    for zs in queue:  # grows while it is walked
-        if zs:
-            for node, mask in live:  # in post-order
-                sub = zs & mask
-                if sub and (node, sub) not in memo:
-                    memo[node, sub] = ZERO_NF if type(node) is Var else _QUOTIENT[type(node)](
-                        node, *[memo[kid, s] if (s := zs & masks[kid]) else base[kid]
-                                for kid in node.children])
-            left = memo[t, s] if (s := zs & masks[t]) else base[t]
-            right = memo[u, s] if (s := zs & masks[u]) else base[u]
-        if _sides_differ(left, right):
-            return sorted(name for name, bit in bits.items() if zs & bit), left, right
-        if left is ZERO_NF or not gil:
-            continue
-        if not zs:
-            # Equal with nothing zeroed: find the variables under an inverse,
-            # and restrict masks to them, since only they are zeroed.
-            under_inv = 0
-            for node, side in base.items():
-                if type(node) is Inv and side is not ZERO_NF:
-                    under_inv |= side[2]
-            masks = {node: 0 if side is ZERO_NF else side[2] & under_inv
-                     for node, side in base.items()}
-            live = [(node, mask) for node, mask in masks.items() if mask]
-        free = (left[2] | right[2]) & under_inv
-        while free:
-            bit = free & -free
-            free ^= bit
-            if zs | bit not in seen:
-                seen.add(zs | bit)
-                queue.append(zs | bit)
-    return None, base[t], base[u]
+    zeroed = [bit for bit in bits.values() if bit & under_inv]
+    for zs in _zero_sets(base, live, zeroed)[1:]:  # the empty set is decided
+        for node, mask in live:  # in post-order
+            sub = zs & mask
+            if sub and (node, sub) not in memo:
+                memo[node, sub] = ZERO_NF if type(node) is Var else _QUOTIENT[type(node)](
+                    node, *[memo[kid, s] if (s := zs & masks[kid]) else base[kid]
+                            for kid in node.children])
+        zl = memo[t, s] if (s := zs & masks[t]) else left
+        zr = memo[u, s] if (s := zs & masks[u]) else right
+        if _sides_differ(zl, zr):
+            return sorted(name for name, bit in bits.items() if zs & bit), zl, zr
+    return None, left, right
 
 
 def decide_divisive(t: Term, u: Term, theory: str) -> bool:

@@ -241,7 +241,7 @@ class FiniteMeadow:
         return encoded.with_tables({
             key: [read(codes[inner][0], row) for row in codes[outer][1][:self.size]]
             for key, outer, inner in (("sub", "add", "neg"), ("div", "mul", "inv"))
-            if inner in codes})
+            if inner in codes}, checked=True)
 
 
 def _no_inverse(t: Term, *args: int) -> int:

@@ -11,13 +11,14 @@ import random
 from fractions import Fraction
 
 from meadows.logic3 import And, Eq, Exists, Forall, Implies, Not, Or
+from meadows.normalize import ZERO_NF, _QUOTIENT, _quotients, _sides_differ
 from meadows.parsing import ParseError, render
 from meadows.presentations import (
     Equation, Presentation, Symbol, builtin, combine, export, hide, rename,
 )
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, ONE, ZERO,
-    Signature,
+    Signature, fold,
 )
 
 VARS = ("x", "y", "z")
@@ -464,3 +465,47 @@ def _oracle_token(tokens: list[str], i: int) -> str:
     if i >= len(tokens):
         raise ValueError("unexpected end of module expression")
     return tokens[i]
+
+
+def oracle_gil_walk(t: Term, u: Term, gil: bool):
+    """normalize._walk as a breadth-first walk over every zero set reached
+    by adding, one at a time, a variable under an inverse that the pair
+    keeps; the first zero set at which the sides differ is its reason.
+    Returns what normalize._walk returns: None or the sorted names of that
+    zero set, and the two sides there (with nothing zeroed when equal)."""
+    bits: dict[str, int] = {}
+    algebra = _quotients(bits)
+    base: dict = {}
+    left, right = fold(t, algebra, base), fold(u, algebra, base)
+    memo: dict = {}  # (node, zero set & mask) -> side
+    queue, seen = [0], {0}
+    for zs in queue:  # grows while it is walked
+        if zs:
+            for node, mask in live:  # in post-order
+                sub = zs & mask
+                if sub and (node, sub) not in memo:
+                    memo[node, sub] = ZERO_NF if type(node) is Var else _QUOTIENT[type(node)](
+                        node, *[memo[kid, s] if (s := zs & masks[kid]) else base[kid]
+                                for kid in node.children])
+            left = memo[t, s] if (s := zs & masks[t]) else base[t]
+            right = memo[u, s] if (s := zs & masks[u]) else base[u]
+        if _sides_differ(left, right):
+            return sorted(name for name, bit in bits.items() if zs & bit), left, right
+        if left is ZERO_NF or not gil:
+            continue
+        if not zs:
+            under_inv = 0
+            for node, side in base.items():
+                if type(node) is Inv and side is not ZERO_NF:
+                    under_inv |= side[2]
+            masks = {node: 0 if side is ZERO_NF else side[2] & under_inv
+                     for node, side in base.items()}
+            live = [(node, mask) for node, mask in masks.items() if mask]
+        free = (left[2] | right[2]) & under_inv
+        while free:
+            bit = free & -free
+            free ^= bit
+            if zs | bit not in seen:
+                seen.add(zs | bit)
+                queue.append(zs | bit)
+    return None, base[t], base[u]

@@ -23,7 +23,7 @@ from meadows.cli import _build_parser, _render_presentation, run
 from meadows.convention import ConventionId
 from meadows.logic3 import Connectives, Equality, Quantifiers
 from meadows.normalize import ZERO_NF, decide_iamdz_gil, to_polyfrac, zero_eliminate
-from meadows.parsing import render
+from meadows.parsing import parse_term, render
 from meadows.partial import PunchVariant
 from meadows.presentations import builtin
 from meadows.projection import Projection, project
@@ -126,6 +126,31 @@ def test_decide_refuses_open_problem_theory(capsys):
     # Refused before its terms are parsed in any signature.
     code, _, err = invoke(capsys, "decide", "--theory", "iamdz", "x^-1", "1")
     assert code == 2 and "open problem" in err
+
+
+def sum_probe(n: int) -> list[str]:
+    """s * s^-1 and (s*s) * (s*s)^-1 for s the sum of n variables."""
+    s = " + ".join(f"x{i}" for i in range(n))
+    return [f"({s}) * ({s})^-1", f"(({s}) * ({s})) * (({s}) * ({s}))^-1"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_decide_refuses_more_than_twenty_variables_under_an_inverse(flags):
+    p = subprocess.run(
+        [sys.executable, "-m", "meadows.cli", *flags, "decide", "--theory", "iamdz-gil",
+         *sum_probe(21)], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert (p.returncode, p.stdout, p.stderr) == (2, "", (
+        "error: 21 variables occur under an inverse; the general inverse law is decided "
+        "for at most 20\n"))
+
+
+def test_decide_with_sixteen_variables_under_an_inverse(capsys):
+    # A breadth-first walk over the 2^16 zero sets took about 90 s.
+    t, u = (parse_term(text, Signature.IAMDZ) for text in sum_probe(16))
+    assert invoke(capsys, "decide", "--theory", "iamdz-gil", *sum_probe(16)) == (0, json.dumps({
+        "command": "decide", "verdict": "true",
+        "witness": {"left": quotient_text(t, False), "right": quotient_text(u, False)}}), "")
 
 
 DECIDED = {"iamd": Signature.IAMD, "damd": Signature.DAMD,

@@ -13,6 +13,7 @@ from meadows.normalize import (
     expand_poly, normal_form_closed, to_polyfrac, zero_eliminate,
 )
 from meadows.parsing import parse_term
+from meadows.projection import Projection, project
 from meadows.semantics import eval_q0
 from meadows.terms import (
     Add, Div, Inv, Mul, One, Term, Var, Zero, ONE, ZERO,
@@ -20,7 +21,7 @@ from meadows.terms import (
 )
 
 from .helpers import (
-    VARS, equivalent_variant, oracle_eval, positive_assignment,
+    VARS, equivalent_variant, oracle_eval, oracle_gil_walk, positive_assignment,
     random_assignment, random_term,
 )
 
@@ -280,6 +281,58 @@ def test_decide_iamdz_gil_zeroes_only_variables_under_an_inverse(monkeypatch):
     assert 1 <= decided <= 2
 
 
+def counted_decisions(monkeypatch) -> list[int]:
+    """A one-element list that counts the zero sets decided from now on."""
+    decided = [0]
+    differ = normalize._sides_differ
+
+    def counting(left, right):
+        decided[0] += 1
+        return differ(left, right)
+
+    monkeypatch.setattr(normalize, "_sides_differ", counting)
+    return decided
+
+
+def sum_of(n: int) -> Term:
+    return iamdz(" + ".join(f"x{i}" for i in range(n)))
+
+
+def test_gil_decides_the_sum_probe_at_two_zero_sets(monkeypatch):
+    # Both inverse arguments, s and s*s, vanish only when every variable is
+    # zeroed, so the empty set and the full one are the minimal zero sets
+    # (a breadth-first walk over the zero sets decided all 2^n).
+    for n in range(8, 21):
+        decided = counted_decisions(monkeypatch)
+        s = sum_of(n)
+        ss = Mul(s, s)
+        assert decide_iamdz_gil(Mul(s, Inv(s)), Mul(ss, Inv(ss)))
+        assert 1 <= decided[0] <= 2, n
+
+
+def test_gil_decides_every_zero_set_of_independent_units(monkeypatch):
+    # Each x_i^-1 has an inverse argument of its own, so every zero set is
+    # the minimal one of its vanishing pattern.
+    for n in range(1, 9):
+        decided = counted_decisions(monkeypatch)
+        units = iamdz(" + ".join(f"x{i} * x{i}^-1" for i in range(n)))
+        assert decide_iamdz_gil(units, units)
+        assert decided[0] == 2 ** n, n
+
+
+def test_gil_refuses_more_than_twenty_variables_under_an_inverse():
+    s = sum_of(21)
+    ss = Mul(s, s)
+    for theory, pair in (("iamdz-gil", (Mul(s, Inv(s)), Mul(ss, Inv(ss)))),
+                         ("damdz-gil", (Div(s, s), Div(ss, ss)))):
+        with pytest.raises(normalize.TooManyInverseVariables, match=(
+                "^21 variables occur under an inverse; the general inverse law is "
+                "decided for at most 20$")):
+            decide_by_theory(theory, *pair)
+    # Sides that differ with nothing zeroed are decided before any zero set.
+    assert not decide_iamdz_gil(Mul(s, Inv(s)), ss)
+
+
 def gil_reason(t: Term, u: Term):
     return normalize._reason(normalize._THEORIES["iamdz-gil"], t, u)
 
@@ -293,6 +346,17 @@ def test_gil_counterexample_names_the_zero_set():
     # Sides that differ with nothing zeroed are the zero-eliminated sides.
     zeroed, left, right = gil_reason(iamdz("0 * y + x"), iamdz("x + x"))
     assert (zeroed, str(left), str(right)) == ([], "(x) / (1)", "(2*x) / (1)")
+
+
+def test_gil_reason_breaks_ties_in_breadth_first_order():
+    # The sides differ at {x0, x3} and at {x1, x2}, and at no smaller zero
+    # set.  The breadth-first walk meets {x0, x3} first: x0 takes the first
+    # bit, so the walk zeroes it before x1.
+    s = iamdz("(x0 + x1 + x2 + x3) * (x0 + x1 + x2 + x3)^-1")
+    t = iamdz("(x0 + x3) * (x0 + x3)^-1 * ((x1 + x2) * (x1 + x2)^-1)")
+    zeroed, left, right = gil_reason(s, t)
+    assert (zeroed, str(left), str(right)) == printed_reason(*oracle_gil_walk(s, t, True))
+    assert zeroed == ["x0", "x3"]
 
 
 def test_decide_iamdz_gil_degenerate_zero():
@@ -575,3 +639,43 @@ def test_decide_iamd_matches_sympy_cancel():
         assert decide_iamd(t, u) is (difference == 0), (t, u)
 
     check()
+
+
+EIGHT_VARS = tuple(f"x{i}" for i in range(8))
+
+
+def gil_terms(divisive: bool):
+    """iamdz terms, or damdz terms when divisive, over up to eight variables."""
+    return st.recursive(
+        st.one_of(st.just(ZERO), st.just(ONE), st.sampled_from(EIGHT_VARS).map(Var)),
+        lambda kids: st.one_of(st.builds(Add, kids, kids), st.builds(Mul, kids, kids),
+                               st.builds(Div, kids, kids) if divisive else st.builds(Inv, kids)),
+        max_leaves=16,
+    )
+
+
+GIL_TERMS = {False: gil_terms(False), True: gil_terms(True)}
+
+
+def printed_reason(zeroed, *sides):
+    return zeroed, *(str(side if side is ZERO_NF else normalize._polyfrac(side))
+                     for side in sides)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["iamdz-gil", "damdz-gil"]), st.sampled_from(range(4)), st.data())
+def test_gil_reason_matches_the_breadth_first_walk(name, partner, data):
+    # The verdict, the zero set and both printed sides of normalize._reason
+    # are those of the breadth-first walk over the zero sets.  Partners
+    # other than a random term agree with t with nothing zeroed, so that
+    # zero sets are walked: 0 * w + t, t * (w * w^-1), and t * t * t^-1.
+    theory = normalize._THEORIES[name]
+    terms = GIL_TERMS[theory.divisive]
+    t, w = data.draw(terms), data.draw(terms)
+    unit = Div(w, w) if theory.divisive else Mul(w, Inv(w))
+    third = Div(Mul(t, t), t) if theory.divisive else Mul(Mul(t, t), Inv(t))
+    u = (w, Add(Mul(ZERO, w), t), Mul(t, unit), third)[partner]
+    zeroed, left, right = normalize._reason(theory, t, u)
+    if theory.divisive:
+        t, u = project(t, Projection.DMN_TO_IMN), project(u, Projection.DMN_TO_IMN)
+    assert (zeroed, str(left), str(right)) == printed_reason(*oracle_gil_walk(t, u, True))

@@ -38,7 +38,7 @@ EXPORTS = {
         "Monomial", "Polynomial", "PolyFrac", "ZeroNF", "Frac", "ZERO_NF", "NormalForm",
         "to_polyfrac", "expand_poly", "decide_iamd", "normal_form_closed",
         "zero_eliminate", "decide_iamdz_gil", "decide_divisive",
-        "UnsupportedTheory", "decide_by_theory",
+        "UnsupportedTheory", "TooManyInverseVariables", "decide_by_theory",
     ],
     "logic3": [
         "TruthValue3", "Formula", "Eq", "Neq", "Not", "And", "Or", "Implies", "Forall", "Exists",
