@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 # Handlers import the other modules they run, so a command loads only what it uses.
 from .parsing import _MAX_DIGITS, parse_term, render
-from .terms import Signature, Var
+from .terms import Signature, Var, _decimal
 
 if TYPE_CHECKING:
     from . import presentations
@@ -58,7 +58,10 @@ def _spell(value) -> str:
             parts += part.numerator, part.denominator
         elif isinstance(part, int) and abs(part) >= _BOUND:
             raise ValueError(_TOO_LONG)
-    return str(value)
+    if isinstance(value, Fraction):
+        num = _decimal(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+    return _decimal(value) if isinstance(value, int) else str(value)
 
 
 def _parse_value(text: str, model: Model) -> int | Fraction:

@@ -34,7 +34,8 @@ from typing import NamedTuple, Union
 from .projection import Projection, project
 from .terms import (
     NUMERAL, Add, Inv, Mul, One, Term, Var, Zero,
-    Signature, SignatureError, _itself, check_conforms, conforms, fold, free_vars, rebuild,
+    Signature, SignatureError, _decimal, _itself, check_conforms, conforms, fold, free_vars,
+    rebuild,
 )
 
 __all__ = [
@@ -163,11 +164,11 @@ class Polynomial(namedtuple("Polynomial", "terms")):
         parts = []
         for m, c in self.terms:
             if m == UNIT_MONOMIAL:
-                parts.append(str(c))
+                parts.append(_decimal(c))
             elif c == 1:
                 parts.append(str(m))
             else:
-                parts.append(f"{c}*{m}")
+                parts.append(f"{_decimal(c)}*{m}")
         return " + ".join(parts)
 
 
@@ -266,7 +267,8 @@ class Frac(namedtuple("Frac", "num den")):
         return super().__new__(cls, num, den)
 
     def __str__(self):
-        return f"{self.num}/{self.den}" if self.den != 1 else str(self.num)
+        num = _decimal(self.num)
+        return f"{num}/{_decimal(self.den)}" if self.den != 1 else num
 
 
 ZERO_NF = ZeroNF()
@@ -407,11 +409,13 @@ def _zero_sets(base: dict, live: list, zeroed: list[int]) -> list[int]:
             for table in args:
                 changed |= table ^ table << (1 << i)
             minimal &= ~column | changed
-    found = []
-    while minimal:
-        z = (minimal & -minimal).bit_length() - 1
-        minimal ^= 1 << z
+    # The set bits of minimal, lowest first: one scan of its binary text,
+    # where taking them one at a time off a 2^k-bit int would be quadratic.
+    found, digits = [], bin(minimal)[:1:-1]
+    z = digits.find("1")
+    while z >= 0:
         found.append([bit for i, bit in enumerate(zeroed) if z >> i & 1])
+        z = digits.find("1", z + 1)
     return [sum(bits) for bits in sorted(found, key=lambda bits: (len(bits), bits))]
 
 

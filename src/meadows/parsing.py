@@ -30,7 +30,7 @@ from functools import cache
 
 from .terms import (
     CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, _join, _spellable, check_conforms, fold, numeral,
+    Signature, _decimal, _integer, _join, _spellable, check_conforms, fold, numeral,
 )
 
 __all__ = ["ParseError", "tokenize", "parse_term", "parse_term_prefix", "render"]
@@ -168,7 +168,7 @@ def parse_term_prefix(
         if tok.isdigit():
             if len(tok) > _MAX_DIGITS:
                 raise _TokenError(f"literal has more than {_MAX_DIGITS} digits", i)
-            vals.append(numeral(int(tok)))
+            vals.append(numeral(_integer(tok)))
         elif tok.isidentifier():
             vals.append(Var(tok))
         else:
@@ -256,12 +256,16 @@ _INFIX_EXPANDED = {
     Add: _binary, Sub: _binary, Mul: _binary, Div: _binary,
     Neg: lambda t, arg: (_cat("-", _operand(arg, _UNARY)), _UNARY),
     Inv: lambda t, arg: (_cat(_operand(arg, _ATOM), "^-1"), _POSTFIX),
-    NUMERAL: lambda t, k: ("1" + " + 1" * (_spellable(k) - 1), _SUM),
+    # A chain of k - 1 links, each one right child of the chain's kind.
+    NUMERAL: lambda t, k: ("1" + _LINK[type(t)] * (_spellable(k) - 1), _SUM),
 }
 _INFIX = {
     False: _INFIX_EXPANDED,
-    True: {**_INFIX_EXPANDED, NUMERAL: lambda t, k: (str(k), _ATOM)},
+    # Literals reparse to numerals only: a reduced divisive chain stays spelled out.
+    True: {**_INFIX_EXPANDED, NUMERAL: lambda t, k: (
+        (_decimal(k), _ATOM) if type(t) is Add else _INFIX_EXPANDED[NUMERAL](t, k))},
 }
+_LINK = {Add: " + 1", Sub: " - (1 - 1 - 1)"}
 _PREC = {Add: _SUM, Sub: _SUM, Mul: _PRODUCT, Div: _PRODUCT}
 _SYMBOL = {Add: " + ", Sub: " - ", Mul: " * ", Div: " / "}
 
@@ -278,9 +282,16 @@ def _sexpr_node(t: Term, *kids):
     return _SEXPR_HEAD[type(t)], kids[0], " ", kids[1], ")"
 
 
+def _sexpr_chain(t: Term, k: int) -> str:
+    # (+ (+ ... (+ 1 1) 1) ... 1) or (sub ... (sub 1 (sub (sub 1 1) 1)) ...):
+    # k - 1 heads, then 1 and k - 1 tails, each a right child and ")".
+    head, tail = _SEXPR_LINK[type(t)]
+    return head * (_spellable(k) - 1) + "1" + tail * (k - 1)
+
+
 _SEXPR = dict.fromkeys(CONSTRUCTORS, _sexpr_node)
-# (+ (+ ... (+ 1 1) 1) ... 1): k - 1 heads, the innermost pair, k - 2 tails.
-_SEXPR[NUMERAL] = lambda t, k: "(+ " * (_spellable(k) - 1) + "1 1)" + " 1)" * (k - 2)
+_SEXPR[NUMERAL] = _sexpr_chain
+_SEXPR_LINK = {Add: ("(+ ", " 1)"), Sub: ("(sub ", " (sub (sub 1 1) 1))")}
 
 
 def render(t: Term, style: str = "infix", numerals: bool = False) -> str:

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .terms import (
     CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Term, Zero, ONE,
-    Signature, _itself, _spellable, check_conforms, fold, rebuild,
+    Signature, _chain, _itself, _spellable, check_conforms, fold, rebuild,
 )
 
 __all__ = ["Projection", "project"]
@@ -34,18 +34,15 @@ _SOURCE = {
 
 
 _RD_ZERO = Sub(ONE, ONE)
-_RD_MINUS_ONE = Sub(_RD_ZERO, ONE)
 # Numerals are closed and free of inverses and divisions, so the projections
 # between the inversive and divisive notations leave them as they are.
 _REBUILD = {**dict.fromkeys(CONSTRUCTORS, rebuild), NUMERAL: _itself}
 
 
 def _rd_numeral(t: Term, k: int) -> Term:
-    # The image of the chain (...(1 + 1) + ...) + 1 under the Add case below.
-    image = ONE
-    for _ in range(_spellable(k) - 1):
-        image = Sub(image, _RD_MINUS_ONE)
-    return image
+    # The image of the chain (...(1 + 1) + ...) + 1 under the Add case below,
+    # (...(1 - (1 - 1 - 1)) - ...) - (1 - 1 - 1): one interned Sub node.
+    return _chain(Sub, _spellable(k))
 
 
 _ALGEBRA = {

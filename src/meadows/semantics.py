@@ -201,18 +201,21 @@ class FiniteMeadow:
     def _numeral(self, t: Term, k: int) -> int:
         # numeral(k) is (...((1 + 1) + 1) ...) + 1, the (k - 1)-th iterate of
         # x -> x + 1 from one, added in that order: a table under test need
-        # not be associative.  The iterates repeat within size steps, and
-        # the steps left after the first repeat go round its cycle.
-        add, one = self.add, self.one
+        # not be associative.  Its reduced divisive image iterates x -> x - m,
+        # that is x + neg(m), with m the value of 1 - 1 - 1: nor need the
+        # table be a ring.  The iterates repeat within size steps, and the
+        # steps left after the first repeat go round its cycle.
+        add, neg, one = self.add, self.neg, self.one
+        step = one if type(t) is Add else neg[add[add[one][neg[one]]][neg[one]]]
         seen: dict[int, int] = {}  # iterate -> steps left when first reached
         x, steps = one, k - 1
         while steps and x not in seen:
             seen[x] = steps
-            x = add[x][one]
+            x = add[x][step]
             steps -= 1
         if steps:
             for _ in range(steps % (seen[x] - steps)):
-                x = add[x][one]
+                x = add[x][step]
         return x
 
     def ops(self) -> dict[str, object]:

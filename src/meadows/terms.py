@@ -17,13 +17,16 @@ their terms weakly and shrink as terms are dropped.
 A numeral k >= 2, the term (...(1 + 1) + ...) + 1, is one interned Add
 node that carries k: numeral(k) and Add(numeral(k - 1), 1) both return
 it in constant time, and its children (numeral(k - 1), 1) are built only
-when something reads them.
+when something reads them.  Its image in the reduced divisive notation,
+the chain (...(1 - (1 - 1 - 1)) - ...) - (1 - 1 - 1) of k - 1
+subtractions, is likewise one interned Sub node that carries k.
 
 Every walk over a term is a fold: fold(t, algebra) combines child
 results bottom-up with an explicit stack, visiting each distinct
 subterm once, so term depth is bounded by memory, not by Python's
-recursion limit.  An algebra with a NUMERAL entry takes each numeral as
-one leaf; any other algebra walks the numeral's chain of additions.
+recursion limit.  An algebra with a NUMERAL entry takes each chain node
+of either kind as one leaf, given the node (whose type tells the kind)
+and k; any other algebra walks the chain through its children.
 """
 
 from __future__ import annotations
@@ -103,14 +106,16 @@ class Term:
     children holds the subterms in order (none for 0, 1 and variables),
     and a constructor's _fields name them.  _symbols has the bit of every
     constructor occurring in the term, so signature checks that pass take
-    constant time.  _numeral is k for the numeral node of k >= 2 and 0
-    for every other term.
+    constant time.  _numeral is k for the chain node of k >= 2, a
+    numeral (Add) or its reduced divisive image (Sub), and 0 for every
+    other term.
     """
 
     __slots__ = ("children", "_symbols", "_numeral", "__weakref__")
     _fields: tuple[str, ...] = ()
     _bit = 0
     _interned: dict = {}
+    _step: "Term | None" = None  # the right child of each link of a chain
 
     def __new__(cls, *children: "Term") -> "Term":
         table = cls._interned
@@ -119,10 +124,10 @@ class Term:
         if node is None:
             if len(children) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes {len(cls._fields)} subterm(s)")
-            if cls is Add and children[1] is ONE:
+            if cls._step is not None and children[1] is cls._step:
                 left = children[0]
-                if left is ONE or left._numeral:
-                    return numeral((left._numeral or 1) + 1)
+                if left is ONE or type(left) is cls and left._numeral:
+                    return _chain(cls, (left._numeral or 1) + 1)
             symbols = cls._bit
             for kid in children:
                 symbols |= kid._symbols
@@ -184,18 +189,21 @@ class Var(Term):
         return node
 
 
+def _chain_children(self: Term, name: str):
+    """The __getattr__ of Add and Sub, called only for an unset slot: a
+    chain node builds its children when they are first read.  (On Term it
+    would slow every attribute read of every term.)"""
+    if name == "children" and self._numeral:
+        children = (_chain(type(self), self._numeral - 1), self._step)
+        _SET_CHILDREN(self, children)
+        return children
+    raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
 class Add(Term):
     __slots__ = ()
     _fields = ("left", "right")
-
-    def __getattr__(self, name: str):
-        # Called only for an unset slot: a numeral node builds its children
-        # when they are first read.
-        if name == "children" and self._numeral:
-            children = (numeral(self._numeral - 1), ONE)
-            _SET_CHILDREN(self, children)
-            return children
-        raise AttributeError(f"'Add' object has no attribute {name!r}")
+    __getattr__ = _chain_children
 
 
 class Mul(Term):
@@ -223,6 +231,7 @@ class Sub(Term):
 
     __slots__ = ()
     _fields = ("left", "right")
+    __getattr__ = _chain_children
 
 
 CONSTRUCTORS = (Zero, One, Var, Add, Mul, Neg, Inv, Div, Sub)
@@ -231,11 +240,32 @@ for _i, _cls in enumerate(CONSTRUCTORS):
 
 ZERO = Zero()
 ONE = One()
+Add._step = ONE
+Sub._step = Sub(Sub(ONE, ONE), ONE)  # -1 in the reduced divisive notation
 
-#: The algebra key of the numeral case of a fold: algebra[NUMERAL](node, k).
+#: The algebra key of the chain case of a fold: algebra[NUMERAL](node, k).
 NUMERAL = "numeral"
 
-_NUMERAL_SYMBOLS = One._bit | Add._bit
+
+def _chain(cls: type, k: int) -> Term:
+    """1 for k = 1, else cls(_chain(cls, k - 1), cls._step): the numeral k
+    for Add, its reduced divisive image for Sub.
+
+    Above 1 it is one cls node that carries k, found or built in constant
+    time; its children are built when first read.
+    """
+    if k < 2:
+        return ONE
+    # The intern table keys a chain node by k, every other by its children.
+    table = cls._interned
+    ref = table.get(k)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        _SET_SYMBOLS(node, One._bit | cls._bit)
+        _SET_NUMERAL(node, k)
+        node = _intern(table, k, node)
+    return node
 
 
 def numeral(n: int) -> Term:
@@ -247,26 +277,40 @@ def numeral(n: int) -> Term:
     n = index(n)
     if n < 0:
         raise ValueError("numerals are defined for naturals only")
-    if n < 2:
-        return ONE if n else ZERO
-    # Add's intern table keys a numeral node by n, every other by its children.
-    table = Add._interned
-    ref = table.get(n)
-    node = None if ref is None else ref()
-    if node is None:
-        node = object.__new__(Add)
-        _SET_SYMBOLS(node, _NUMERAL_SYMBOLS)
-        _SET_NUMERAL(node, n)
-        node = _intern(table, n, node)
-    return node
+    return _chain(Add, n) if n else ZERO
 
 
 def _spellable(k: int) -> int:
     """k, or ValueError above sys.maxsize // 8, where numeral k spelled out
-    (four bytes of text or one node per unit) could not exist."""
+    (at least four bytes of text per unit) could not exist."""
     if k > sys.maxsize // 8:
-        raise ValueError(f"numeral {k} is too large to spell out")
+        raise ValueError(f"numeral {_decimal(k)} is too large to spell out")
     return k
+
+
+# The interpreter's lowest limit on the digits of an int converted from or to
+# text (PYTHONINTMAXSTRDIGITS): longer numbers are converted in chunks of as
+# many digits, so that every setting of the limit admits the same numbers.
+_CHUNK_DIGITS = 640
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _integer(digits: str) -> int:
+    """int(digits) of a string of decimal digits."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    return _integer(digits[:-_CHUNK_DIGITS]) * _CHUNK + int(digits[-_CHUNK_DIGITS:])
+
+
+def _decimal(n: int) -> str:
+    """str(n) of an int."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, chunk = divmod(rest, _CHUNK)
+        chunks.append(f"{chunk:0{_CHUNK_DIGITS}}")
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
 
 
 def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
@@ -275,9 +319,10 @@ def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
 
     Children are folded left to right before their parent, each distinct
     subterm once (shared subterms are one object, so their result is
-    reused).  When algebra has a NUMERAL entry, a numeral k >= 2 is a
-    leaf whose result is algebra[NUMERAL](node, k); otherwise its children
-    are folded like any others.  memo, when given, holds the results of
+    reused).  When algebra has a NUMERAL entry, a chain node that carries
+    k >= 2 (numeral k, or its reduced divisive image) is a leaf whose
+    result is algebra[NUMERAL](node, k); otherwise its children are folded
+    like any others.  memo, when given, holds the results of
     earlier folds with the same algebra, which are reused, and receives
     this fold's.  The walk keeps its own stack, so any depth that fits in
     memory works.
@@ -310,7 +355,7 @@ def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
 
 def _flatten(t: Term) -> tuple[tuple, ...]:
     """t's distinct subterms in post-order: (Var, name) for a variable,
-    (numeral, k) for a numeral k >= 2, else the constructor and the
+    (_chain, Add or Sub, k) for a chain node, else the constructor and the
     positions of its children in the list."""
     nodes: list[tuple] = []
 
@@ -318,11 +363,11 @@ def _flatten(t: Term) -> tuple[tuple, ...]:
         nodes.append((Var, node.name) if type(node) is Var else (type(node), *kids))
         return len(nodes) - 1
 
-    def visit_numeral(node: Term, k: int) -> int:
-        nodes.append((numeral, k))
+    def visit_chain(node: Term, k: int) -> int:
+        nodes.append((_chain, type(node), k))
         return len(nodes) - 1
 
-    fold(t, defaultdict(lambda: visit, {NUMERAL: visit_numeral}))
+    fold(t, defaultdict(lambda: visit, {NUMERAL: visit_chain}))
     return tuple(nodes)
 
 
@@ -331,7 +376,7 @@ def _unflatten(nodes: tuple[tuple, ...]) -> Term:
     out: list[Term] = []
     for cls, *args in nodes:
         # Term.__new__ takes the children, whatever cls's own constructor takes.
-        out.append(cls(*args) if cls is Var or cls is numeral
+        out.append(cls(*args) if cls is Var or cls is _chain
                    else Term.__new__(cls, *map(out.__getitem__, args)))
     return out[-1]
 

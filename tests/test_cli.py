@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -325,6 +326,22 @@ def test_digit_bound_holds_with_the_interpreter_limit_lifted():
             2, b"", b"error: value has more than 4300 digits\n"), argv
 
 
+def test_digit_bound_holds_with_the_interpreter_limit_at_its_lowest():
+    # 640 digits is the lowest limit the interpreter takes; numbers up to
+    # 4,300 digits used to fail with its "Exceeds the limit (640 digits) ...".
+    literal, factor = "12345678901" * 91, "7" * 400
+    for argv, out, err in [
+        (["eval", literal], literal, ""),
+        (["eval", f"{factor}*{factor}"], str(int(factor) ** 2), ""),
+        (["eval", f"{_A}*{_A}"], "", "error: value has more than 4300 digits"),
+        (["eval", "1" * 4301], "", "error: literal has more than 4300 digits (at position 0)"),
+    ]:
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
+                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC,
+                                                       "PYTHONINTMAXSTRDIGITS": "640"})
+        assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2 if err else 0, out, err)
+
+
 def test_check_model_over_the_assignment_cap_exits_2(capsys):
     # About 3 * 10^9 assignments: refused before any table is built.
     code, out, err = invoke(capsys, "check-model", "--zp", "1009", "--axioms", "imd")
@@ -444,6 +461,23 @@ def test_numerals_too_large_to_spell_out_exit_2(capsys, argv):
     # (exit 1), and the chain of rdmn was built until memory ran out.
     start = time.perf_counter()
     assert invoke(capsys, *argv) == (2, "", f"error: numeral {_HUGE} is too large to spell out")
+    assert time.perf_counter() - start < 5
+
+
+def test_rdmn_image_of_a_large_literal_prints_at_once(capsys):
+    # The image of numeral k is one node, printed by one string repeat: the
+    # first command took 8 s building and printing a chain of 2k nodes, and
+    # the second ran for hours before running out of memory.
+    start = time.perf_counter()
+    assert run(["project", "--to", "rdmn", "1000000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("1 - (1 - 1 - 1) - (1 - 1 - 1) - ")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bd005fca9241d046edaa1796b0dd0b40cd8decf0ff25923c5ce2b8acf5467e20")
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    assert invoke(capsys, "project", "--to", "rdmn", "1000000000000000") == (
+        2, "", "error: out of memory")
     assert time.perf_counter() - start < 5
 
 

@@ -1,14 +1,17 @@
 """Numerals as one node: identity, cost, and agreement with their chains.
 
-A numeral k >= 2 is one Add node that carries k, and every fold algebra
-with a NUMERAL entry takes it as one leaf.  The oracle for each such
-algebra is the same fold with that entry removed, which walks the
-numeral's chain (...(1 + 1) + ...) + 1 through its children.
+A numeral k >= 2 is one Add node that carries k, its reduced divisive
+image (...(1 - (1 - 1 - 1)) - ...) - (1 - 1 - 1) one Sub node that
+carries k, and every fold algebra with a NUMERAL entry takes either as
+one leaf.  The oracle for each such algebra is the same fold with that
+entry removed, which walks the chain of additions or subtractions
+through its children.
 """
 
 import contextlib
 import copy
 import pickle
+import random
 import time
 from unittest import mock
 
@@ -26,11 +29,11 @@ from meadows.parsing import parse_term, render
 from meadows.partial import PunchVariant, punch_eval, punched_value
 from meadows.projection import Projection, project
 from meadows.semantics import (
-    Q0, eval_model, eval_q0, expand_regular_ring, zn_meadow, zn_ring, zp_meadow,
+    Q0, FiniteMeadow, eval_model, eval_q0, expand_regular_ring, zn_meadow, zn_ring, zp_meadow,
 )
 from meadows.terms import (
     NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
-    free_vars, numeral, subst,
+    Signature, free_vars, numeral, subst,
 )
 
 # Every module that folds terms, with the name it calls fold by.
@@ -39,7 +42,8 @@ FOLDING = (terms, parsing, projection, semantics, partial, convention, normalize
 
 @contextlib.contextmanager
 def chains():
-    """Within: every fold walks numerals as chains of additions."""
+    """Within: every fold walks numerals as chains of additions and their
+    reduced divisive images as chains of subtractions."""
     fold = terms.fold
 
     def chain_fold(t, algebra, memo=None):
@@ -241,3 +245,80 @@ def test_violations_agree(t, d):
 @given(terms_over(ARITHMETICAL), terms_over(ARITHMETICAL), terms_over((Add, Mul), zero=False))
 def test_classes_variables_rewrites_and_polynomials_agree(t, u, p):
     assert_agree(*syntax_calls(t, u, p))
+
+
+# ---------------------------------------------------------------------------
+# The reduced divisive image of a numeral
+
+
+MINUS_ONE = Sub(Sub(ONE, ONE), ONE)
+
+
+def rd(k):
+    """The image of numeral k in the reduced divisive notation."""
+    return project(numeral(k), Projection.IMN_TO_RDMN)
+
+
+def scrambled(model, seed):
+    """model's tables with one add or neg entry changed: no longer a ring."""
+    rng = random.Random(seed)
+    add, neg = [list(row) for row in model.add], list(model.neg)
+    x, y = rng.randrange(model.size), rng.randrange(model.size)
+    if seed % 2:
+        add[x][y] = (add[x][y] + rng.randrange(1, model.size)) % model.size
+    else:
+        neg[x] = (neg[x] + rng.randrange(1, model.size)) % model.size
+    return FiniteMeadow(model.size, tuple(map(tuple, add)), model.mul, tuple(neg), model.inv)
+
+
+RD_MODELS = (zp_meadow(5), zn_meadow(6), zp_meadow(7), TABLE_MODEL,
+             *(scrambled(TABLE_MODEL, seed) for seed in range(8)),
+             *(scrambled(expand_regular_ring(zn_ring(7)), seed) for seed in range(8)))
+
+
+def rd_calls(t, a):
+    """Printing, evaluation and free variables of a reduced divisive term."""
+    calls = [lambda: render(t), lambda: render(t, numerals=True), lambda: render(t, "sexpr"),
+             lambda: free_vars(t), lambda: eval_q0(subst(subst(t, "x", rd(3)), "y", ONE))]
+    return calls + [lambda m=m: eval_model(t, m, a) for m in RD_MODELS]
+
+
+def test_the_image_of_a_numeral_is_one_interned_sub_node():
+    image = ONE
+    for k in range(2, 80):
+        image = Sub(image, MINUS_ONE)
+        assert image is rd(k) and image._numeral == k and type(image) is Sub
+        assert image.children == (rd(k - 1), MINUS_ONE)
+        assert Sub(image, MINUS_ONE) is rd(k + 1)
+        assert parse_term(render(image), Signature.RD) is image
+        assert pickle.loads(pickle.dumps(image)) is image and copy.deepcopy(image) is image
+        assert Add(image, ONE)._numeral == 0 and Sub(numeral(k), MINUS_ONE)._numeral == 0
+    assert render(rd(3)) == "1 - (1 - 1 - 1) - (1 - 1 - 1)"
+    assert render(rd(2), "sexpr") == "(sub 1 (sub (sub 1 1) 1))"
+    assert rd(1) is ONE and rd(0) is Sub(ONE, ONE)
+
+
+def test_a_huge_numeral_projects_to_rdmn_in_constant_time():
+    start = time.perf_counter()
+    image = project(numeral(10**12), Projection.IMN_TO_RDMN)
+    assert type(image) is Sub and image._numeral == 10**12
+    assert eval_q0(image) == 10**12 and eval_model(image, zp_meadow(1009)) == 10**12 % 1009
+    assert eval_model(image, TABLE_MODEL) == 10**12 % 6
+    values = [eval_model(image, m) for m in RD_MODELS]
+    with chains():  # each cycle is at most 7 long, so its length divides 420
+        assert values == [eval_model(rd(10**12 % 420 + 420), m) for m in RD_MODELS]
+    assert time.perf_counter() - start < 1
+
+
+def test_each_rdmn_image_up_to_60_agrees():
+    x, y = Var("x"), Var("y")
+    for k in range(61):
+        n = rd(k)
+        for t in (n, Sub(x, n), Div(n, Sub(n, y)), Sub(Div(ONE, n), Sub(y, n))):
+            assert_agree(*rd_calls(t, {"x": 1, "y": 4}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms_over(IMD), st.fixed_dictionaries({"x": st.integers(0, 4), "y": st.integers(0, 4)}))
+def test_rdmn_images_agree(t, a):
+    assert_agree(*rd_calls(project(t, Projection.IMN_TO_RDMN), a))
