@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Handlers import the other modules they run, so a command loads only what it uses.
 from .parsing import _MAX_DIGITS, parse_term, render
-from .terms import Signature, Var, _decimal
+from .terms import _CHUNK_DIGITS, Signature, Var, _decimal, _integer
 
 if TYPE_CHECKING:
     from . import presentations
@@ -64,12 +65,22 @@ def _spell(value) -> str:
     return _decimal(value) if isinstance(value, int) else str(value)
 
 
+# A signed integer or n/m longer than the interpreter's lowest limit on the
+# digits it converts is read in chunks, whatever that limit is set to.
+_LONG_VALUE = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+
+
 def _parse_value(text: str, model: Model) -> int | Fraction:
     """A value literal: an integer in a finite model, else a rational."""
     from .semantics import FiniteMeadow
     _check_digits(text)
+    finite = isinstance(model, FiniteMeadow)
+    long = len(text) > _CHUNK_DIGITS and _LONG_VALUE.fullmatch(text)
     try:
-        return int(text) if isinstance(model, FiniteMeadow) else Fraction(text)
+        if long and not (finite and long[3]):
+            num = -_integer(long[2]) if long[1] == "-" else _integer(long[2])
+            return num if finite else Fraction(num, _integer(long[3] or "1"))
+        return int(text) if finite else Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
 

@@ -15,7 +15,9 @@ for the canonical numeral terms, each one node whatever its value
 (terms.numeral); `p - q` is sugar for `p + (-q)`
 except under the reduced divisive signature, where '-' is a primitive
 binary constructor.  Infix rendering inserts the minimal parentheses
-needed to reparse to a structurally equal term.
+needed to reparse to a structurally equal term.  Every printer, repr
+included, is one walk in text order with its own stack that appends each
+piece of text to one list, a numeral's chain being one piece.
 
 A token is the string it spells, and "" ends the list: tokenize is one
 findall of a compiled pattern, in time linear in the text.  The parsers
@@ -29,8 +31,8 @@ import re
 from functools import cache
 
 from .terms import (
-    CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
-    Signature, _decimal, _integer, _join, _spellable, check_conforms, fold, numeral,
+    CONSTRUCTORS, NUMERAL, ONE, ZERO, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero,
+    Signature, _CALL_SHAPES, _decimal, _integer, _spellable, check_conforms, fold, numeral,
 )
 
 __all__ = ["ParseError", "tokenize", "parse_term", "parse_term_prefix", "render"]
@@ -217,81 +219,77 @@ def parse_term(text: str, sig: Signature | None) -> Term:
     return t
 
 
-# Pieces of text shorter than this together are joined into one string as
-# they are built; longer text stays a rope.  A node then copies fewer than
-# this many characters, so rendering stays linear in the size of the term.
-_JOIN_BELOW = 64
+# A style gives each class of node a shape (open, sep, close, first_need,
+# last_need): the node prints as open, its children with sep between them, and
+# close; a child goes in parentheses when its precedence is below its slot's
+# need (0: never).
+_PREC = {Zero: _ATOM, One: _ATOM, Var: _ATOM, Neg: _UNARY, Inv: _POSTFIX,
+         Add: _SUM, Sub: _SUM, Mul: _PRODUCT, Div: _PRODUCT}
 
 
-def _cat(left, right):
-    """left followed by right: one string if both are short strings, else a rope."""
-    if type(left) is str and type(right) is str and len(left) + len(right) < _JOIN_BELOW:
-        return left + right
-    return left, right
+def _spell(t: Term, style: tuple) -> str:
+    """The text of t in style (shapes, decimal, leaves, var, links).
+
+    leaves[node] is the text of 0 and 1, var(name) that of a variable.
+    A chain node of class decimal is its decimal literal, an atom; any other
+    chain of k is k - 1 opens of its class, 1 and k - 1 links[class].
+    """
+    shapes, decimal, leaves, var, links = style
+    out: list[str] = []
+    emit = out.append
+    texts = dict(leaves)  # the text of each leaf and chain met so far
+    todo: list = [texts.get(t, t)]  # the next piece last
+    push, pop = todo.append, todo.pop
+    while todo:
+        node = pop()
+        if type(node) is str:
+            emit(node)
+            continue
+        k = node._numeral
+        kids = () if k else node.children
+        if not kids:  # a variable or a chain
+            cls = type(node)
+            emit(var(node.name) if cls is Var else _decimal(k) if cls is decimal else
+                 shapes[cls][0] * (_spellable(k) - 1) + leaves[ONE] + links[cls] * (k - 1))
+            texts[node] = out[-1]
+            continue
+        open_, sep, close, first_need, last_need = shapes[type(node)]
+        # The text between two children, or after the last, is one piece.
+        last, before = kids[-1], ""
+        if last_need and _PREC[type(last)] < last_need and not (
+                last._numeral and type(last) is decimal):
+            before, close = "(", ")" + close
+        if close:
+            push(close)
+        push(texts.get(last, last))
+        if sep:
+            first = kids[0]
+            if first_need and _PREC[type(first)] < first_need and not (
+                    first._numeral and type(first) is decimal):
+                open_, sep = open_ + "(", ")" + sep
+            push(sep + before)
+            push(texts.get(first, first))
+            if open_:
+                emit(open_)
+        else:
+            emit(open_ + before)
+    return "".join(out)
 
 
-def _operand(kid: tuple, min_prec: int):
-    rope, prec = kid
-    if prec >= min_prec:
-        return rope
-    if type(rope) is str and len(rope) < _JOIN_BELOW:
-        return f"({rope})"
-    return "(", rope, ")"
-
-
-def _binary(t: Term, left: tuple, right: tuple) -> tuple:
-    prec = _PREC[type(t)]
-    lhs, rhs = _operand(left, prec), _operand(right, prec + 1)
-    if type(lhs) is str and type(rhs) is str and len(lhs) + len(rhs) < _JOIN_BELOW:
-        return f"{lhs}{_SYMBOL[type(t)]}{rhs}", prec
-    return (lhs, _SYMBOL[type(t)], rhs), prec
-
-
-# Each node folds to (rope, precedence): rope is its text as a string or a
-# tuple of ropes, joined once at the end (short ones already when built).
-_INFIX_EXPANDED = {
-    Zero: lambda t: ("0", _ATOM),
-    One: lambda t: ("1", _ATOM),
-    Var: lambda t: (t.name, _ATOM),
-    Add: _binary, Sub: _binary, Mul: _binary, Div: _binary,
-    Neg: lambda t, arg: (_cat("-", _operand(arg, _UNARY)), _UNARY),
-    Inv: lambda t, arg: (_cat(_operand(arg, _ATOM), "^-1"), _POSTFIX),
-    # A chain of k - 1 links, each one right child of the chain's kind.
-    NUMERAL: lambda t, k: ("1" + _LINK[type(t)] * (_spellable(k) - 1), _SUM),
-}
-_INFIX = {
-    False: _INFIX_EXPANDED,
-    # Literals reparse to numerals only: a reduced divisive chain stays spelled out.
-    True: {**_INFIX_EXPANDED, NUMERAL: lambda t, k: (
-        (_decimal(k), _ATOM) if type(t) is Add else _INFIX_EXPANDED[NUMERAL](t, k))},
-}
-_LINK = {Add: " + 1", Sub: " - (1 - 1 - 1)"}
-_PREC = {Add: _SUM, Sub: _SUM, Mul: _PRODUCT, Div: _PRODUCT}
-_SYMBOL = {Add: " + ", Sub: " - ", Mul: " * ", Div: " / "}
-
-_SEXPR_HEAD = {Add: "(+ ", Mul: "(* ", Sub: "(sub ", Div: "(/ ", Neg: "(neg ", Inv: "(inv "}
-
-
-def _sexpr_node(t: Term, *kids):
-    if type(t) is Var:
-        return t.name
-    if not kids:
-        return "0" if type(t) is Zero else "1"
-    if len(kids) == 1:
-        return _SEXPR_HEAD[type(t)], kids[0], ")"
-    return _SEXPR_HEAD[type(t)], kids[0], " ", kids[1], ")"
-
-
-def _sexpr_chain(t: Term, k: int) -> str:
-    # (+ (+ ... (+ 1 1) 1) ... 1) or (sub ... (sub 1 (sub (sub 1 1) 1)) ...):
-    # k - 1 heads, then 1 and k - 1 tails, each a right child and ")".
-    head, tail = _SEXPR_LINK[type(t)]
-    return head * (_spellable(k) - 1) + "1" + tail * (k - 1)
-
-
-_SEXPR = dict.fromkeys(CONSTRUCTORS, _sexpr_node)
-_SEXPR[NUMERAL] = _sexpr_chain
-_SEXPR_LINK = {Add: ("(+ ", " 1)"), Sub: ("(sub ", " (sub (sub 1 1) 1))")}
+# A left operand binds at least as tightly as its operator, a right one more.
+_EXPANDED = ({
+    Add: ("", " + ", "", _SUM, _SUM + 1), Sub: ("", " - ", "", _SUM, _SUM + 1),
+    Mul: ("", " * ", "", _PRODUCT, _PRODUCT + 1), Div: ("", " / ", "", _PRODUCT, _PRODUCT + 1),
+    Neg: ("-", "", "", 0, _UNARY), Inv: ("", "", "^-1", 0, _ATOM),
+}, None, {ZERO: "0", ONE: "1"}, str, {Add: " + 1", Sub: " - (1 - 1 - 1)"})
+# Literals reparse to numerals only: a reduced divisive chain stays spelled out.
+_LITERALS = (_EXPANDED[0], Add, *_EXPANDED[2:])
+_LISP = ({cls: (f"({head} ", " " * (len(cls._fields) == 2), ")", 0, 0)
+          for cls, head in ((Add, "+"), (Mul, "*"), (Sub, "sub"), (Div, "/"), (Neg, "neg"),
+                            (Inv, "inv"))},
+         None, _EXPANDED[2], str, {Add: " 1)", Sub: " (sub (sub 1 1) 1))"})
+_CALLS = (_CALL_SHAPES, None, {ZERO: "Zero()", ONE: "One()"}, "Var({!r})".format,
+          {Add: ", One())", Sub: ", Sub(Sub(One(), One()), One()))"})
 
 
 def render(t: Term, style: str = "infix", numerals: bool = False) -> str:
@@ -304,7 +302,15 @@ def render(t: Term, style: str = "infix", numerals: bool = False) -> str:
     terms show their exact structure.
     """
     if style == "infix":
-        return _join(fold(t, _INFIX[bool(numerals)])[0])
-    if style == "sexpr":
-        return _join(fold(t, _SEXPR))
-    raise ValueError(f"unknown render style: {style!r}")
+        spelling = _LITERALS if numerals else _EXPANDED
+    elif style == "sexpr":
+        spelling = _LISP
+    else:
+        raise ValueError(f"unknown render style: {style!r}")
+    try:
+        return _spell(t, spelling)
+    except KeyError:
+        # A node outside CONSTRUCTORS (a formula): fail where a fold would.
+        fold(t, {**dict.fromkeys(CONSTRUCTORS, lambda node, *kids: None),
+                 NUMERAL: lambda node, k: _spell(node, spelling)})
+        raise

@@ -30,7 +30,7 @@ from operator import ne
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .numbers import corollary_witness, is_prime, two_squares
-from .terms import NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, fold
+from .terms import NUMERAL, Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, _decimal, fold
 
 if TYPE_CHECKING:
     from .exhaustive import LineTables
@@ -171,9 +171,9 @@ class FiniteMeadow:
         """a itself; raises ValueError unless every value in it is a carrier element."""
         for name, value in a.items():
             if not (isinstance(value, int) and 0 <= value < self.size):
+                shown = _decimal(value) if type(value) is int else repr(value)
                 raise ValueError(
-                    f"value {value!r} of {name} is outside the carrier 0..{self.size - 1}"
-                )
+                    f"value {shown} of {name} is outside the carrier 0..{self.size - 1}")
         return a
 
     def algebra(self) -> dict:

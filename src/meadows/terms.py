@@ -21,12 +21,12 @@ when something reads them.  Its image in the reduced divisive notation,
 the chain (...(1 - (1 - 1 - 1)) - ...) - (1 - 1 - 1) of k - 1
 subtractions, is likewise one interned Sub node that carries k.
 
-Every walk over a term is a fold: fold(t, algebra) combines child
-results bottom-up with an explicit stack, visiting each distinct
-subterm once, so term depth is bounded by memory, not by Python's
-recursion limit.  An algebra with a NUMERAL entry takes each chain node
-of either kind as one leaf, given the node (whose type tells the kind)
-and k; any other algebra walks the chain through its children.
+Every walk over a term but printing is a fold: fold(t, algebra)
+combines child results bottom-up with an explicit stack, visiting each
+distinct subterm once, so term depth is bounded by memory, not by
+Python's recursion limit.  An algebra with a NUMERAL entry takes each
+chain node of either kind as one leaf, given the node (whose type tells
+the kind) and k; any other algebra walks the chain through its children.
 """
 
 from __future__ import annotations
@@ -100,6 +100,9 @@ def _intern(table: dict, key, node: "Term") -> "Term":
                 return node
 
 
+_CALL_SHAPES: dict[type, tuple] = {}
+
+
 class Term:
     """A meadow term.  Each subclass is one constructor.
 
@@ -141,6 +144,8 @@ class Term:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._interned = {}
+        # repr prints a node as a call of its constructor (parsing._spell).
+        _CALL_SHAPES[cls] = (f"{cls.__name__}(", ", " * (len(cls._fields) == 2), ")", 0, 0)
         for i, field in enumerate(cls._fields):
             setattr(cls, field, property(lambda t, i=i: t.children[i]))
 
@@ -155,7 +160,8 @@ class Term:
         return _unflatten, (_flatten(self),)
 
     def __repr__(self) -> str:
-        return _join(fold(self, _REPR))
+        from .parsing import _CALLS, _spell
+        return _spell(self, _CALLS)
 
 
 _SET_CHILDREN = Term.children.__set__
@@ -384,31 +390,6 @@ def _unflatten(nodes: tuple[tuple, ...]) -> Term:
 def rebuild(node: Term, *children: Term) -> Term:
     """node with its children replaced; node itself when they are unchanged."""
     return node if children == node.children else type(node)(*children)
-
-
-def _join(rope) -> str:
-    """The text of a rope: a string, or a tuple of ropes to concatenate."""
-    parts: list[str] = []
-    stack = [rope]
-    while stack:
-        piece = stack.pop()
-        if type(piece) is str:
-            parts.append(piece)
-        else:
-            stack += reversed(piece)
-    return "".join(parts)
-
-
-def _repr_node(t: Term, *kids):
-    # A rope, so that no node copies its children's text.
-    if type(t) is Var:
-        return f"Var({t.name!r})"
-    if len(kids) == 2:
-        return type(t).__name__, "(", kids[0], ", ", kids[1], ")"
-    return (type(t).__name__, "(", *kids, ")")
-
-
-_REPR = defaultdict(lambda: _repr_node)
 
 
 class Signature(Enum):

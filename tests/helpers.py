@@ -198,6 +198,66 @@ def shapes_presentation() -> Presentation:
 
 
 # ---------------------------------------------------------------------------
+# Printing: a reference printer, plain recursion over children that walks
+# numerals and their reduced divisive images node by node (small depth only).
+
+_ORACLE_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Inv: 4}
+_ORACLE_SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_ORACLE_HEAD = {Add: "+", Sub: "sub", Mul: "*", Div: "/", Neg: "neg", Inv: "inv"}
+
+
+def oracle_render(t: Term, style: str = "infix", numerals: bool = False) -> str:
+    """render(t, style, numerals) for style "infix" or "sexpr", and repr(t)
+    for style "repr" (which also prints formulas)."""
+    if style == "repr":
+        if type(t) is Var:
+            return f"Var({t.name!r})"
+        return f"{type(t).__name__}({', '.join(oracle_render(k, 'repr') for k in t.children)})"
+    if style == "sexpr":
+        if not t.children:
+            return _oracle_infix(t, False)[0]
+        kids = " ".join(oracle_render(k, "sexpr") for k in t.children)
+        return f"({_ORACLE_HEAD[type(t)]} {kids})"
+    return _oracle_infix(t, numerals)[0]
+
+
+def _oracle_natural(t: Term) -> int | None:
+    """k when t is (...(1 + 1) + ...) + 1 with k ones, k >= 2, else None."""
+    k = 1
+    while type(t) is Add and type(t.right) is One:
+        t, k = t.left, k + 1
+    return k if k > 1 and type(t) is One else None
+
+
+def _oracle_infix(t: Term, numerals: bool) -> tuple[str, int]:
+    """(text, precedence) of t in minimally parenthesised infix."""
+    match t:
+        case Zero():
+            return "0", 5
+        case One():
+            return "1", 5
+        case Var(name=name):
+            return name, 5
+        case Neg(arg=arg):
+            return "-" + _oracle_operand(arg, 3, numerals), 3
+        case Inv(arg=arg):
+            return _oracle_operand(arg, 5, numerals) + "^-1", 4
+    if numerals and _oracle_natural(t):
+        return str(_oracle_natural(t)), 5
+    left, right = t.children
+    prec = _ORACLE_PREC[type(t)]
+    text = (f"{_oracle_operand(left, prec, numerals)} {_ORACLE_SYMBOL[type(t)]} "
+            f"{_oracle_operand(right, prec + 1, numerals)}")
+    return text, prec
+
+
+def _oracle_operand(t: Term, least: int, numerals: bool) -> str:
+    """t's text, parenthesised unless it binds at least as tightly as least."""
+    text, prec = _oracle_infix(t, numerals)
+    return text if prec >= least else f"({text})"
+
+
+# ---------------------------------------------------------------------------
 # Formulas: a printer that parse_formula reads back, and a reference
 # evaluator written from the truth tables, independent of logic3.
 

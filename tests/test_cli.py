@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -332,13 +333,34 @@ def test_digit_bound_holds_with_the_interpreter_limit_at_its_lowest():
     literal, factor = "12345678901" * 91, "7" * 400
     for argv, out, err in [
         (["eval", literal], literal, ""),
-        (["eval", f"{factor}*{factor}"], str(int(factor) ** 2), ""),
+        (["eval", f"{factor}*{factor}"], str(Decimal(int(factor) ** 2)), ""),
         (["eval", f"{_A}*{_A}"], "", "error: value has more than 4300 digits"),
         (["eval", "1" * 4301], "", "error: literal has more than 4300 digits (at position 0)"),
     ]:
         p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC,
                                                        "PYTHONINTMAXSTRDIGITS": "640"})
+        assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2 if err else 0, out, err)
+
+
+_ONES = "1" * 1000
+_CARRIER_ERROR = f"error: value {_ONES} of x is outside the carrier 0..6"
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (["eval", "--assign", f"x={_ONES}", "x"], _ONES, ""),
+    (["eval", "--assign", f"x=-{_ONES}/3", "x + x"], f"-{'2' * 1000}/3", ""),
+    (["eval", "--model", "zp:7", "--assign", f"x={_ONES}", "x"], "", _CARRIER_ERROR),
+    (["truth", "--domain", f"0,{_ONES}", f"exists x. x = {_ONES}"], "T", ""),
+    (["truth", "--domain", f"0, -{_ONES}/7", f"exists x. 7 * x = -{_ONES}"], "T", ""),
+], ids=["integer", "rational", "outside-the-carrier", "domain", "rational-domain"])
+def test_long_assigned_and_domain_values_read_under_any_digit_limit(argv, out, err):
+    # Values of more than 640 digits used to convert under the interpreter's
+    # limit: at its lowest each of these exited 2 with "Exceeds the limit".
+    for limit in ("640", "4300", "0"):
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
+                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC,
+                                                       "PYTHONINTMAXSTRDIGITS": limit})
         assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2 if err else 0, out, err)
 
 

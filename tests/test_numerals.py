@@ -5,16 +5,19 @@ image (...(1 - (1 - 1 - 1)) - ...) - (1 - 1 - 1) one Sub node that
 carries k, and every fold algebra with a NUMERAL entry takes either as
 one leaf.  The oracle for each such algebra is the same fold with that
 entry removed, which walks the chain of additions or subtractions
-through its children.
+through its children.  The printers are not folds: their oracle is
+helpers.oracle_render, which reads the chains node by node.
 """
 
 import contextlib
 import copy
 import pickle
 import random
+import sys
 import time
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +38,8 @@ from meadows.terms import (
     NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
     Signature, free_vars, numeral, subst,
 )
+
+from .helpers import oracle_render
 
 # Every module that folds terms, with the name it calls fold by.
 FOLDING = (terms, parsing, projection, semantics, partial, convention, normalize)
@@ -131,6 +136,20 @@ def numerals_alive():
     return sum(type(key) is int for key in Add._interned)
 
 
+def test_repr_of_a_huge_chain_is_one_string_repeat():
+    k = 10**6
+    n, image = numeral(k), project(numeral(k), Projection.IMN_TO_RDMN)
+    alive = numerals_alive(), sum(type(key) is int for key in Sub._interned)
+    start = time.perf_counter()
+    assert repr(n) == "Add(" * (k - 1) + "One()" + ", One())" * (k - 1)
+    link = ", Sub(Sub(One(), One()), One()))"
+    assert repr(image) == "Sub(" * (k - 1) + "One()" + link * (k - 1)
+    assert time.perf_counter() - start < 1
+    assert (numerals_alive(), sum(type(key) is int for key in Sub._interned)) == alive
+    with pytest.raises(ValueError, match="too large to spell out"):
+        repr(Mul(Var("x"), numeral(sys.maxsize // 8 + 1)))
+
+
 def test_a_table_model_evaluates_a_numeral_without_its_chain():
     n = numeral(10**5)
     before = numerals_alive()
@@ -145,22 +164,6 @@ def test_a_table_model_evaluates_a_numeral_without_its_chain():
 
 # ---------------------------------------------------------------------------
 # Agreement with the chains, one test per group of algebras
-
-
-def decimal_render(t):
-    """render(t, numerals=True) read off the chains: the expanded text with
-    each subterm (...(1 + 1) + ...) + 1 printed as its decimal literal."""
-    naturals = {ONE: 1}
-
-    def add(node, left, right):
-        n = naturals.get(node.left)
-        if n and node.right is ONE:
-            naturals[node] = n + 1
-            return str(n + 1), parsing._ATOM
-        return parsing._binary(node, left, right)
-
-    with chains():
-        return terms._join(terms.fold(t, {**parsing._INFIX[False], Add: add})[0])
 
 
 def render_calls(t):
@@ -205,7 +208,7 @@ def test_each_numeral_up_to_60_agrees():
     x, y = Var("x"), Var("y")
     for k in range(61):
         n = numeral(k)
-        assert render(n, numerals=True) == decimal_render(n)
+        assert render(n, numerals=True) == oracle_render(n, numerals=True)
         contexts = (n, Inv(n), Add(x, n), Mul(Inv(Add(n, y)), n))
         for t in contexts:
             d = project(t, Projection.IMN_TO_DMN)
@@ -220,7 +223,8 @@ def test_each_numeral_up_to_60_agrees():
 @given(terms_over(ALL))
 def test_renders_agree(t):
     assert_agree(*render_calls(t))
-    assert render(t, numerals=True) == decimal_render(t)
+    assert render(t, numerals=True) == oracle_render(t, numerals=True)
+    assert [render(t), render(t, "sexpr")] == [oracle_render(t), oracle_render(t, "sexpr")]
 
 
 @settings(max_examples=150, deadline=None)

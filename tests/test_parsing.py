@@ -1,19 +1,22 @@
 import random
+import sys
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows import parsing
-from meadows.logic3 import parse_formula
+from meadows.logic3 import And, Eq, Exists, Forall, Implies, Not, Or, parse_formula
 from meadows.parsing import ParseError, parse_term, render, tokenize
+from meadows.projection import Projection, project
 from meadows.terms import (
-    Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero,
+    Add, Div, Inv, Mul, Neg, One, Sub, Var, Zero, ONE, ZERO,
     Signature, SignatureError, conforms, numeral,
 )
 
-from .helpers import oracle_tokenize, random_term
+from .helpers import oracle_render, oracle_tokenize, random_term
 
 
 def test_parse_precedence():
@@ -235,3 +238,74 @@ def imd_terms(draw, depth=4):
 def test_roundtrip_property(t):
     assert conforms(t, Signature.IMD)
     assert parse_term(render(t), Signature.IMD) == t
+
+
+# ---------------------------------------------------------------------------
+# The printers against a reference printer
+
+
+def printable_terms(sig):
+    """Terms over sig's symbols (None: all of them), with numerals and their
+    reduced divisive images up to 60, towers of - and ^-1, and subterms
+    shared by both operands of a node."""
+    x = Var("x")
+    ops = [op for op in (Add, Mul, Sub, Div, Neg, Inv)
+           if sig is None or conforms(op(*[x] * len(op._fields)), sig)]
+    binary = [op for op in ops if len(op._fields) == 2]
+    unary = [op for op in ops if len(op._fields) == 1]
+    leaves = [st.just(ONE), st.sampled_from("xyz").map(Var)]
+    if sig is None or conforms(ZERO, sig):
+        leaves.append(st.just(ZERO))
+    if Add in ops:
+        leaves.append(st.integers(2, 60).map(numeral))
+    if Sub in ops:
+        leaves.append(st.integers(2, 60).map(
+            lambda k: project(numeral(k), Projection.IMN_TO_RDMN)))
+
+    def extend(kids):
+        options = [st.builds(op, kids, kids) for op in binary]
+        options.append(st.builds(lambda t, op: op(t, t), kids, st.sampled_from(binary)))
+        if unary:
+            options.append(st.builds(lambda t, ops: reduce(lambda u, op: op(u), ops, t),
+                                     kids, st.lists(st.sampled_from(unary), min_size=1,
+                                                    max_size=12)))
+        return st.one_of(options)
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=12)
+
+
+ANY_TERM = st.sampled_from([None, *Signature]).flatmap(printable_terms)
+FORMULAS = st.recursive(
+    st.builds(Eq, printable_terms(None), printable_terms(None)),
+    lambda fs: st.one_of(
+        st.builds(Not, fs), st.builds(And, fs, fs), st.builds(Or, fs, fs),
+        st.builds(Implies, fs, fs), st.builds(Forall, st.sampled_from("xy"), fs),
+        st.builds(Exists, st.sampled_from("xy"), fs)),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_TERM)
+def test_printers_match_the_reference_printer(t):
+    assert render(t) == oracle_render(t)
+    assert render(t, numerals=True) == oracle_render(t, numerals=True)
+    assert render(t, "sexpr") == oracle_render(t, "sexpr")
+    assert repr(t) == oracle_render(t, "repr")
+
+
+@settings(max_examples=60, deadline=None)
+@given(FORMULAS)
+def test_formula_repr_matches_the_reference_printer(f):
+    assert repr(f) == oracle_render(f, "repr")
+
+
+def test_render_refuses_a_formula_at_its_first_node_bottom_up():
+    x = Var("x")
+    with pytest.raises(KeyError) as info:
+        render(Not(And(Eq(x, ONE), Eq(ONE, x))), "sexpr")
+    assert info.value.args == (Eq,)
+    # An unprintable numeral to the left of the formula node is met first.
+    with pytest.raises(ValueError, match="too large to spell out"):
+        render(Eq(Add(x, numeral(sys.maxsize // 8 + 1)), x))
+    with pytest.raises(KeyError):
+        render(Eq(Add(x, numeral(sys.maxsize // 8 + 1)), x), numerals=True)
