@@ -70,6 +70,11 @@ def _spell(value) -> str:
 _LONG_VALUE = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
 
 
+def _signed(long: re.Match) -> int:
+    """The integer that a match of _LONG_VALUE spells, its sign and digits."""
+    return -_integer(long[2]) if long[1] == "-" else _integer(long[2])
+
+
 def _parse_value(text: str, model: Model) -> int | Fraction:
     """A value literal: an integer in a finite model, else a rational."""
     from .semantics import FiniteMeadow
@@ -78,7 +83,7 @@ def _parse_value(text: str, model: Model) -> int | Fraction:
     long = len(text) > _CHUNK_DIGITS and _LONG_VALUE.fullmatch(text)
     try:
         if long and not (finite and long[3]):
-            num = -_integer(long[2]) if long[1] == "-" else _integer(long[2])
+            num = _signed(long)
             return num if finite else Fraction(num, _integer(long[3] or "1"))
         return int(text) if finite else Fraction(text)
     except ZeroDivisionError:
@@ -111,10 +116,11 @@ def _load_model(choice: str) -> Model:
         return Q0
     kind, _, arg = choice.partition(":")
     _check_digits(arg)
-    if kind == "zp" and arg:
-        return zp_meadow(int(arg))
-    if kind == "zn" and arg:
-        return zn_meadow(int(arg))
+    if kind in ("zp", "zn") and arg:
+        # A signed integer of any length reads whatever the interpreter's limit.
+        long = _LONG_VALUE.fullmatch(arg)
+        n = _signed(long) if long and not long[3] else int(arg)
+        return zp_meadow(n) if kind == "zp" else zn_meadow(n)
     raise ValueError(f"unknown model {choice!r}; use q0, zp:<p>, or zn:<n>")
 
 

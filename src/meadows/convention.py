@@ -33,7 +33,7 @@ from .partial import _VARIANT_SIG, PunchVariant, Violation, punched_value
 from .semantics import Q0
 from .terms import (
     NUMERAL, Add, Inv, Mul, One, Term, Var, Zero,
-    Signature, check_conforms, fold, free_vars,
+    Signature, check_conforms, fold,
 )
 
 __all__ = [
@@ -118,7 +118,7 @@ def closed_compliance(t: Term, c: ConventionId) -> Union[_Compliant, Violation]:
     rationals; the first offending subterm in leftmost-innermost order is
     reported.
     """
-    if free_vars(t):
+    if t._symbols & Var._bit:
         raise ValueError(
             "compliance of open terms is undecidable; "
             "use open_compliance_sufficient for the sound syntactic check"

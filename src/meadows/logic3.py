@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .parsing import _TokenError, parse_term_prefix, tokenize
 from .partial import _VARIANT_SIG, PunchVariant, Violation, punched_algebra
-from .semantics import Q0, Assignment, Model, Value, assigned
+from .semantics import Q0, Assignment, Model, Value
 from .terms import Signature, Term, Var, _FREE_VARS, _union, check_conforms, fold
 
 __all__ = [
@@ -190,9 +190,11 @@ def _atom(
     algebra: dict, env: Assignment,
 ) -> TruthValue3:
     # Punched evaluation of lhs, then of rhs: each checks its signature
-    # first.  The environment is checked once, before the first fold.
+    # first.  The environment is checked once, before the first fold.  The
+    # sides compare as the model's fold results: Q0's canonical pairs are
+    # equal exactly when their rationals are.
     check_conforms(lhs, sig)
-    algebra[Var] = partial(assigned, model.check_assignment(env))
+    algebra[Var] = model.var_case(model.check_assignment(env))
     left = fold(lhs, algebra)
     check_conforms(rhs, sig)
     right = fold(rhs, algebra)

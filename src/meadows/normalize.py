@@ -284,7 +284,7 @@ def normal_form_closed(t: Term, sig: Signature) -> NormalForm:
     """
     if sig not in (Signature.IAMD, Signature.IAMDZ):
         raise ValueError("normal forms are defined for iamd/iamdz terms")
-    if free_vars(t):
+    if t._symbols & Var._bit:
         raise ValueError(f"term is not closed: {sorted(free_vars(t))}")
     check_conforms(t, sig)
     # Imported here, so that deciding equality does not load the evaluators.

@@ -15,11 +15,10 @@ in the matching punched meadow, so a convention is its punch variant.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import NamedTuple, Union
 
 from .projection import Projection, project
-from .semantics import Q0, Assignment, Model, Value, assigned
+from .semantics import Q0, Assignment, Model, Value
 from .terms import NUMERAL, ZERO, Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
 
 __all__ = [
@@ -110,17 +109,19 @@ def punched_value(t: Term, variant: PunchVariant, m: Model,
     m.check_assignment returned.
     """
     algebra = punched_algebra(variant, m)
-    algebra[Var] = partial(assigned, a)
-    return fold(t, algebra)
+    algebra[Var] = m.var_case(a)
+    value = fold(t, algebra)
+    return value if type(value) is Violation else m.value(value)
 
 
 def punched_algebra(variant: PunchVariant, m: Model) -> dict:
     """The fold algebra of closed terms in m punched by variant, as a new dict.
 
-    A node's result is its value in m, or the Violation that leaves it
-    undefined.  Undefinedness is strict, so the application reported is
-    the first in leftmost-innermost order.  A caller that folds open
-    terms adds the Var case.
+    A node's result is its result in m.algebra(), which m.value reads
+    back, or the Violation that leaves it undefined.  Undefinedness is
+    strict, so the application reported is the first in
+    leftmost-innermost order.  A caller that folds open terms adds the
+    Var case, m.var_case.
     """
     total = m.algebra()
     zero = total[Zero](ZERO)

@@ -1,20 +1,25 @@
 """Exact and finite-model semantics for meadow terms.
 
-Two families of models are provided, each a model object with
-algebra() and check_assignment(a), so eval_model evaluates in either.
-Q0, the zero-totalized rationals, evaluates terms exactly with
-arbitrary-precision rationals, where the multiplicative inverse of
-zero is zero and division by zero yields zero.  Finite meadows live on
-a carrier 0..n-1.  Z_n is modular arithmetic: the prime ones are the
-zero-totalized prime fields Z_p, and Z_n with n squarefree is the
-unique meadow expansion of a commutative von Neumann regular ring,
-with inv(x) = x^(2*lambda(n)-1) mod n (lambda is Carmichael's
-function).  Evaluating at one assignment computes each operation
-arithmetically, so it costs O(term) whatever n is; the n x n operation
-tables are built, once per model, only when an exhaustive check reads
-them.  Other finite meadows carry explicit tables, and any finite
-commutative regular ring given by tables expands to a meadow by a
-pointwise search for weak inverses.
+Two families of models are provided, each a model object with one
+interface, so eval_model evaluates in either: algebra() is the fold
+algebra of closed terms, check_assignment(a) checks and converts the
+values assigned, var_case(a) is the fold's Var case, which turns a
+value into the model's representation, and value(x) reads a fold
+result back as a value.  Q0, the zero-totalized rationals, evaluates
+terms exactly, where the multiplicative inverse of zero is zero and
+division by zero yields zero: its fold computes on canonical pairs
+(numerator, denominator) of ints, and one Fraction is built per call.
+Finite meadows live on a carrier 0..n-1, and a fold computes on the
+carrier elements themselves.  Z_n is modular arithmetic: the prime
+ones are the zero-totalized prime fields Z_p, and Z_n with n
+squarefree is the unique meadow expansion of a commutative von Neumann
+regular ring, with inv(x) = x^(2*lambda(n)-1) mod n (lambda is
+Carmichael's function).  Evaluating at one assignment computes each
+operation arithmetically, so it costs O(term) whatever n is; the n x n
+operation tables are built, once per model, only when an exhaustive
+check reads them.  Other finite meadows carry explicit tables, and any
+finite commutative regular ring given by tables expands to a meadow by
+a pointwise search for weak inverses.
 
 check_axioms checks a presentation against a finite model on
 meadows.exhaustive, imported only when a check runs.  two_squares and
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
+from math import gcd, lcm
 from operator import ne
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
@@ -52,9 +57,8 @@ class MissingAssignment(ValueError):
         super().__init__(f"no value assigned to variable {name!r}")
 
 
-# Fractions are immutable, so one 0 and one 1 serve every evaluation.
+# Fractions are immutable, so one 0 serves every call.
 _Q0_ZERO = Fraction(0)
-_Q0_ONE = Fraction(1)
 
 
 def q0_inv(x: Fraction) -> Fraction:
@@ -67,17 +71,47 @@ def q0_div(x: Fraction, y: Fraction) -> Fraction:
     return _Q0_ZERO if y == 0 else x / y
 
 
+# Q0's fold algebra computes on canonical pairs (n, d) of ints: d > 0,
+# gcd(n, d) = 1 and zero is (0, 1), so two pairs are equal exactly when
+# their rationals are.  Sums and products take Henrici's gcds (Knuth,
+# TAOCP vol. 2, 4.5.1), as Fraction does, and need none on integers.
+def _q0_add(t: Term, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (na, da), (nb, db) = x, y
+    if da == db == 1:
+        return na + nb, 1
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    n = na * (db // g) + nb * s
+    g = gcd(n, g)
+    return n // g, s * (db // g)
+
+
+def _q0_mul(t: Term, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (na, da), (nb, db) = x, y
+    if da == db == 1:
+        return na * nb, 1
+    g, h = gcd(na, db), gcd(nb, da)
+    return (na // g) * (nb // h), (da // h) * (db // g)
+
+
+def _q0_inv(t: Term, x: tuple[int, int]) -> tuple[int, int]:
+    n, d = x
+    return (d, n) if n > 0 else (-d, -n) if n else x
+
+
 #: The fold algebra of Q0 on closed terms.
 Q0_ALGEBRA = {
-    Zero: lambda t: _Q0_ZERO,
-    One: lambda t: _Q0_ONE,
-    Add: lambda t, x, y: x + y,
-    Mul: lambda t, x, y: x * y,
-    Sub: lambda t, x, y: x - y,
-    Neg: lambda t, x: -x,
-    Inv: lambda t, x: q0_inv(x),
-    Div: lambda t, x, y: q0_div(x, y),
-    NUMERAL: lambda t, k: Fraction(k),
+    Zero: lambda t: (0, 1),
+    One: lambda t: (1, 1),
+    Add: _q0_add,
+    Mul: _q0_mul,
+    Sub: lambda t, x, y: _q0_add(t, x, (-y[0], y[1])),
+    Neg: lambda t, x: (-x[0], x[1]),
+    Inv: _q0_inv,
+    Div: lambda t, x, y: _q0_mul(t, x, _q0_inv(t, y)),
+    NUMERAL: lambda t, k: (k, 1),
 }
 
 
@@ -91,12 +125,21 @@ class ZeroTotalizedRationals:
         return "Q0"
 
     def algebra(self) -> dict:
-        """The fold algebra of closed terms in the rationals."""
+        """The fold algebra of closed terms in the rationals, on pairs."""
         return Q0_ALGEBRA
 
     def check_assignment(self, a: Assignment) -> dict[str, Fraction]:
         """a with each value converted to a Fraction."""
         return {name: v if type(v) is Fraction else Fraction(v) for name, v in a.items()}
+
+    def var_case(self, a: dict[str, Fraction]):
+        """A fold's Var case under a, which check_assignment returned: the
+        value assigned, as a pair."""
+        return partial(assigned, {name: (v.numerator, v.denominator) for name, v in a.items()})
+
+    def value(self, x: tuple[int, int]) -> Fraction:
+        """The Fraction that a fold result stands for."""
+        return Fraction(*x)
 
 
 #: The zero-totalized rationals, the model an API defaults to.
@@ -113,8 +156,8 @@ def eval_q0(t: Term, a: Assignment | None = None) -> Fraction:
 
 
 def assigned(a: Assignment, node: Var) -> Value:
-    """The value of the variable node in a, or MissingAssignment; a fold's
-    Var case is partial(assigned, a)."""
+    """The value of the variable node in a, or MissingAssignment; a model's
+    var_case is partial(assigned, a) on a in its representation."""
     if node.name not in a:
         raise MissingAssignment(node.name)
     return a[node.name]
@@ -166,6 +209,14 @@ class FiniteMeadow:
 
     def div(self, x: int, y: int) -> int:
         return self.algebra()[Div](None, x, y)
+
+    def var_case(self, a: Assignment):
+        """A fold's Var case under a, which check_assignment returned."""
+        return partial(assigned, a)
+
+    def value(self, x: int) -> int:
+        """A fold result is its own value."""
+        return x
 
     def check_assignment(self, a: Assignment) -> Assignment:
         """a itself; raises ValueError unless every value in it is a carrier element."""
@@ -329,7 +380,7 @@ def zn_ring(n: int) -> ModularMeadow:
 def zp_meadow(p: int) -> ModularMeadow:
     """The zero-totalized prime field Z_p: inv(0) = 0, inv(x) = x^(p-2) otherwise."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_decimal(p)} is not prime")
     return zn_meadow(p)
 
 
@@ -389,12 +440,13 @@ Model = Union[ZeroTotalizedRationals, FiniteMeadow]
 def eval_model(t: Term, m: Model, a: Assignment | None = None) -> Value:
     """Evaluate t in the model m under assignment a.
 
-    One value per node, from m.algebra(): Z_n computes it, so no table is
-    built whatever n is.  In a finite model every value assigned must be
-    a carrier element (ValueError).
+    One result per node, from m.algebra() and m.var_case(a), and m.value
+    reads the last back: Z_n computes each, so no table is built whatever
+    n is.  In a finite model every value assigned must be a carrier
+    element (ValueError).
     """
     a = m.check_assignment(a or {})
-    return fold(t, {**m.algebra(), Var: partial(assigned, a)})
+    return m.value(fold(t, {**m.algebra(), Var: m.var_case(a)}))
 
 
 class AxiomFailure(NamedTuple):

@@ -364,6 +364,22 @@ def test_long_assigned_and_domain_values_read_under_any_digit_limit(argv, out, e
         assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2 if err else 0, out, err)
 
 
+@pytest.mark.parametrize("model, err", [
+    (f"zp:{_ONES[:700]}", f"error: {_ONES[:700]} is not prime"),
+    (f"zn:4{'0' * 699}", "error: element 2 has no weak inverse; ring is not regular"),
+    (f"zp:-{_ONES[:700]}", f"error: -{_ONES[:700]} is not prime"),
+], ids=["not-prime", "not-squarefree", "negative"])
+def test_long_moduli_read_under_any_digit_limit(model, err):
+    # A modulus of more than 640 digits used to convert under the
+    # interpreter's limit: at its lowest, "Exceeds the limit".  Each is
+    # refused at once: 11 divides the ones, 4 the power of ten.
+    for limit in ("640", "4300", "0"):
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", "eval", "--model", model, "1"],
+                           capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": limit})
+        assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2, "", err)
+
+
 def test_check_model_over_the_assignment_cap_exits_2(capsys):
     # About 3 * 10^9 assignments: refused before any table is built.
     code, out, err = invoke(capsys, "check-model", "--zp", "1009", "--axioms", "imd")

@@ -6,7 +6,9 @@ carries k, and every fold algebra with a NUMERAL entry takes either as
 one leaf.  The oracle for each such algebra is the same fold with that
 entry removed, which walks the chain of additions or subtractions
 through its children.  The printers are not folds: their oracle is
-helpers.oracle_render, which reads the chains node by node.
+helpers.oracle_render, which reads the chains node by node.  Exact
+evaluation in Q0, total and punched, and closed compliance are checked
+against independent recursive oracles, with numerals above 10^20.
 """
 
 import contextlib
@@ -15,6 +17,8 @@ import pickle
 import random
 import sys
 import time
+from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -29,17 +33,17 @@ from meadows.normalize import (
     decide_iamd, decide_iamdz_gil, expand_poly, to_polyfrac, zero_eliminate,
 )
 from meadows.parsing import parse_term, render
-from meadows.partial import PunchVariant, punch_eval, punched_value
+from meadows.partial import UNDEFINED, Defined, PunchVariant, punch_eval, punched_value
 from meadows.projection import Projection, project
 from meadows.semantics import (
     Q0, FiniteMeadow, eval_model, eval_q0, expand_regular_ring, zn_meadow, zn_ring, zp_meadow,
 )
 from meadows.terms import (
     NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
-    Signature, free_vars, numeral, subst,
+    Signature, fold, free_vars, numeral, subst,
 )
 
-from .helpers import oracle_render
+from .helpers import oracle_eval, oracle_punched, oracle_render
 
 # Every module that folds terms, with the name it calls fold by.
 FOLDING = (terms, parsing, projection, semantics, partial, convention, normalize)
@@ -326,3 +330,136 @@ def test_each_rdmn_image_up_to_60_agrees():
 @given(terms_over(IMD), st.fixed_dictionaries({"x": st.integers(0, 4), "y": st.integers(0, 4)}))
 def test_rdmn_images_agree(t, a):
     assert_agree(*rd_calls(project(t, Projection.IMN_TO_RDMN), a))
+
+
+# ---------------------------------------------------------------------------
+# Exact evaluation in Q0 against independent oracles
+
+INV0, DIV0, DIV0LIB = (PunchVariant.INV_ZERO, PunchVariant.DIV_ZERO_ALL,
+                       PunchVariant.DIV_ZERO_NONZERO_NUM)
+
+
+def shapes(ops, variables=("x", "y"), images=False):
+    """Terms over ops as nested tuples: numerals 0 to 60 and above 10^20,
+    when images reduced divisive images of numerals up to 10^18 (the most
+    that can be spelled out), and variables."""
+    leaves = st.one_of(st.integers(0, 60), st.integers(10**20 + 1, 10**30)).map(
+        lambda k: ("num", k))
+    if images:
+        leaves |= st.one_of(st.integers(2, 60), st.integers(61, 10**18)).map(
+            lambda k: ("rd", k))
+    if variables:
+        leaves |= st.sampled_from(variables).map(lambda name: ("var", name))
+
+    def extend(kids):
+        # Shared subterms, zeros that only arithmetic finds, and inverses
+        # and divisions of zero.
+        branches = [kids.map(lambda k: (Mul, k, k))]
+        if Neg in ops:
+            branches.append(kids.map(lambda k: (Add, k, (Neg, k))))
+        if Inv in ops:
+            branches.append(kids.map(lambda k: (Inv, (Mul, k, ("num", 0)))))
+        if Div in ops:
+            branches.append(kids.map(lambda k: (Div, k, (Mul, k, ("num", 0)))))
+        return st.one_of(branches + [
+            st.tuples(st.just(op), kids, kids) if len(op._fields) == 2
+            else st.tuples(st.just(op), kids) for op in ops])
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def build(shape, oracle=False):
+    """The term a shape stands for.  For the oracles, which walk numerals
+    as chains, a numeral above 60 or its image is the variable n<k>."""
+    kind, *rest = shape
+    if kind == "var":
+        return Var(rest[0])
+    if kind in ("num", "rd"):
+        k = rest[0]
+        if oracle and k > 60:
+            return Var(f"n{k}")
+        return numeral(k) if kind == "num" else project(numeral(k), Projection.IMN_TO_RDMN)
+    return kind(*(build(kid, oracle) for kid in rest))
+
+
+def oracle_input(shape, a):
+    """The oracles' term for a shape, and a with each n<k> assigned k."""
+    t = build(shape, oracle=True)
+    return t, {**a, **{name: int(name[1:]) for name in free_vars(t) if name[0] == "n"}}
+
+
+def first_punched(t, variant, a):
+    """(None, value) of t in punched Q0, or (subterm, detail) for its first
+    punched application in post-order, by plain recursion."""
+    if type(t) is Var:
+        return None, Fraction(a[t.name])
+    if not t.children:
+        return None, Fraction(t is ONE)
+    results = [first_punched(kid, variant, a) for kid in t.children]
+    for result in results:
+        if result[0] is not None:
+            return result
+    xs = [value for _, value in results]
+    if type(t) is Inv:
+        if xs[0] == 0:
+            return (t, "inverse of 0") if variant is INV0 else (None, Fraction(0))
+        return None, 1 / xs[0]
+    if type(t) is Div:
+        num, den = xs
+        if den != 0:
+            return None, num / den
+        if variant is DIV0 or (variant is DIV0LIB and num != 0):
+            return t, "denominator 0"
+        return None, Fraction(0)
+    if type(t) is Neg:
+        return None, -xs[0]
+    return None, xs[0] + xs[1] if type(t) is Add else xs[0] * xs[1]
+
+
+_LONG = st.builds(lambda n, sign, d: Fraction(sign * n, d), st.integers(10**40, 10**45),
+                  st.sampled_from((1, -1)), st.integers(1, 10**42))
+Q0_VALUES = st.fixed_dictionaries({name: st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-30, 30, max_denominator=12),
+    st.integers(-10**45, 10**45), _LONG) for name in ("x", "y")})
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes(ALL, images=True), Q0_VALUES)
+def test_q0_evaluation_agrees_with_the_oracle(shape, a):
+    t = build(shape)
+    want = oracle_eval(*oracle_input(shape, a))
+    for got in (eval_q0(t, a), eval_model(t, Q0, a)):
+        assert type(got) is Fraction and got == want
+    # Every node's result is a canonical pair: d > 0, gcd(n, d) = 1.
+    results: dict = {}
+    fold(t, {**Q0.algebra(), Var: Q0.var_case(Q0.check_assignment(a))}, results)
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in results.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes(IMD), shapes(DMD), Q0_VALUES)
+def test_punched_q0_evaluation_agrees_with_the_oracle(i, d, a):
+    for shape, variant in ((i, INV0), (d, DIV0), (d, DIV0LIB)):
+        t, (u, ua) = build(shape), oracle_input(shape, a)
+        want = oracle_punched(u, variant.value, None, ua)
+        got = punch_eval(t, variant, Q0, a)
+        assert got == (UNDEFINED if want is None else Defined(want))
+        value = punched_value(t, variant, Q0, Q0.check_assignment(a))
+        if want is not None:
+            assert type(got.value) is Fraction and type(value) is Fraction and value == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes(IMD, variables=()), shapes(DMD, variables=()))
+def test_closed_compliance_reports_the_first_punched_application(i, d):
+    for shape, variant in ((i, INV0), (d, DIV0), (d, DIV0LIB)):
+        t = build(shape)
+        u, a = oracle_input(shape, {})
+        subterm, detail = first_punched(u, variant, a)
+        for name in a if subterm is not None else ():
+            subterm = subst(subterm, name, numeral(a[name]))
+        got = closed_compliance(t, variant)
+        if subterm is None:
+            assert got is convention.COMPLIANT
+        else:
+            assert got.subterm is subterm and got.detail == detail

@@ -7,7 +7,7 @@ from meadows.parsing import parse_term
 from meadows.partial import (
     Defined, PunchVariant, UNDEFINED, punch_eval, recovery_check,
 )
-from meadows.semantics import eval_q0, zp_meadow
+from meadows.semantics import Q0, MissingAssignment, eval_q0, zp_meadow
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, Var, ZERO, ONE,
     Signature, SignatureError, free_vars,
@@ -46,6 +46,15 @@ def test_punch_eval_finite_model():
     assert punch_eval(Div(Var("x"), ZERO), DIV0, m, {"x": 1}) is UNDEFINED
     assert punch_eval(Div(ZERO, ZERO), DIV0LIB, m) == Defined(0)
     assert punch_eval(Neg(ONE), INV0, m) == Defined(4)
+
+
+def test_a_missing_variable_after_a_punched_application_still_raises():
+    # The walk goes on past an undefined subterm, so a variable with no
+    # value later in the term is reported, in Q0 as in a finite model.
+    t = parse_term("0^-1 + y", None)
+    for model in (Q0, zp_meadow(5)):
+        with pytest.raises(MissingAssignment, match="'y'"):
+            punch_eval(t, INV0, model)
 
 
 def test_recovery_table():
