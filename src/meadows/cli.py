@@ -65,14 +65,20 @@ def _spell(value) -> str:
     return _decimal(value) if isinstance(value, int) else str(value)
 
 
-# A signed integer or n/m longer than the interpreter's lowest limit on the
-# digits it converts is read in chunks, whatever that limit is set to.
-_LONG_VALUE = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+# A value longer than the interpreter's lowest limit on the digits it converts
+# is read in chunks, whatever that limit is set to: its sign, its integer part,
+# then a denominator, or a fraction part and an exponent, as Fraction reads it.
+_DIGITS = r"\d+(?:_\d+)*"
+_LONG_VALUE = re.compile(rf"""\s*([+-]?)(?=\.?\d)((?:{_DIGITS})?)
+    (?:/({_DIGITS})|(?:\.((?:{_DIGITS})?))?(?:[eE]([+-]?{_DIGITS}))?)\s*""", re.VERBOSE)
+_INTEGER = (None, None, None)  # groups 3 to 5 of an integer that int reads
 
 
 def _signed(long: re.Match) -> int:
-    """The integer that a match of _LONG_VALUE spells, its sign and digits."""
-    return -_integer(long[2]) if long[1] == "-" else _integer(long[2])
+    """The sign and the digits of a match of _LONG_VALUE, those of its
+    integer part then those of its fraction part, as one int."""
+    digits = (long[2] + (long[4] or "")).replace("_", "") or "0"
+    return -_integer(digits) if long[1] == "-" else _integer(digits)
 
 
 def _parse_value(text: str, model: Model) -> int | Fraction:
@@ -81,10 +87,19 @@ def _parse_value(text: str, model: Model) -> int | Fraction:
     _check_digits(text)
     finite = isinstance(model, FiniteMeadow)
     long = len(text) > _CHUNK_DIGITS and _LONG_VALUE.fullmatch(text)
+    if long and not finite:
+        places = len((long[4] or "").replace("_", ""))
+        den = _integer(long[3].replace("_", "")) if long[3] else 10 ** places
+        if not den:  # before Fraction would spell the numerator in its message
+            raise ValueError("zero denominator")
+        exponent = int(long[5] or 0)
+        return Fraction(_signed(long) * 10 ** max(exponent, 0), den * 10 ** max(-exponent, 0))
+    if long and long.group(3, 4, 5) == _INTEGER:
+        return _signed(long)
+    if finite and len(text) > _CHUNK_DIGITS:
+        # int's own message, which it gives under every limit the digits fit.
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
     try:
-        if long and not (finite and long[3]):
-            num = _signed(long)
-            return num if finite else Fraction(num, _integer(long[3] or "1"))
         return int(text) if finite else Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
@@ -119,7 +134,7 @@ def _load_model(choice: str) -> Model:
     if kind in ("zp", "zn") and arg:
         # A signed integer of any length reads whatever the interpreter's limit.
         long = _LONG_VALUE.fullmatch(arg)
-        n = _signed(long) if long and not long[3] else int(arg)
+        n = _signed(long) if long and long.group(3, 4, 5) == _INTEGER else int(arg)
         return zp_meadow(n) if kind == "zp" else zn_meadow(n)
     raise ValueError(f"unknown model {choice!r}; use q0, zp:<p>, or zn:<n>")
 

@@ -35,7 +35,7 @@ from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
 from .parsing import _TokenError, parse_term_prefix, tokenize
-from .partial import _VARIANT_SIG, PunchVariant, Violation, punched_algebra
+from .partial import _VARIANT_SIG, PunchVariant, Violation, _fold_punched, punched_algebra
 from .semantics import Q0, Assignment, Model, Value
 from .terms import Signature, Term, Var, _FREE_VARS, _union, check_conforms, fold
 
@@ -195,9 +195,9 @@ def _atom(
     # equal exactly when their rationals are.
     check_conforms(lhs, sig)
     algebra[Var] = model.var_case(model.check_assignment(env))
-    left = fold(lhs, algebra)
+    left = _fold_punched(lhs, algebra)
     check_conforms(rhs, sig)
-    right = fold(rhs, algebra)
+    right = _fold_punched(rhs, algebra)
     if type(left) is not Violation and type(right) is not Violation:
         return T if left == right else F
     if cfg.equality is Equality.WEAK:

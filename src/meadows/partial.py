@@ -4,7 +4,9 @@ Punching removes definedness without changing any defined value.  An
 inversive meadow loses 0^-1; a divisive meadow loses q/0 either for
 every q or only for q != 0, the liberal reading that keeps 0/0 = 0.
 Evaluation is strict: an undefined subterm makes the whole term
-undefined.
+undefined.  Strictness is an early exit: a punched application raises
+out of the fold, so the first in post-order is the one reported and no
+node above it is evaluated.
 
 punched_algebra is the one punched algebra: punch_eval, formula atoms
 (meadows.logic3) and closed compliance (meadows.convention) fold it.  A
@@ -19,7 +21,7 @@ from typing import NamedTuple, Union
 
 from .projection import Projection, project
 from .semantics import Q0, Assignment, Model, Value
-from .terms import NUMERAL, ZERO, Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
+from .terms import ZERO, Div, Inv, Term, Var, Zero, Signature, check_conforms, fold
 
 __all__ = [
     "PunchVariant", "Defined", "UNDEFINED", "PartialValue",
@@ -110,54 +112,59 @@ def punched_value(t: Term, variant: PunchVariant, m: Model,
     """
     algebra = punched_algebra(variant, m)
     algebra[Var] = m.var_case(a)
-    value = fold(t, algebra)
+    value = _fold_punched(t, algebra)
     return value if type(value) is Violation else m.value(value)
+
+
+class _Punched(Exception):
+    """Raised out of a fold by a punched application, with its Violation."""
+
+
+def _fold_punched(t: Term, algebra: dict):
+    """fold(t, algebra) of a punched algebra with its Var case, or the
+    Violation of the first punched application in post-order.  Past it an
+    open term's variables are still looked up in post-order, so a missing
+    one raises MissingAssignment as evaluating the whole term would."""
+    try:
+        return fold(t, algebra)
+    except _Punched as punched:
+        if t._symbols & Var._bit:
+            lookups = dict.fromkeys(algebra, lambda node, *args: None)
+            lookups[Var] = algebra[Var]
+            fold(t, lookups)
+        return punched.args[0]
 
 
 def punched_algebra(variant: PunchVariant, m: Model) -> dict:
     """The fold algebra of closed terms in m punched by variant, as a new dict.
 
-    A node's result is its result in m.algebra(), which m.value reads
-    back, or the Violation that leaves it undefined.  Undefinedness is
-    strict, so the application reported is the first in
-    leftmost-innermost order.  A caller that folds open terms adds the
-    Var case, m.var_case.
+    It is m.algebra() with Inv and Div replaced: a node's result is its
+    result in m, which m.value reads back, and a punched application
+    raises _Punched with the Violation that leaves the term undefined,
+    which _fold_punched returns.  A caller that folds open terms adds
+    the Var case, m.var_case.
     """
     total = m.algebra()
     zero = total[Zero](ZERO)
-
-    def strict(node, *xs):
-        for x in xs:
-            if type(x) is Violation:
-                return x
-        return total[type(node)](node, *xs)
+    inv, div = total[Inv], total[Div]
 
     def inverse(node: Inv, x):
-        if type(x) is Violation:
-            return x
         if variant is PunchVariant.INV_ZERO and x == zero:
-            return Violation(node, "inverse of 0")
-        return total[Inv](node, x)
+            raise _Punched(Violation(node, "inverse of 0"))
+        return inv(node, x)
 
     def divide(node: Div, x, y):
-        if type(x) is Violation or type(y) is Violation:
-            return x if type(x) is Violation else y
         if y != zero:
-            return total[Div](node, x, y)
+            return div(node, x, y)
         if variant is PunchVariant.DIV_ZERO_ALL or (
             variant is PunchVariant.DIV_ZERO_NONZERO_NUM and x != zero
         ):
-            return Violation(node, "denominator 0")
+            raise _Punched(Violation(node, "denominator 0"))
         # Liberal variant with zero numerator, or the unpunched inverse
         # notation would not produce Div nodes at all (signature checked).
         return zero
 
-    algebra = dict.fromkeys(total, strict)
-    algebra.update({Inv: inverse, Div: divide})
-    if NUMERAL in total:
-        # A numeral has no inverse or division, so its value is the model's.
-        algebra[NUMERAL] = total[NUMERAL]
-    return algebra
+    return {**total, Inv: inverse, Div: divide}
 
 
 class RecoveryReport(NamedTuple):

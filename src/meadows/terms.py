@@ -16,10 +16,11 @@ their terms weakly and shrink as terms are dropped.
 
 A numeral k >= 2, the term (...(1 + 1) + ...) + 1, is one interned Add
 node that carries k: numeral(k) and Add(numeral(k - 1), 1) both return
-it in constant time, and its children (numeral(k - 1), 1) are built only
-when something reads them.  Its image in the reduced divisive notation,
-the chain (...(1 - (1 - 1 - 1)) - ...) - (1 - 1 - 1) of k - 1
-subtractions, is likewise one interned Sub node that carries k.
+it in constant time, and its children (numeral(k - 1), 1) are a lazy
+sequence, built only when something reads them.  Its image in the
+reduced divisive notation, the chain (...(1 - (1 - 1 - 1)) - ...) -
+(1 - 1 - 1) of k - 1 subtractions, is likewise one interned Sub node
+that carries k.
 
 Every walk over a term but printing is a fold: fold(t, algebra)
 combines child results bottom-up with an explicit stack, visiting each
@@ -27,6 +28,9 @@ distinct subterm once, so term depth is bounded by memory, not by
 Python's recursion limit.  An algebra with a NUMERAL entry takes each
 chain node of either kind as one leaf, given the node (whose type tells
 the kind) and k; any other algebra walks the chain through its children.
+The first such fold of a term records its post-order, and later ones
+replay it in one flat loop: a term never changes, so neither does its
+walk.
 """
 
 from __future__ import annotations
@@ -111,10 +115,11 @@ class Term:
     constructor occurring in the term, so signature checks that pass take
     constant time.  _numeral is k for the chain node of k >= 2, a
     numeral (Add) or its reduced divisive image (Sub), and 0 for every
-    other term.
+    other term.  _order is None until fold records the term's proper
+    subterms in post-order.
     """
 
-    __slots__ = ("children", "_symbols", "_numeral", "__weakref__")
+    __slots__ = ("children", "_symbols", "_numeral", "_order", "__weakref__")
     _fields: tuple[str, ...] = ()
     _bit = 0
     _interned: dict = {}
@@ -138,6 +143,7 @@ class Term:
             _SET_CHILDREN(node, children)
             _SET_SYMBOLS(node, symbols)
             _SET_NUMERAL(node, 0)
+            _SET_ORDER(node, None)
             node = _intern(table, children, node)
         return node
 
@@ -167,6 +173,7 @@ class Term:
 _SET_CHILDREN = Term.children.__set__
 _SET_SYMBOLS = Term._symbols.__set__
 _SET_NUMERAL = Term._numeral.__set__
+_SET_ORDER = Term._order.__set__
 
 
 class Zero(Term):
@@ -191,25 +198,14 @@ class Var(Term):
             Var.name.__set__(node, name)
             _SET_SYMBOLS(node, cls._bit)
             _SET_NUMERAL(node, 0)
+            _SET_ORDER(node, None)
             node = _intern(cls._interned, name, node)
         return node
-
-
-def _chain_children(self: Term, name: str):
-    """The __getattr__ of Add and Sub, called only for an unset slot: a
-    chain node builds its children when they are first read.  (On Term it
-    would slow every attribute read of every term.)"""
-    if name == "children" and self._numeral:
-        children = (_chain(type(self), self._numeral - 1), self._step)
-        _SET_CHILDREN(self, children)
-        return children
-    raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 class Add(Term):
     __slots__ = ()
     _fields = ("left", "right")
-    __getattr__ = _chain_children
 
 
 class Mul(Term):
@@ -237,7 +233,6 @@ class Sub(Term):
 
     __slots__ = ()
     _fields = ("left", "right")
-    __getattr__ = _chain_children
 
 
 CONSTRUCTORS = (Zero, One, Var, Add, Mul, Neg, Inv, Div, Sub)
@@ -258,7 +253,7 @@ def _chain(cls: type, k: int) -> Term:
     for Add, its reduced divisive image for Sub.
 
     Above 1 it is one cls node that carries k, found or built in constant
-    time; its children are built when first read.
+    time; its children are built when first read (_ChainChildren).
     """
     if k < 2:
         return ONE
@@ -268,10 +263,34 @@ def _chain(cls: type, k: int) -> Term:
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(cls)
+        _SET_CHILDREN(node, _ChainChildren(cls, k))
         _SET_SYMBOLS(node, One._bit | cls._bit)
         _SET_NUMERAL(node, k)
+        _SET_ORDER(node, None)
         node = _intern(table, k, node)
     return node
+
+
+class _ChainChildren:
+    """The children (_chain(cls, k - 1), cls._step) of the chain node of k,
+    built when first read.  It holds cls and k, never the node, so reading
+    them makes no reference cycle."""
+
+    __slots__ = ("cls", "k", "pair")
+
+    def __init__(self, cls: type, k: int):
+        self.cls, self.k, self.pair = cls, k, None
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, i: int) -> Term:
+        if self.pair is None:
+            self.pair = (_chain(self.cls, self.k - 1), self.cls._step)
+        return self.pair[i]
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
 
 
 def numeral(n: int) -> Term:
@@ -332,6 +351,12 @@ def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
     earlier folds with the same algebra, which are reused, and receives
     this fold's.  The walk keeps its own stack, so any depth that fits in
     memory works.
+
+    A fold with a NUMERAL entry and no earlier results walks t in its
+    post-order with chain nodes as leaves, the same for every such
+    algebra.  The first that returns records that order in t._order,
+    without t itself (so it holds no reference to t), and later ones
+    replay it as one flat loop instead of walking: the calls are the same.
     """
     done: dict[Term, R] = {} if memo is None else memo
     if t in done:
@@ -341,6 +366,20 @@ def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
         done[t] = numeral_case(t, t._numeral)
         return done[t]
     result = done.__getitem__
+    record = numeral_case and not done
+    if record and t._order is not None:
+        for node in t._order:  # child results passed one by one, not a map unpacked
+            kids = node.children
+            if node._numeral:
+                done[node] = numeral_case(node, node._numeral)
+            elif len(kids) == 2:
+                done[node] = algebra[type(node)](node, done[kids[0]], done[kids[1]])
+            elif len(kids) == 1:
+                done[node] = algebra[type(node)](node, done[kids[0]])
+            else:
+                done[node] = algebra[type(node)](node, *map(result, kids))
+        done[t] = algebra[type(t)](t, *map(result, t.children))
+        return done[t]
     stack = [t]  # the path from t down to the node being worked on
     while stack:
         node = stack[-1]
@@ -356,6 +395,9 @@ def fold(t: Term, algebra: Mapping[type | str, Callable[..., R]],
         else:
             stack.pop()
             done[node] = algebra[type(node)](node, *map(result, node.children))
+    if record:
+        # done was empty, so its keys are the walk's post-order, t last.
+        _SET_ORDER(t, tuple(done)[:-1])
     return done[t]
 
 

@@ -18,7 +18,7 @@ from meadows.presentations import (
 )
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, One, Sub, Term, Var, Zero, ONE, ZERO,
-    Signature, fold,
+    NUMERAL, Signature, fold,
 )
 
 VARS = ("x", "y", "z")
@@ -569,3 +569,21 @@ def oracle_gil_walk(t: Term, u: Term, gil: bool):
                 seen.add(zs | bit)
                 queue.append(zs | bit)
     return None, base[t], base[u]
+
+
+def oracle_fold(t: Term, algebra: dict, memo: dict | None = None):
+    """terms.fold by its definition, recursively: a node's children left
+    to right before the node, each distinct subterm once, a chain node a
+    leaf when the algebra has a NUMERAL entry, and memo's results reused."""
+    done = {} if memo is None else memo
+    numeral_case = algebra.get(NUMERAL)
+
+    def visit(node: Term):
+        if node not in done:
+            if numeral_case and node._numeral:
+                done[node] = numeral_case(node, node._numeral)
+            else:
+                done[node] = algebra[type(node)](node, *[visit(kid) for kid in node.children])
+        return done[node]
+
+    return visit(t)

@@ -347,13 +347,30 @@ _ONES = "1" * 1000
 _CARRIER_ERROR = f"error: value {_ONES} of x is outside the carrier 0..6"
 
 
+def _int_error(text):
+    """int's message for a text it cannot read, with the digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ValueError) as err:
+            int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return str(err.value)
+
+
 @pytest.mark.parametrize("argv, out, err", [
     (["eval", "--assign", f"x={_ONES}", "x"], _ONES, ""),
     (["eval", "--assign", f"x=-{_ONES}/3", "x + x"], f"-{'2' * 1000}/3", ""),
     (["eval", "--model", "zp:7", "--assign", f"x={_ONES}", "x"], "", _CARRIER_ERROR),
     (["truth", "--domain", f"0,{_ONES}", f"exists x. x = {_ONES}"], "T", ""),
     (["truth", "--domain", f"0, -{_ONES}/7", f"exists x. 7 * x = -{_ONES}"], "T", ""),
-], ids=["integer", "rational", "outside-the-carrier", "domain", "rational-domain"])
+    (["eval", "--assign", f"x=0.{_ONES[:700]}", "x"], f"{_ONES[:700]}/1{'0' * 700}", ""),
+    (["eval", "--model", "zn:6", "--assign", f"x={_ONES[:700]}/3", "x"], "",
+     f"error: bad assignment entry 'x={_ONES[:700]}/3': {_int_error(_ONES[:700] + '/3')}"),
+    (["truth", "--domain", f"0,{_ONES[:700]}_1E+2", f"exists x. x = {_ONES[:701]}00"], "T", ""),
+], ids=["integer", "rational", "outside-the-carrier", "domain", "rational-domain",
+        "decimal-point", "not-an-integer", "underscore-and-exponent-domain"])
 def test_long_assigned_and_domain_values_read_under_any_digit_limit(argv, out, err):
     # Values of more than 640 digits used to convert under the interpreter's
     # limit: at its lowest each of these exited 2 with "Exceeds the limit".

@@ -8,12 +8,16 @@ terms are chains x + x + ... + x, shaped like the numerals' chains of
 
 import copy
 import gc
+import itertools
 import pickle
 import sys
 import threading
 import time
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meadows.convention import (
     COMPLIANT, ConventionId, Sufficiency, closed_compliance, open_compliance_sufficient,
@@ -23,9 +27,11 @@ from meadows.parsing import parse_term, render
 from meadows.projection import Projection, project
 from meadows.semantics import eval_model, eval_q0, zp_meadow
 from meadows.terms import (
-    CONSTRUCTORS, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
+    CONSTRUCTORS, NUMERAL, Add, Div, Inv, Mul, Neg, Sub, Var, ONE, ZERO,
     Signature, SignatureError, check_conforms, fold, free_vars, numeral, subst,
 )
+
+from .helpers import oracle_fold
 
 DEEP = 100_000
 X = Var("x")
@@ -216,3 +222,143 @@ def test_deep_open_compliance():
     assert open_compliance_sufficient(Inv(Mul(Var("x"), t)), vars_defined=True) is (
         Sufficiency.UNKNOWN
     )
+
+
+# ---------------------------------------------------------------------------
+# A fold's recorded walk
+
+_FRESH = itertools.count()
+
+
+@st.composite
+def shared_terms(draw):
+    """A term built bottom-up from a pool, so that later nodes share earlier
+    ones: leaves, a variable no other term has, a numeral and an rdmn
+    chain, then any constructors over them."""
+    pool = [Var(f"fresh_{next(_FRESH)}"), X, Var("y"), ZERO, ONE,
+            numeral(draw(st.integers(2, 30))),
+            project(numeral(draw(st.integers(2, 30))), Projection.IMN_TO_RDMN)]
+    for _ in range(draw(st.integers(0, 30))):
+        cls = draw(st.sampled_from((Add, Mul, Sub, Neg, Inv, Div)))
+        pool.append(cls(*[draw(st.sampled_from(pool)) for _ in cls._fields]))
+    return pool[-1]
+
+
+class Boom(Exception):
+    pass
+
+
+def recorder(numeral_case=True, bad=None):
+    """An algebra that logs each call as (node, args) and returns its
+    number, raising Boom at the node bad; and its log."""
+    calls = []
+
+    def call(node, *args):
+        calls.append((node, args))
+        if node is bad:
+            raise Boom(node)
+        return len(calls)
+
+    algebra = dict.fromkeys(CONSTRUCTORS, call)
+    if numeral_case:
+        algebra[NUMERAL] = call
+    return algebra, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_terms(), st.data())
+def test_every_fold_makes_the_calls_of_the_reference_walk(t, data):
+    algebra, calls = recorder()
+    oracle_fold(t, algebra)
+    expected = calls[:]
+    walk = [node for node, _ in expected]
+
+    # Raising at a chosen node, first while t may not have been folded yet:
+    # the same calls up to it every time, and no order left behind.
+    bad = data.draw(st.sampled_from(walk))
+    raising, raised = recorder(bad=bad)
+    before = t._order
+    with pytest.raises(Boom) as err:
+        fold(t, raising)
+    assert err.value.args[0] is bad and raised == expected[:walk.index(bad) + 1]
+    assert t._order is before
+
+    for _ in range(2):  # the second time after a fold with another algebra
+        calls.clear()
+        assert fold(t, algebra) == len(expected) and calls == expected
+        if not t._numeral:
+            assert t._order == tuple(walk[:-1])
+        free_vars(t)
+        raised.clear()
+        with pytest.raises(Boom) as err:
+            fold(t, raising)
+        assert err.value.args[0] is bad and raised == expected[:walk.index(bad) + 1]
+
+    # Without a numeral case chains are walked link by link, every time.
+    plain, plain_calls = recorder(numeral_case=False)
+    oracle_fold(t, plain)
+    expected_plain = plain_calls[:]
+    for _ in range(2):
+        plain_calls.clear()
+        fold(t, plain)
+        assert plain_calls == expected_plain
+
+    # A memo holds an earlier fold's results, which are reused.
+    u = data.draw(st.sampled_from(walk))
+    memo, oracle_memo = {}, {}
+    calls.clear()
+    oracle_fold(u, algebra, oracle_memo)
+    oracle_fold(t, algebra, oracle_memo)
+    expected_memo = calls[:]
+    calls.clear()
+    fold(u, algebra, memo)
+    fold(t, algebra, memo)
+    assert calls == expected_memo and memo == oracle_memo
+
+
+def test_a_fold_that_raises_records_no_order():
+    t = Mul(Inv(Var(f"fresh_{next(_FRESH)}")), numeral(3))
+    raising, _ = recorder(bad=t)
+    with pytest.raises(Boom):
+        fold(t, raising)
+    assert t._order is None
+    assert eval_q0(t, {t.left.arg.name: 2}) == 3 / 2
+    assert t._order == (t.left.arg, t.left, numeral(3))
+
+
+def test_folded_terms_and_read_chain_children_are_freed_by_refcount():
+    # With the collector off, only reference counts free terms, so a cycle
+    # through a recorded order or a chain's children would keep them.
+    gc.collect()
+    before = interned_count()
+    gc.disable()
+    try:
+        x = Var("lifetime_probe")
+        t = Add(Mul(x, Inv(numeral(10**30 + 7))), Sub(ONE, x))
+        n = project(numeral(10**15 + 9), Projection.IMN_TO_RDMN)
+        eval_q0(t, {"lifetime_probe": 2})
+        free_vars(t)
+        assert t._order is not None
+        assert n.left.left.children[1] is n.right and t.left.right.arg.left.left.right is ONE
+        refs = [weakref.ref(node) for node in (t, *t._order, n, n.left.left) if node is not ONE]
+        del x, t, n
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert interned_count() == before
+    finally:
+        gc.enable()
+
+
+def test_folded_terms_pickle_and_copy_to_themselves():
+    x = Var("x")
+    t = Div(Add(numeral(12), x), Mul(x, project(numeral(5), Projection.IMN_TO_RDMN)))
+    eval_q0(t, {"x": 1})
+    assert t._order is not None
+    assert pickle.loads(pickle.dumps(t)) is t and copy.deepcopy(t) is t
+
+
+def test_chain_nodes_have_no_attribute_hook():
+    assert not any(hasattr(cls, "__getattr__") for cls in CONSTRUCTORS)
+    n = numeral(4)
+    assert len(n.children) == 2 and list(n.children) == [numeral(3), ONE]
+    assert n.children == (numeral(3), ONE) and (numeral(3), ONE) == n.children
+    assert list(reversed(n.children)) == [ONE, numeral(3)]

@@ -54,6 +54,26 @@ def test_equality_modes_on_nondenoting_atoms():
     assert eval_formula(dmd("1 = 1/0"), cfg(eq="strong"), DIV0) is F
 
 
+@pytest.mark.parametrize("text, weak, strong, exist", [
+    ("1/0 = 1", U, F, F),
+    ("x = x/0 + 1", U, F, F),
+    ("1/0 + x = 1/0", U, T, F),
+    ("(x/0)/(x/0) = 0/0", U, T, F),
+    ("x/x = 1", T, T, T),
+])
+def test_equality_atoms_with_a_violation_on_either_side(text, weak, strong, exist):
+    for model in (Q0, Z5):
+        for mode, want in (("weak", weak), ("strong", strong), ("exist", exist)):
+            assert eval_formula(dmd(text), cfg(eq=mode), DIV0, model, {"x": 1}) is want
+
+
+@pytest.mark.parametrize("text", ["1/0 + y = 1", "1 = y * (1/0) + y", "1/0 = y"])
+def test_a_missing_variable_after_a_violation_in_an_atom_still_raises(text):
+    for model in (Q0, Z5):
+        with pytest.raises(MissingAssignment, match="'y'"):
+            eval_formula(dmd(text), cfg(), DIV0, model)
+
+
 def test_equality_modes_agree_when_both_denote():
     for mode in ("weak", "strong", "exist"):
         assert eval_formula(dmd("1 = 1"), cfg(eq=mode), DIV0) is T

@@ -5,9 +5,9 @@ import pytest
 
 from meadows.parsing import parse_term
 from meadows.partial import (
-    Defined, PunchVariant, UNDEFINED, punch_eval, recovery_check,
+    Defined, PunchVariant, UNDEFINED, Violation, punch_eval, punched_value, recovery_check,
 )
-from meadows.semantics import Q0, MissingAssignment, eval_q0, zp_meadow
+from meadows.semantics import Q0, MissingAssignment, eval_q0, zn_ring, zp_meadow
 from meadows.terms import (
     Add, Div, Inv, Mul, Neg, Var, ZERO, ONE,
     Signature, SignatureError, free_vars,
@@ -55,6 +55,36 @@ def test_a_missing_variable_after_a_punched_application_still_raises():
     for model in (Q0, zp_meadow(5)):
         with pytest.raises(MissingAssignment, match="'y'"):
             punch_eval(t, INV0, model)
+
+
+def test_the_first_violation_in_post_order_is_reported():
+    # With both operands undefined the left one is reported, and an
+    # undefined shared subterm is reported at itself wherever it recurs.
+    left, right = Inv(ZERO), Inv(Add(ONE, Neg(ONE)))
+    shared = Div(ONE, Mul(ZERO, Var("x")))
+    cases = [
+        (Add(left, right), INV0, left, "inverse of 0"),
+        (Add(right, left), INV0, right, "inverse of 0"),
+        (Mul(Inv(left), Neg(right)), INV0, left, "inverse of 0"),
+        (Add(Mul(right, Var("x")), Inv(right)), INV0, right, "inverse of 0"),
+        (Div(Add(shared, ONE), shared), DIV0, shared, "denominator 0"),
+        (Div(Div(ZERO, ZERO), Div(ONE, ZERO)), DIV0LIB, Div(ONE, ZERO), "denominator 0"),
+        (Div(Div(ZERO, ZERO), Div(ONE, ZERO)), DIV0, Div(ZERO, ZERO), "denominator 0"),
+    ]
+    for model in (Q0, zp_meadow(5)):
+        a = model.check_assignment({"x": 3})
+        for t, variant, where, detail in cases:
+            assert punched_value(t, variant, model, a) == Violation(where, detail)
+            assert punch_eval(t, variant, model, {"x": 3}) is UNDEFINED
+
+
+def test_a_ring_without_inverse_is_read_up_to_the_first_violation():
+    # Evaluation stops at the first punched application, so a division
+    # after it never reads the inverse the ring lacks; one before it does.
+    z6 = zn_ring(6)
+    assert punch_eval(Add(Div(ONE, ZERO), Div(ONE, ONE)), DIV0, z6) is UNDEFINED
+    with pytest.raises(ValueError, match="model provides no interpretation for 'inv'"):
+        punch_eval(Add(Div(ONE, ONE), Div(ONE, ZERO)), DIV0, z6)
 
 
 def test_recovery_table():
