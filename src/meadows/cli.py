@@ -8,7 +8,9 @@ defined, T), 1 for negative ones (false, Violation, undefined), and
 a finite model's carrier, for numbers of more than 4300 digits, for a
 closed standard output and when memory runs out.  --json emits one
 JSON object per result with absent fields omitted; rationals print as
-n/m in lowest terms, never as decimals.
+n/m in lowest terms, never as decimals.  While a command runs, the
+interpreter's limit on the digits of an int converted from or to text
+is 4300, the bound on a literal, whatever PYTHONINTMAXSTRDIGITS says.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Handlers import the other modules they run, so a command loads only what it uses.
 from .parsing import _MAX_DIGITS, parse_term, render
-from .terms import _CHUNK_DIGITS, Signature, Var, _decimal, _integer
+from .terms import Signature, Var
 
 if TYPE_CHECKING:
     from . import presentations
@@ -36,7 +37,7 @@ _VARIANT_CHOICES = ("div0", "div0lib", "inv0")
 
 
 # A number read or printed has at most _MAX_DIGITS digits, the parser's bound on a
-# literal, whatever the interpreter's own limit on converting between int and str.
+# literal; run sets the interpreter's limit on converting between int and str to it.
 _TOO_LONG = f"value has more than {_MAX_DIGITS} digits"
 _BOUND = 10 ** _MAX_DIGITS
 
@@ -59,48 +60,24 @@ def _spell(value) -> str:
             parts += part.numerator, part.denominator
         elif isinstance(part, int) and abs(part) >= _BOUND:
             raise ValueError(_TOO_LONG)
-    if isinstance(value, Fraction):
-        num = _decimal(value.numerator)
-        return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
-    return _decimal(value) if isinstance(value, int) else str(value)
-
-
-# A value longer than the interpreter's lowest limit on the digits it converts
-# is read in chunks, whatever that limit is set to: its sign, its integer part,
-# then a denominator, or a fraction part and an exponent, as Fraction reads it.
-_DIGITS = r"\d+(?:_\d+)*"
-_LONG_VALUE = re.compile(rf"""\s*([+-]?)(?=\.?\d)((?:{_DIGITS})?)
-    (?:/({_DIGITS})|(?:\.((?:{_DIGITS})?))?(?:[eE]([+-]?{_DIGITS}))?)\s*""", re.VERBOSE)
-_INTEGER = (None, None, None)  # groups 3 to 5 of an integer that int reads
-
-
-def _signed(long: re.Match) -> int:
-    """The sign and the digits of a match of _LONG_VALUE, those of its
-    integer part then those of its fraction part, as one int."""
-    digits = (long[2] + (long[4] or "")).replace("_", "") or "0"
-    return -_integer(digits) if long[1] == "-" else _integer(digits)
+    return str(value)
 
 
 def _parse_value(text: str, model: Model) -> int | Fraction:
     """A value literal: an integer in a finite model, else a rational."""
     from .semantics import FiniteMeadow
     _check_digits(text)
-    finite = isinstance(model, FiniteMeadow)
-    long = len(text) > _CHUNK_DIGITS and _LONG_VALUE.fullmatch(text)
-    if long and not finite:
-        places = len((long[4] or "").replace("_", ""))
-        den = _integer(long[3].replace("_", "")) if long[3] else 10 ** places
-        if not den:  # before Fraction would spell the numerator in its message
-            raise ValueError("zero denominator")
-        exponent = int(long[5] or 0)
-        return Fraction(_signed(long) * 10 ** max(exponent, 0), den * 10 ** max(-exponent, 0))
-    if long and long.group(3, 4, 5) == _INTEGER:
-        return _signed(long)
-    if finite and len(text) > _CHUNK_DIGITS:
-        # int's own message, which it gives under every limit the digits fit.
-        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    if isinstance(model, FiniteMeadow):
+        return int(text)
+    _, e, tail = text.lower().partition("e")
     try:
-        return int(text) if finite else Fraction(text)
+        exponent = int(tail) if e else 0
+    except ValueError:  # not an exponent: Fraction names the fault
+        exponent = 0
+    if abs(exponent) > _MAX_DIGITS:  # refused before Fraction builds 10 ** exponent
+        raise ValueError(_TOO_LONG)
+    try:
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
 
@@ -132,10 +109,7 @@ def _load_model(choice: str) -> Model:
     kind, _, arg = choice.partition(":")
     _check_digits(arg)
     if kind in ("zp", "zn") and arg:
-        # A signed integer of any length reads whatever the interpreter's limit.
-        long = _LONG_VALUE.fullmatch(arg)
-        n = _signed(long) if long and long.group(3, 4, 5) == _INTEGER else int(arg)
-        return zp_meadow(n) if kind == "zp" else zn_meadow(n)
+        return zp_meadow(int(arg)) if kind == "zp" else zn_meadow(int(arg))
     raise ValueError(f"unknown model {choice!r}; use q0, zp:<p>, or zn:<n>")
 
 
@@ -383,7 +357,18 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv and execute; returns the exit code."""
+    """Parse argv and execute; returns the exit code.  While it runs, int
+    and str convert numbers of up to _MAX_DIGITS digits and no more; the
+    caller's limit on those conversions is restored on return."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_MAX_DIGITS)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str]) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:

@@ -397,6 +397,63 @@ def test_long_moduli_read_under_any_digit_limit(model, err):
         assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["check-model", "--zn", f"4{'0' * 699}"],
+     "error: element 2 has no weak inverse; ring is not regular"),
+    (["check-model", "--zp", f"1{'0' * 698}7"], f"error: 1{'0' * 698}7 is not prime"),
+    (["witness", "--prime", "7", "--residue", _ONES[:700]],
+     f"error: {_ONES[:700]} is not a residue mod 7"),
+], ids=["zn", "zp", "residue"])
+def test_long_integer_options_read_under_any_digit_limit(argv, err):
+    # argparse reads these options with int: under the lowest limit they
+    # used to exit 2 with its "invalid int value" and the usage text.
+    for limit in ("640", "4300", "0"):
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
+                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC,
+                                                       "PYTHONINTMAXSTRDIGITS": limit})
+        assert (p.returncode, p.stdout, p.stderr) == (2, "", err + "\n"), limit
+
+
+_MORE_DIGITS = "value has more than 4300 digits"
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (["eval", "--assign", "x=1e9999999", "x"], "",
+     f"error: bad assignment entry 'x=1e9999999': {_MORE_DIGITS}"),
+    (["eval", "--assign", "x=-2.5E+9_999_999", "x"], "",
+     f"error: bad assignment entry 'x=-2.5E+9_999_999': {_MORE_DIGITS}"),
+    (["truth", "--domain", "0,1e-99999999", "0 = 0"], "", f"error: {_MORE_DIGITS}"),
+    (["eval", "--assign", "x=1e4299", "x"], "1" + "0" * 4299, ""),
+    (["eval", "--assign", "x=1e4300", "x"], "", f"error: {_MORE_DIGITS}"),
+], ids=["exponent", "signed-exponent", "domain", "largest-exponent", "too-large-value"])
+def test_exponents_are_bounded_under_any_digit_limit(argv, out, err):
+    # Fraction builds 10 ** exponent: x=1e9999999 used to exit 2 only after
+    # 8 s, and the domain value was still running after 20 s.
+    for limit in ("640", "4300", "0"):
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
+                           text=True, timeout=10, env={**os.environ, "PYTHONPATH": SRC,
+                                                       "PYTHONINTMAXSTRDIGITS": limit})
+        assert (p.returncode, p.stdout.strip(), p.stderr.strip()) == (2 if err else 0, out, err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--assign", f"x={_ONES}", "x"], 0),
+    (["decide", "--theory", "iamd", "x", "y"], 1),
+    (["eval", "--assign", "x=1/0", "x"], 2),
+    (["--help"], 0),
+    (["eval", "--sig", "none", "1"], 2),
+], ids=["exit-0", "exit-1", "value-error", "help", "bad-choice"])
+def test_run_restores_the_callers_digit_limit(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    try:
+        for caller in (640, 0):
+            sys.set_int_max_str_digits(caller)
+            assert run(argv) == code
+            assert sys.get_int_max_str_digits() == caller
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_check_model_over_the_assignment_cap_exits_2(capsys):
     # About 3 * 10^9 assignments: refused before any table is built.
     code, out, err = invoke(capsys, "check-model", "--zp", "1009", "--axioms", "imd")
