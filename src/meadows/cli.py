@@ -63,6 +63,16 @@ def _spell(value) -> str:
     return str(value)
 
 
+def _integer(text: str, option: str) -> int:
+    """The value of an integer option, read here rather than by argparse so
+    that one of more than _MAX_DIGITS digits is refused like any number."""
+    _check_digits(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"argument {option}: invalid int value: {text!r}") from None
+
+
 def _parse_value(text: str, model: Model) -> int | Fraction:
     """A value literal: an integer in a finite model, else a rational."""
     from .semantics import FiniteMeadow
@@ -216,7 +226,8 @@ def _cmd_comply(args) -> _Outcome:
 def _cmd_check_model(args) -> _Outcome:
     from . import presentations
     from .semantics import check_axioms
-    label = f"zp:{args.zp}" if args.zp is not None else f"zn:{args.zn}"
+    kind, text = ("zp", args.zp) if args.zp is not None else ("zn", args.zn)
+    label = f"{kind}:{_integer(text, '--' + kind)}"
     failures = [str(f) for f in check_axioms(_load_model(label), args.axioms)]
     if failures:
         return 1, {"verdict": "fail", "witness": failures}, "\n".join(failures)
@@ -226,11 +237,12 @@ def _cmd_check_model(args) -> _Outcome:
 
 def _cmd_witness(args) -> _Outcome:
     from .numbers import corollary_witness, two_squares
-    p = args.prime
+    p = _integer(args.prime, "--prime")
     if args.residue is not None:
-        v, w = two_squares(p, args.residue)
-        value = {"prime": p, "residue": args.residue, "v": v, "w": w}
-        return 0, {"value": value}, f"{args.residue} = {v}^2 + {w}^2 (mod {p})"
+        residue = _integer(args.residue, "--residue")
+        v, w = two_squares(p, residue)
+        value = {"prime": p, "residue": residue, "v": v, "w": w}
+        return 0, {"value": value}, f"{residue} = {v}^2 + {w}^2 (mod {p})"
     u, v, w = corollary_witness(p)
     value = {"prime": p, "u": u, "v": v, "w": w}
     return 0, {"value": value}, f"{u}^2 + {v}^2 + 1 = {w} * {p}"
@@ -318,13 +330,13 @@ _COMMANDS = {
         _MODE, _VARS_DEFINED, _TERM,
     ]),
     "check-model": ("exhaustively check axioms in a finite model", _cmd_check_model, [
-        [_opt("--zp", type=int, help="zero-totalized prime field Z_p"),
-         _opt("--zn", type=int, help="meadow expansion of Z_n (n squarefree)")],
+        [_opt("--zp", help="zero-totalized prime field Z_p"),
+         _opt("--zn", help="meadow expansion of Z_n (n squarefree)")],
         _opt("--axioms", default="imd"),
     ]),
     "witness": ("number-theoretic witnesses for a prime", _cmd_witness, [
-        _opt("--prime", type=int, required=True),
-        _opt("--residue", type=int, help="two-squares decomposition of a residue"),
+        _opt("--prime", required=True),
+        _opt("--residue", help="two-squares decomposition of a residue"),
     ]),
     "spec": ("show or flatten presentations", _cmd_spec, [[
         _opt("--show", metavar="NAME"),

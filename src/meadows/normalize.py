@@ -13,8 +13,9 @@ fraction of numerals, and equality under the general inverse law
 (x != 0 implies x * x^-1 = 1) is decided by a walk over
 zero-substitutions: one comparison of quotients for the minimal zero set
 of each vanishing pattern of the variables under an inverse, found from
-bit-parallel truth tables and refused above 20 such variables, computed
-on the polynomial kernel without rebuilding terms.
+bit-parallel truth tables and refused above 20 such variables.  Quotients
+are computed without rebuilding terms, on a polynomial kernel whose
+monomials are packed exponent vectors: a product of two is one addition.
 
 Divisive counterparts are decided through the projection into the
 inversive notation.  One table gives each decided theory (iamd,
@@ -47,23 +48,16 @@ __all__ = [
 ]
 
 
-# The polynomial kernel: a monomial is a sorted tuple of (variable,
-# exponent) pairs, () being the unit, and a polynomial is a dict from
-# monomials to positive coefficients.  Kernel dicts are never mutated
-# once built, so a result may share its argument.
+# The polynomial kernel: a monomial is a packed exponent vector, one int
+# (Monagan and Pearce, CASC 2007).  On a layout (bits, width), the variable
+# whose bit is 1 << i owns the width bits from i * width, so the unit is 0
+# and a product of monomials is one addition, exact while every exponent is
+# below 2^width.  A polynomial is a dict from monomials to positive
+# coefficients; kernel dicts are never mutated once built, so a result may
+# share its argument.
 
-_UNIT = {(): 1}
-
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+_UNIT = {0: 1}
+_WIDTH = 16  # the width of a layout until an exponent bound needs more
 
 
 def _poly_add(p: dict, q: dict) -> dict:
@@ -81,7 +75,7 @@ def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = _mono_mul(m1, m2)
+            m = m1 + m2
             out[m] = out.get(m, 0) + c1 * c2
     return out
 
@@ -104,7 +98,7 @@ class Monomial(namedtuple("Monomial", "exponents")):
         return Monomial(((name, 1),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(_mono_mul(self.exponents, other.exponents))
+        return (Polynomial(((self, 1),)) * Polynomial(((other, 1),))).terms[0][0]
 
     @property
     def degree(self) -> int:
@@ -147,18 +141,29 @@ class Polynomial(namedtuple("Polynomial", "terms")):
         return Polynomial(((Monomial.variable(name), 1),))
 
     @staticmethod
-    def _from_kernel(coeffs: dict) -> "Polynomial":
-        terms = [(Monomial(m), c) for m, c in coeffs.items()]
+    def _from_kernel(coeffs: dict, layout: tuple) -> "Polynomial":
+        bits, width = layout
+        fields = sorted((v, width * (bit.bit_length() - 1)) for v, bit in bits.items())
+        mask = (1 << width) - 1
+        terms = [(Monomial(tuple((v, e) for v, shift in fields if (e := m >> shift & mask))), c)
+                 for m, c in coeffs.items()]
         return Polynomial(tuple(sorted(terms, key=lambda mc: mc[0].sort_key(), reverse=True)))
 
-    def _kernel(self) -> dict:
-        return {m.exponents: c for m, c in self.terms}
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
+        """op of the kernel dicts of self and other, packed on a layout whose
+        fields hold the sum of the largest exponents of the two."""
+        polys = [[(m.exponents, c) for m, c in p.terms] for p in (self, other)]
+        names = sorted({v for p in polys for m, _ in p for v, _ in m})
+        width = sum(max((e for m, _ in p for _, e in m), default=0) for p in polys).bit_length()
+        shift = {v: width * i for i, v in enumerate(names)}
+        p, q = ({sum(e << shift[v] for v, e in m): c for m, c in p} for p in polys)
+        return Polynomial._from_kernel(op(p, q), ({v: 1 << i for i, v in enumerate(names)}, width))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._from_kernel(_poly_add(self._kernel(), other._kernel()))
+        return self._combine(other, _poly_add)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._from_kernel(_poly_mul(self._kernel(), other._kernel()))
+        return self._combine(other, _poly_mul)
 
     def __str__(self):
         parts = []
@@ -190,36 +195,55 @@ def to_polyfrac(t: Term) -> PolyFrac:
     swapping its components, and sums and products combine component-wise.
     """
     check_conforms(t, Signature.IAMD)
-    return _polyfrac(fold(t, _quotients({})))
+    [side], _, layout = _fold_sides([t])
+    return _polyfrac(side, layout)
 
 
-def _polyfrac(quotient: tuple) -> PolyFrac:
-    """The PolyFrac of (num, den, ...) kernel dicts."""
-    return PolyFrac(Polynomial._from_kernel(quotient[0]), Polynomial._from_kernel(quotient[1]))
+def _polyfrac(quotient: tuple, layout: tuple) -> PolyFrac:
+    """The PolyFrac of (num, den, ...) kernel dicts packed on layout."""
+    return PolyFrac(*(Polynomial._from_kernel(p, layout) for p in quotient[:2]))
 
 
 # The one quotient fold, of to_polyfrac, expand_poly and the decision walk.
-# A term folds to ZERO_NF, or to the (num, den) kernel dicts of its quotient
-# and the bits of the variables it keeps.  The zero rules of zero_eliminate
-# apply on the way, so a term with 0 folds to the quotient of its
-# zero-eliminated form; the variable case depends on the bits of a call.
+# A term folds to ZERO_NF, or to the (num, den) kernel dicts of its quotient,
+# the bits of the variables it keeps and a bound on its exponents.  The zero
+# rules of zero_eliminate apply on the way, so a term with 0 folds to the
+# quotient of its zero-eliminated form; the variable case needs a layout.
 _QUOTIENT = {
     Zero: lambda t: ZERO_NF,
-    One: lambda t: (_UNIT, _UNIT, 0),
+    One: lambda t: (_UNIT, _UNIT, 0, 0),
     Add: lambda t, l, r: r if l is ZERO_NF else l if r is ZERO_NF else (
         _poly_add(_poly_mul(l[0], r[1]), _poly_mul(r[0], l[1])),
-        _poly_mul(l[1], r[1]), l[2] | r[2]),
+        _poly_mul(l[1], r[1]), l[2] | r[2], l[3] + r[3]),
     Mul: lambda t, l, r: ZERO_NF if l is ZERO_NF or r is ZERO_NF else (
-        _poly_mul(l[0], r[0]), _poly_mul(l[1], r[1]), l[2] | r[2]),
-    Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else (arg[1], arg[0], arg[2]),
-    NUMERAL: lambda t, k: ({(): k}, _UNIT, 0),
+        _poly_mul(l[0], r[0]), _poly_mul(l[1], r[1]), l[2] | r[2], l[3] + r[3]),
+    Inv: lambda t, arg: ZERO_NF if arg is ZERO_NF else (arg[1], arg[0], arg[2], arg[3]),
+    NUMERAL: lambda t, k: ({0: k}, _UNIT, 0, 0),
 }
 
 
-def _quotients(bits: dict[str, int]) -> dict:
-    """The quotient fold algebra in which each new variable takes the next bit of bits."""
-    return {**_QUOTIENT, Var: lambda v: (
-        {((v.name, 1),): 1}, _UNIT, bits.setdefault(v.name, 1 << len(bits)))}
+def _quotients(bits: dict[str, int], width: int) -> dict:
+    """The quotient fold algebra on the layout (bits, width), in which each
+    new variable takes the next bit of bits."""
+    def var(v):
+        bit = bits.setdefault(v.name, 1 << len(bits))
+        return {1 << width * (bit.bit_length() - 1): 1}, _UNIT, bit, 1
+    return {**_QUOTIENT, Var: var}
+
+
+def _fold_sides(terms: list[Term]):
+    """The quotients of terms on one layout, whose width holds the sum of
+    their exponent bounds, with every node's quotient in post-order and the
+    layout; a fold whose bounds outgrow the width is redone wider."""
+    width = _WIDTH
+    while True:
+        bits, base = {}, {}
+        algebra = _quotients(bits, width)
+        sides = [fold(t, algebra, base) for t in terms]
+        bound = sum(side[3] for side in sides if side is not ZERO_NF)
+        if not bound >> width:
+            return sides, base, (bits, width)
+        width = bound.bit_length()
 
 
 def expand_poly(t: Term) -> Polynomial:
@@ -229,7 +253,8 @@ def expand_poly(t: Term) -> Polynomial:
     # their quotient has the unit denominator.
     if not conforms(t, Signature.DAMD):
         raise SignatureError("^-1", Signature.IAMD)
-    return Polynomial._from_kernel(fold(t, _quotients({}))[0])
+    [side], _, layout = _fold_sides([t])
+    return Polynomial._from_kernel(side[0], layout)
 
 
 def decide_iamd(t: Term, u: Term) -> bool:
@@ -385,30 +410,31 @@ _VANISHING = {Add: lambda l, r: l & r, Mul: lambda l, r: l | r, Inv: lambda a: a
 
 
 def _zero_sets(base: dict, live: list, zeroed: list[int]) -> list[int]:
-    """The minimal zero sets over the bits zeroed (rising), fewest variables
-    first and then in lexicographic order of bits.  base holds each node's
-    side with nothing zeroed, and live, in post-order, each node that keeps
-    any of zeroed with the bits of zeroed it keeps."""
+    """The minimal zero sets over the bits zeroed (rising), or all of them
+    below three bits, fewest variables first and then in lexicographic order
+    of bits.  base holds each node's side with nothing zeroed, and live, in
+    post-order, each node that keeps any of zeroed with the bits it keeps."""
     k = len(zeroed)
     if k > MAX_INVERSE_VARIABLES:
         raise TooManyInverseVariables(f"{k} variables occur under an inverse; the general "
                                       f"inverse law is decided for at most {MAX_INVERSE_VARIABLES}")
+    if k < 3:  # every zero set, fewest first, costs less to decide than to tabulate
+        return [0, *zeroed, sum(zeroed)][:1 << k]
     minimal = (1 << (1 << k)) - 1
-    if k > 1:  # one variable's zero set costs less to decide than to tabulate
-        columns = []  # a variable's table, doubled in width with each new one
-        for i in range(k):
-            columns = [c | c << (1 << i) for c in columns] + [((1 << (1 << i)) - 1) << (1 << i)]
-        column, tables = dict(zip(zeroed, columns)), {}
-        for node, mask in live:
-            tables[node] = column[mask] if type(node) is Var else _VANISHING[type(node)](*[
-                tables[kid] if kid in tables else -1 if base[kid] is ZERO_NF else 0
-                for kid in node.children])
-        args = {tables[node] for node, _ in live if type(node) is Inv}
-        for i, column in enumerate(columns):
-            changed = 0  # where dropping variable i changes the pattern
-            for table in args:
-                changed |= table ^ table << (1 << i)
-            minimal &= ~column | changed
+    columns = []  # a variable's table, doubled in width with each new one
+    for i in range(k):
+        columns = [c | c << (1 << i) for c in columns] + [((1 << (1 << i)) - 1) << (1 << i)]
+    column, tables = dict(zip(zeroed, columns)), {}
+    for node, mask in live:
+        tables[node] = column[mask] if type(node) is Var else _VANISHING[type(node)](*[
+            tables[kid] if kid in tables else -1 if base[kid] is ZERO_NF else 0
+            for kid in node.children])
+    args = {tables[node] for node, _ in live if type(node) is Inv}
+    for i, column in enumerate(columns):
+        changed = 0  # where dropping variable i changes the pattern
+        for table in args:
+            changed |= table ^ table << (1 << i)
+        minimal &= ~column | changed
     # The set bits of minimal, lowest first: one scan of its binary text,
     # where taking them one at a time off a 2^k-bit int would be quadratic.
     found, digits = [], bin(minimal)[:1:-1]
@@ -423,19 +449,17 @@ def _walk(t: Term, u: Term, gil: bool):
     """Decide t = u on quotients of polynomials, with the reason.
 
     Returns None when the sides are equal, else the sorted names of the
-    first zero set at which they differ; and the two sides there, or with
-    nothing zeroed when they are equal.  Without the general inverse law
-    (gil false) only the pair with nothing zeroed is decided.  Zero sets
-    are decided fewest variables first, so no smaller zero set differs.
+    first zero set at which they differ; the two sides there, or with
+    nothing zeroed when they are equal; and their layout.  Without the
+    general inverse law (gil false) only the pair with nothing zeroed is
+    decided.  Zero sets are decided fewest variables first, so no smaller
+    zero set differs.
     """
-    bits: dict[str, int] = {}
-    algebra = _quotients(bits)
     # The sides with nothing zeroed, in post-order (a node after its
     # children); the same fold gives each variable the next bit.
-    base: dict = {}
-    left, right = fold(t, algebra, base), fold(u, algebra, base)
+    (left, right), base, layout = _fold_sides([t, u])
     if _sides_differ(left, right):
-        return [], left, right
+        return [], left, right, layout
     under_inv = 0
     if gil and left is not ZERO_NF:
         # Only the variables under an inverse that the sides keep are zeroed.
@@ -444,11 +468,11 @@ def _walk(t: Term, u: Term, gil: bool):
                 under_inv |= side[2]
         under_inv &= left[2] | right[2]
     if not under_inv:
-        return None, left, right
+        return None, left, right, layout
     masks = {node: 0 if side is ZERO_NF else side[2] & under_inv for node, side in base.items()}
     live = [(node, mask) for node, mask in masks.items() if mask]
     memo: dict = {}  # (node, zero set & mask) -> side
-    zeroed = [bit for bit in bits.values() if bit & under_inv]
+    zeroed = [bit for bit in layout[0].values() if bit & under_inv]
     for zs in _zero_sets(base, live, zeroed)[1:]:  # the empty set is decided
         for node, mask in live:  # in post-order
             sub = zs & mask
@@ -459,8 +483,8 @@ def _walk(t: Term, u: Term, gil: bool):
         zl = memo[t, s] if (s := zs & masks[t]) else left
         zr = memo[u, s] if (s := zs & masks[u]) else right
         if _sides_differ(zl, zr):
-            return sorted(name for name, bit in bits.items() if zs & bit), zl, zr
-    return None, left, right
+            return sorted(name for name, bit in layout[0].items() if zs & bit), zl, zr, layout
+    return None, left, right, layout
 
 
 def decide_divisive(t: Term, u: Term, theory: str) -> bool:
@@ -537,5 +561,5 @@ def _reason(theory: _Theory, t: Term, u: Term):
     """The result of _decide with each side as ZERO_NF or a PolyFrac: None
     when t = u, else the names of the first zero set at which the sides
     differ; and the two sides there, or with nothing zeroed when equal."""
-    zeroed, *sides = _decide(theory, t, u)
-    return (zeroed, *(side if side is ZERO_NF else _polyfrac(side) for side in sides))
+    zeroed, *sides, layout = _decide(theory, t, u)
+    return (zeroed, *(side if side is ZERO_NF else _polyfrac(side, layout) for side in sides))

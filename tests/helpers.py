@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from meadows.logic3 import And, Eq, Exists, Forall, Implies, Not, Or
-from meadows.normalize import ZERO_NF, _QUOTIENT, _quotients, _sides_differ
+from meadows.normalize import ZERO_NF, _QUOTIENT, _WIDTH, _quotients, _sides_differ
 from meadows.parsing import ParseError, render
 from meadows.presentations import (
     Equation, Presentation, Symbol, builtin, combine, export, hide, rename,
@@ -527,14 +527,43 @@ def _oracle_token(tokens: list[str], i: int) -> str:
     return tokens[i]
 
 
+# The polynomial kernel before monomials were packed into ints: a monomial is
+# a sorted tuple of (variable, exponent) pairs, () the unit, and a polynomial
+# a dict from monomials to positive coefficients.
+
+
+def oracle_mono_mul(a: tuple, b: tuple) -> tuple:
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def oracle_poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return out
+
+
+def oracle_poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = oracle_mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 def oracle_gil_walk(t: Term, u: Term, gil: bool):
     """normalize._walk as a breadth-first walk over every zero set reached
     by adding, one at a time, a variable under an inverse that the pair
     keeps; the first zero set at which the sides differ is its reason.
     Returns what normalize._walk returns: None or the sorted names of that
-    zero set, and the two sides there (with nothing zeroed when equal)."""
+    zero set, the two sides there (with nothing zeroed when equal) and the
+    layout they are packed on."""
     bits: dict[str, int] = {}
-    algebra = _quotients(bits)
+    algebra = _quotients(bits, _WIDTH)
     base: dict = {}
     left, right = fold(t, algebra, base), fold(u, algebra, base)
     memo: dict = {}  # (node, zero set & mask) -> side
@@ -550,7 +579,8 @@ def oracle_gil_walk(t: Term, u: Term, gil: bool):
             left = memo[t, s] if (s := zs & masks[t]) else base[t]
             right = memo[u, s] if (s := zs & masks[u]) else base[u]
         if _sides_differ(left, right):
-            return sorted(name for name, bit in bits.items() if zs & bit), left, right
+            zeroed = sorted(name for name, bit in bits.items() if zs & bit)
+            return zeroed, left, right, (bits, _WIDTH)
         if left is ZERO_NF or not gil:
             continue
         if not zs:
@@ -568,7 +598,7 @@ def oracle_gil_walk(t: Term, u: Term, gil: bool):
             if zs | bit not in seen:
                 seen.add(zs | bit)
                 queue.append(zs | bit)
-    return None, base[t], base[u]
+    return None, base[t], base[u], (bits, _WIDTH)
 
 
 def oracle_fold(t: Term, algebra: dict, memo: dict | None = None):

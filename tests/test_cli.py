@@ -405,8 +405,26 @@ def test_long_moduli_read_under_any_digit_limit(model, err):
      f"error: {_ONES[:700]} is not a residue mod 7"),
 ], ids=["zn", "zp", "residue"])
 def test_long_integer_options_read_under_any_digit_limit(argv, err):
-    # argparse reads these options with int: under the lowest limit they
+    # argparse read these options with int: under the lowest limit they
     # used to exit 2 with its "invalid int value" and the usage text.
+    for limit in ("640", "4300", "0"):
+        p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
+                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC,
+                                                       "PYTHONINTMAXSTRDIGITS": limit})
+        assert (p.returncode, p.stdout, p.stderr) == (2, "", err + "\n"), limit
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["witness", "--prime", _LONG], "error: value has more than 4300 digits"),
+    (["witness", "--prime", "7", "--residue", _LONG], "error: value has more than 4300 digits"),
+    (["check-model", "--zp", _LONG], "error: value has more than 4300 digits"),
+    (["check-model", "--zn", _LONG], "error: value has more than 4300 digits"),
+    (["witness", "--prime", "7x"], "error: argument --prime: invalid int value: '7x'"),
+    (["check-model", "--zn", "six"], "error: argument --zn: invalid int value: 'six'"),
+], ids=["prime", "residue", "zp", "zn", "not-an-int", "not-an-int-zn"])
+def test_integer_options_of_more_than_4300_digits_exit_2(argv, err):
+    # argparse read these options with int: it printed the usage text and
+    # quoted all 4,301 digits in "invalid int value".
     for limit in ("640", "4300", "0"):
         p = subprocess.run([sys.executable, "-m", "meadows.cli", *argv], capture_output=True,
                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC,

@@ -21,8 +21,8 @@ from meadows.terms import (
 )
 
 from .helpers import (
-    VARS, equivalent_variant, oracle_eval, oracle_gil_walk, positive_assignment,
-    random_assignment, random_term,
+    VARS, equivalent_variant, oracle_eval, oracle_gil_walk, oracle_poly_add, oracle_poly_mul,
+    positive_assignment, random_assignment, random_term,
 )
 
 
@@ -109,6 +109,82 @@ def test_expand_poly_matches_oracle_at_points(t, point):
 def test_polynomial_operators_match_term_expansion(t, u):
     assert expand_poly(t) + expand_poly(u) == expand_poly(Add(t, u))
     assert expand_poly(t) * expand_poly(u) == expand_poly(Mul(t, u))
+
+
+# Packed monomials against the tuple kernel: exponents of a product near and
+# past 2^W, where W is the width of a field in the default layout.
+WIDTH = normalize._WIDTH
+EIGHT = tuple(f"x{i}" for i in range(8))
+exponents = st.one_of(st.integers(1, 3), st.integers(2 ** (WIDTH - 1) - 2, 2 ** (WIDTH - 1) + 1),
+                      st.integers(2 ** WIDTH - 2, 2 ** WIDTH + 1))
+tuple_monomials = st.dictionaries(st.sampled_from(EIGHT), exponents, max_size=8).map(
+    lambda exps: tuple(sorted(exps.items())))
+tuple_polys = st.dictionaries(tuple_monomials, st.integers(1, 10 ** 6), min_size=1, max_size=6)
+
+
+def as_polynomial(p: dict) -> Polynomial:
+    terms = [(Monomial(m), c) for m, c in p.items()]
+    return Polynomial(tuple(sorted(terms, key=lambda mc: mc[0].sort_key(), reverse=True)))
+
+
+def packed(p: dict, width: int) -> dict:
+    return {sum(e << width * EIGHT.index(v) for v, e in m): c for m, c in p.items()}
+
+
+def largest_exponent(p: dict) -> int:
+    return max((e for m in p for _, e in m), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_polys, tuple_polys)
+def test_packed_products_and_sums_match_the_tuple_kernel(p, q):
+    assert as_polynomial(p) * as_polynomial(q) == as_polynomial(oracle_poly_mul(p, q))
+    assert as_polynomial(p) + as_polynomial(q) == as_polynomial(oracle_poly_add(p, q))
+    # On the default layout a product is exact while its exponents stay below 2^W.
+    if largest_exponent(p) + largest_exponent(q) < 2 ** WIDTH:
+        layout = ({v: 1 << i for i, v in enumerate(EIGHT)}, WIDTH)
+        for kernel, oracle in ((normalize._poly_mul, oracle_poly_mul),
+                               (normalize._poly_add, oracle_poly_add)):
+            got = Polynomial._from_kernel(kernel(packed(p, WIDTH), packed(q, WIDTH)), layout)
+            assert got == as_polynomial(oracle(p, q))
+
+
+def test_packed_products_at_the_width_boundary():
+    half = {(("x0", 2 ** (WIDTH - 1)),): 1}
+    below = {(("x0", 2 ** (WIDTH - 1) - 1), ("x1", 2 ** WIDTH - 1)): 3}
+    for p, q in ((half, below), (half, half), (below, half | below)):
+        assert as_polynomial(p) * as_polynomial(q) == as_polynomial(oracle_poly_mul(p, q))
+    assert str(as_polynomial(half) * as_polynomial(below)) == "3*x0^65535*x1^65535"
+    assert str(as_polynomial(half) * as_polynomial(half)) == "x0^65536"
+
+
+def power(name: str, k: int) -> Term:
+    """name^(2^k), built by squaring k times."""
+    t = Var(name)
+    for _ in range(k):
+        t = Mul(t, t)
+    return t
+
+
+def test_exponent_bounds_widen_the_layout():
+    # With 16-bit fields x^(2^16) would carry into y's field.
+    x16, y = power("x", 16), Var("y")
+    assert not decide_iamd(x16, y)
+    assert not decide_iamdz_gil(Mul(x16, Inv(y)), ONE)
+    assert decide_iamd(Mul(power("x", 15), power("x", 15)), x16)
+    assert str(expand_poly(x16)) == str(to_polyfrac(x16).num) == "x^65536"
+    shifted = Mul(power("x", 20), Add(y, ONE))
+    assert str(expand_poly(shifted)) == "x^1048576*y + x^1048576"
+    assert str(to_polyfrac(Mul(shifted, Inv(x16)))) == "(x^1048576*y + x^1048576) / (x^65536)"
+    square = Mul(Add(power("x", 63), y), Add(power("x", 63), y))
+    text = f"x^{2 ** 64} + 2*x^{2 ** 63}*y + y^2"
+    assert str(expand_poly(square)) == text
+    assert str(to_polyfrac(Inv(square))) == f"(1) / ({text})"
+    below = power("x", 0)  # x^(2^16 - 1), a product of x^(2^k) for k < 16
+    for k in range(1, 16):
+        below = Mul(below, power("x", k))
+    assert decide_iamdz_gil(Mul(x16, Inv(Var("x"))), below)
+    assert not decide_iamdz_gil(Mul(x16, Inv(y)), below)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +733,9 @@ def gil_terms(divisive: bool):
 GIL_TERMS = {False: gil_terms(False), True: gil_terms(True)}
 
 
-def printed_reason(zeroed, *sides):
-    return zeroed, *(str(side if side is ZERO_NF else normalize._polyfrac(side))
-                     for side in sides)
+def printed_reason(zeroed, left, right, layout):
+    return zeroed, *(str(side if side is ZERO_NF else normalize._polyfrac(side, layout))
+                     for side in (left, right))
 
 
 @settings(max_examples=400, deadline=None)
