@@ -287,30 +287,26 @@ def two_valued_convention_check(
     model: Model | None = Q0,
 ) -> ConventionReport:
     """A sentence complies with the two-valued logic convention iff it is T or F."""
-    if formula_free_vars(f):
-        raise ValueError(f"formula is not a sentence: free {sorted(formula_free_vars(f))}")
+    free = formula_free_vars(f)
+    if free:
+        raise ValueError(f"formula is not a sentence: free {sorted(free)}")
     value = eval_formula(f, cfg, variant, model)
     return ConventionReport(value is not U, value)
 
 
 # Formula parsing.  Terms are parsed by the term parser starting at the
-# current token; a '(' may open either a term or a formula, so an atom
-# tries the term reading first and opens a formula group when that fails.
-# Quantifiers start only a whole formula: the input, a quantifier's body,
-# or a parenthesised formula.
-#
-# A term reading from a '(' inside another reading goes the same way as
-# the outer one until the group around that '(' closes.  So when a reading
-# fails, it fails at the same token from every '(' it opened whose group is
-# still open there; and when it ends without '=' or '!=' after it, the
-# reading from every '(' inside it ends at a ')' or at that same token.  An
-# atom starts at none of those '(', and marking them once makes n nested
-# '(' cost one reading, not n.
+# current token.  A '(' where a formula operand starts opens a term exactly
+# when the token after its matching ')' continues a term (_TERM_GOES_ON);
+# a formula group is followed only by '&', '|', '->', ')' or the end, and
+# an unmatched '(' opens a formula group too.  One pass pairs the
+# parentheses first, so every token is read once.  Quantifiers start only a
+# whole formula: the input, a quantifier's body, or a parenthesised formula.
 _QUANTIFIER = {"forall": Forall, "exists": Exists}
 # Binding strengths: ~ 5, & 4, | 3, -> 2, quantifiers 1 (they reach as far
 # right as possible), open groups 0.  Pending operators that bind at least
 # as tightly as an incoming connective apply first; '->' is right associative.
 _CONNECTIVE = {"&": (4, And), "|": (3, Or), "->": (2, Implies)}
+_TERM_GOES_ON = frozenset(("+", "-", "*", "/", "^", "=", "!="))
 
 
 def _reduce(ops: list[tuple], f: Formula, binding: int) -> Formula:
@@ -325,17 +321,6 @@ def _expect(tokens: list[str], i: int, op: str) -> None:
         raise _TokenError(f"expected {op!r}, found {tokens[i] or 'end of input'!r}", i)
 
 
-def _open_groups(tokens: list[str], start: int, end: int) -> list[int]:
-    """The indices of the '(' tokens from start on still open at token index end."""
-    groups: list[int] = []
-    for k in range(start, end):
-        if tokens[k] == "(":
-            groups.append(k)
-        elif tokens[k] == ")":
-            groups.pop()
-    return groups
-
-
 def parse_formula(text: str, sig: Signature | None) -> Formula:
     """Parse a formula whose terms conform to sig (None admits all symbols)."""
     tokens = tokenize(text, formula_ops=True)
@@ -346,7 +331,13 @@ def parse_formula(text: str, sig: Signature | None) -> Formula:
 
 
 def _parse_formula(tokens: list[str], sig: Signature | None) -> Formula:
-    no_atom: set[int] = set()  # '(' from which the term reading gives no atom
+    after: dict[int, str] = {}  # '(' index -> the token after its matching ')'
+    opened: list[int] = []
+    for k, tok in enumerate(tokens):
+        if tok == "(":
+            opened.append(k)
+        elif tok == ")" and opened:
+            after[opened.pop()] = tokens[k + 1]
     i = 0
     # Pending operators: (binding, constructor awaiting its last operand),
     # with the left operand of a connective already applied.
@@ -362,30 +353,20 @@ def _parse_formula(tokens: list[str], sig: Signature | None) -> Formula:
             ops.append((1, partial(_QUANTIFIER[tok], var)))
             i += 3
             continue
-        whole = tok == "("
+        whole = tok == "(" and after.get(i) not in _TERM_GOES_ON
         if tok == "~":
             ops.append((5, Not))
             i += 1
             continue
-        j = i
-        if i not in no_atom:
-            try:
-                lhs, j = parse_term_prefix(tokens, i, sig)
-            except _TokenError as exc:
-                if not whole:
-                    raise
-                no_atom.update(_open_groups(tokens, i, exc.index))
-        if tokens[j] == "=" or tokens[j] == "!=":
-            rhs, i = parse_term_prefix(tokens, j + 1, sig)
-            f = Eq(lhs, rhs) if tokens[j] == "=" else Neq(lhs, rhs)
-        elif whole:
-            # Not a term, or a term without '=': the '(' opens a formula.
-            no_atom.update(k for k in range(i + 1, j) if tokens[k] == "(")
+        if whole:
             ops.append((0, None))
             i += 1
             continue
-        else:
+        lhs, j = parse_term_prefix(tokens, i, sig)
+        if tokens[j] != "=" and tokens[j] != "!=":
             raise _TokenError("expected '=' or '!=' after term", j)
+        rhs, i = parse_term_prefix(tokens, j + 1, sig)
+        f = Eq(lhs, rhs) if tokens[j] == "=" else Neq(lhs, rhs)
         # Close groups until a connective follows.
         while tokens[i] not in _CONNECTIVE:
             tok = tokens[i]

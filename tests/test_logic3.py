@@ -16,11 +16,11 @@ from meadows.logic3 import (
     eval_formula, formula_free_vars, lpmd, parse_formula,
     two_valued_convention_check,
 )
-from meadows.parsing import ParseError
+from meadows.parsing import ParseError, render
 from meadows.partial import PunchVariant, punch_eval, recovery_check
 from meadows.semantics import Q0, MissingAssignment, zn_ring, zp_meadow
 from meadows.terms import (
-    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, Signature, SignatureError,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, Signature, SignatureError, numeral,
 )
 
 from .helpers import formula_text, oracle_quantifier, oracle_truth
@@ -313,6 +313,32 @@ def test_formula_parse_errors(text, message):
     assert str(info.value) == message
 
 
+# A '(' where a formula operand starts opens a term exactly when the token
+# after its matching ')' continues a term.
+@pytest.mark.parametrize("text, want", [
+    ("((x)) = 1", Eq(Var("x"), ONE)),
+    ("(x)^-1 = 1", Eq(Inv(Var("x")), ONE)),
+    ("~(x) = 1", Not(Eq(Var("x"), ONE))),
+    ("(forall x. (x) = x)", Forall("x", Eq(Var("x"), Var("x")))),
+    ("((x) + 1) * 2 != 0 & ((0 = 0))",
+     And(Neq(Mul(Add(Var("x"), ONE), numeral(2)), ZERO), Eq(ZERO, ZERO))),
+])
+def test_a_parenthesis_opens_a_term_by_the_token_after_its_group(text, want):
+    assert parse_formula(text, Signature.IMD) is want
+
+
+@pytest.mark.parametrize("text, message", [
+    # The group (x) is followed by '+', so the term (x) + 1 starts at '('.
+    ("(x) + 1 & 0 = 0", "expected '=' or '!=' after term (at position 8)"),
+    # The group (x = 1) is followed by '+', so it is read as a term.
+    ("(x = 1) + 2 = 3", "expected ')', found '=' (at position 3)"),
+])
+def test_a_group_followed_by_a_term_operator_is_read_as_a_term(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, Signature.IMD)
+    assert str(info.value) == message
+
+
 def test_formula_free_vars_and_shadowing():
     f = parse_formula("forall x. x = y", Signature.DMD)
     assert formula_free_vars(f) == {"y"}
@@ -422,6 +448,41 @@ def test_printed_formulas_parse_back_to_the_same_object(case):
     assert parse_formula(formula_text(f), sig) is f
 
 
+def parenthesised_text(f, draw) -> str:
+    """Text that parse_formula reads back as f, with 0-2 extra pairs of
+    parentheses around each term, 1-3 around each operand of a connective
+    or negation and 0-3 around each quantifier body."""
+    def wrap(text, low, high):
+        k = draw(st.integers(low, high))
+        return "(" * k + text + ")" * k
+
+    def text(g):
+        match g:
+            case Eq(lhs=lhs, rhs=rhs):
+                return f"{wrap(render(lhs), 0, 2)} = {wrap(render(rhs), 0, 2)}"
+            case Not(body=Eq(lhs=lhs, rhs=rhs)) if draw(st.booleans()):
+                return f"{wrap(render(lhs), 0, 2)} != {wrap(render(rhs), 0, 2)}"
+            case Not(body=body):
+                return "~" + wrap(text(body), 1, 3)
+            case Forall(var=var, body=body):
+                return f"forall {var}. {wrap(text(body), 0, 3)}"
+            case Exists(var=var, body=body):
+                return f"exists {var}. {wrap(text(body), 0, 3)}"
+        symbol = {And: "&", Or: "|", Implies: "->"}[type(g)]
+        left, right = g.children
+        return f"{wrap(text(left), 1, 3)} {symbol} {wrap(text(right), 1, 3)}"
+
+    return wrap(text(f), 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(FORMULAS)).flatmap(lambda sig: st.tuples(st.just(sig), FORMULAS[sig])),
+       st.data())
+def test_formulas_with_extra_parentheses_parse_back_to_the_same_object(case, data):
+    sig, f = case
+    assert parse_formula(parenthesised_text(f, data.draw), sig) is f
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(list(FORMULAS)), st.data())
 def test_one_character_mutations_parse_or_raise_parse_error(sig, data):
@@ -515,8 +576,9 @@ DEEP = {
 
 
 def test_nested_parentheses_parse_in_linear_time():
-    # Each '(' tries the term reading first, and the reading is not redone
-    # from the '(' inside it; each parse here once took time quadratic in depth.
+    # One pass pairs the parentheses, and each '(' is then read once, as a
+    # term or as a formula group; each parse here once took time quadratic
+    # in depth.
     depth = 20_000
     start = time.perf_counter()
     assert parse_formula("(" * depth + "0 = x" + ")" * depth, Signature.IMD) is Eq(ZERO, Var("x"))
